@@ -11,10 +11,20 @@ Distinguished elements:
 
 Elements carry an integer coefficient vector together with a denominator
 exponent e, meaning division by p^e; only p is ever inverted.
+
+Code that is generic over its scalars takes a ring R: a prime p names
+the exact ring Z[zeta_{4p}, 1/p] (its RingSpec), a ResidueSpec names the
+residue field F_q with zeta -> root.  Both are ScalarRings, and their
+elements (CycElem, FqElem) share the operators + - * ** and the methods
+inv, exact_div and is_zero.  Reduction Z[zeta, 1/p] -> F_q is a ring
+homomorphism, so a formula evaluated over F_q equals the reduction of
+the same formula evaluated exactly whenever every inverse it takes is of
+a unit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,8 +54,38 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class RingSpec:
-    """Structure constants of Z[zeta_{4p}, 1/p] for one prime p."""
+class ScalarRing:
+    """A ring of scalars for the skein constants and the twist conjugators.
+
+    Subclasses provide p, zero, one, root_power(k) = zeta^k, matrix(rows)
+    (their dense matrix type) and mat_mul(A, B).  The methods below expose
+    element arithmetic to the generic helpers in linalg.
+    """
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def exact_div(a, b):
+        return a.exact_div(b)
+
+    @staticmethod
+    def is_zero(a):
+        return a.is_zero()
+
+    @staticmethod
+    def inv(a):
+        return a.inv()
+
+
+class RingSpec(ScalarRing):
+    """Structure constants of Z[zeta_{4p}, 1/p] for one prime p; the exact
+    ScalarRing, with CycElem elements and PMatrix matrices."""
 
     def __init__(self, p: int):
         if not is_prime(p) or p < 5:
@@ -87,6 +127,26 @@ class RingSpec:
 
     def __repr__(self):
         return f"RingSpec(p={self.p})"
+
+    @property
+    def zero(self) -> "CycElem":
+        return CycElem(self.p, (0,) * self.degree)
+
+    @property
+    def one(self) -> "CycElem":
+        return CycElem(self.p, (1,) + (0,) * (self.degree - 1))
+
+    def root_power(self, k: int) -> "CycElem":
+        return CycElem(self.p, self.monomial[k % self.m])
+
+    def matrix(self, rows):
+        from .pmatrix import PMatrix  # pmatrix imports this module
+
+        return PMatrix.from_rows(self.p, rows)
+
+    @staticmethod
+    def mat_mul(A, B):
+        return A * B
 
     def reduce_poly(self, raw: list[int]) -> list[int]:
         """Canonically reduce a polynomial in zeta of any degree."""
@@ -148,16 +208,16 @@ class CycElem:
 
     @staticmethod
     def zero(p: int) -> "CycElem":
-        return CycElem.from_int(p, 0)
+        return ring(p).zero
 
     @staticmethod
     def one(p: int) -> "CycElem":
-        return CycElem.from_int(p, 1)
+        return ring(p).one
 
     @staticmethod
     def root_power(p: int, k: int) -> "CycElem":
         """zeta^k, k arbitrary."""
-        return CycElem(p, ring(p).monomial[k % (4 * p)], 0)
+        return ring(p).root_power(k)
 
     # -- ring operations ----------------------------------------------
 
@@ -351,36 +411,83 @@ def elem_i(p: int) -> CycElem:
     return CycElem.root_power(p, p)
 
 
-def gauss_sqrt_minus_p(p: int) -> CycElem:
+def gauss_sqrt_minus_p(R):
     """A square root of -p: the quadratic Gauss sum, times i when p = 1 mod 4.
 
     The bare sum g = sum_k u^{k^2} squares to (-1)^((p-1)/2) p.
+    R is p for the exact ring or a ResidueSpec for F_q.
     """
-    u = elem_u(p)
-    g = CycElem.zero(p)
+    S = scalar_ring(R)
+    p = S.p
+    g = S.zero
     for k in range(p):
-        g = g + u ** (k * k % p)
+        g = g + S.root_power(4 * (k * k % p))
     if p % 4 == 1:
-        g = g * elem_i(p)
+        g = g * S.root_power(p)
     return g
 
 
-def eta(p: int) -> CycElem:
-    """RT invariant of the 3-sphere: (A^2 - A^{-2}) / sqrt(-p); a unit."""
-    a = elem_A(p)
-    return (a ** 2 - a ** (-2)).exact_div(gauss_sqrt_minus_p(p))
+def eta(R):
+    """RT invariant of the 3-sphere: (A^2 - A^{-2}) / sqrt(-p); a unit.
+
+    R is p for the exact ring or a ResidueSpec for F_q.
+    """
+    S = scalar_ring(R)
+    return (S.root_power(4) - S.root_power(-4)).exact_div(gauss_sqrt_minus_p(R))
 
 
 # -- residue reduction ---------------------------------------------------
 
 
+class FqElem:
+    """Element of the residue field F_q of a ResidueSpec, with CycElem's operators."""
+
+    __slots__ = ("q", "v")
+
+    def __init__(self, q: int, v: int):
+        self.q = q
+        self.v = v % q
+
+    def __add__(self, other: "FqElem") -> "FqElem":
+        return FqElem(self.q, self.v + other.v)
+
+    def __neg__(self) -> "FqElem":
+        return FqElem(self.q, -self.v)
+
+    def __sub__(self, other: "FqElem") -> "FqElem":
+        return FqElem(self.q, self.v - other.v)
+
+    def __mul__(self, other: "FqElem") -> "FqElem":
+        return FqElem(self.q, self.v * other.v)
+
+    def __pow__(self, n: int) -> "FqElem":
+        if n < 0:
+            return self.inv() ** (-n)
+        return FqElem(self.q, pow(self.v, n, self.q))
+
+    def __repr__(self):
+        return f"{self.v} mod {self.q}"
+
+    def is_zero(self) -> bool:
+        return self.v == 0
+
+    def inv(self) -> "FqElem":
+        if self.v == 0:
+            raise NotAUnitError("zero is not invertible")
+        return FqElem(self.q, pow(self.v, self.q - 2, self.q))
+
+    def exact_div(self, other: "FqElem") -> "FqElem":
+        return self * other.inv()
+
+
 @dataclass(frozen=True)
-class ResidueSpec:
+class ResidueSpec(ScalarRing):
     """A prime q = 1 mod 4p together with the chosen root of Phi_{4p} in F_q.
 
     The root is the smallest residue of multiplicative order exactly 4p,
     which pins down one maximal ideal J with Z[zeta,1/p]/J = F_q and makes
-    runs reproducible.
+    runs reproducible.  As a ScalarRing it is F_q with zeta -> root:
+    FqElem elements, and matrices as tuples of rows of ints in [0, q).
     """
 
     p: int
@@ -389,16 +496,22 @@ class ResidueSpec:
 
     @staticmethod
     def for_primes(p: int, q: int) -> "ResidueSpec":
+        """The spec with the smallest root, found in time polylogarithmic in q.
+
+        g = x^((q-1)/4p) has order dividing 4p; the first x for which it is
+        exactly 4p gives a generator of the roots of order 4p, which are
+        then its powers g^k with k prime to 4p.
+        """
         if not is_prime(q):
             raise RingUsageError(f"q = {q} is not prime")
         m = 4 * p
         if q % m != 1:
             raise RingUsageError(f"q = {q} is not 1 mod {m}")
-        for r in range(2, q):
-            if pow(r, m, q) == 1 and all(
-                pow(r, m // ell, q) != 1 for ell in (2, p)
-            ):
-                return ResidueSpec(p, q, r)
+        for x in range(2, q):
+            g = pow(x, (q - 1) // m, q)
+            if all(pow(g, m // ell, q) != 1 for ell in (2, p)):
+                root = min(pow(g, k, q) for k in range(1, m) if math.gcd(k, m) == 1)
+                return ResidueSpec(p, q, root)
         raise RingUsageError(f"no root of order {m} mod {q}")
 
     def reduce(self, x: CycElem) -> int:
@@ -412,6 +525,29 @@ class ResidueSpec:
         if x.e:
             acc = acc * pow(pow(self.p, x.e, q), q - 2, q) % q
         return acc
+
+    @property
+    def zero(self) -> FqElem:
+        return FqElem(self.q, 0)
+
+    @property
+    def one(self) -> FqElem:
+        return FqElem(self.q, 1)
+
+    def root_power(self, k: int) -> FqElem:
+        return FqElem(self.q, pow(self.root, k % (4 * self.p), self.q))
+
+    @staticmethod
+    def matrix(rows):
+        return tuple(tuple(x.v for x in row) for row in rows)
+
+    def mat_mul(self, A, B):
+        return linalg.fq_mat_mul(A, B, self.q)
+
+
+def scalar_ring(R) -> ScalarRing:
+    """The ScalarRing a caller names: p for Z[zeta_{4p}, 1/p], or a ResidueSpec."""
+    return R if isinstance(R, ResidueSpec) else ring(R)
 
 
 def residue_primes(p: int, count: int = 5) -> list[int]:
@@ -544,32 +680,3 @@ def _p_kernel_combination(basis: list[list[int]], p: int) -> list[int] | None:
             if all(v % p == 0 for v in vec) and any(vec):
                 return vec
     return None
-
-
-class CycRingOps:
-    """Adapter exposing CycElem arithmetic to the generic linalg helpers."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.one = CycElem.one(p)
-        self.zero = CycElem.zero(p)
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def exact_div(a, b):
-        return a.exact_div(b)
-
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
-    @staticmethod
-    def inv(a):
-        return a.inv()

@@ -198,6 +198,15 @@ def fq_rref(rows: list[list[int]], q: int) -> list[list[int]]:
     return [r for r in mat[:rank]]
 
 
+def fq_mat_mul(A, B, q: int):
+    """Product of two square matrices over F_q, as a tuple of rows."""
+    n = len(A)
+    return tuple(
+        tuple(sum(A[i][k] * B[k][j] for k in range(n)) % q for j in range(n))
+        for i in range(n)
+    )
+
+
 def fq_rank(rows: list[list[int]], q: int) -> int:
     return len(fq_rref(rows, q))
 
@@ -235,7 +244,8 @@ def bareiss_det(mat: list[list], ring) -> object:
     """Fraction-free determinant over an integral domain.
 
     `ring` must provide .one, .zero, mul(a,b), sub(a,b), exact_div(a,b),
-    and is_zero(a).  Division steps are exact by the Bareiss identity.
+    and is_zero(a), as a cyclotomic.ScalarRing does.  Division steps are
+    exact by the Bareiss identity.
     """
     n = len(mat)
     if n == 0:

@@ -102,7 +102,7 @@ def boundary_vector(desc: BoundedHeegaard, p: int) -> BoundaryVector:
 def boundary_vector_mod(desc: BoundedHeegaard, p: int, r: ResidueSpec) -> tuple[int, ...]:
     vac = vacuum_index(2, p)
     M = rho_mod(desc.word, p, r)
-    scale = r.reduce(eta(p).inv() ** (2 - desc.boundary_genus))
+    scale = (eta(r).inv() ** (2 - desc.boundary_genus)).v
     column = [M[i][vac] for i in range(rep_dim(2, p))]
     return tuple(
         scale * column[i] % r.q for i in surviving_indices(p, desc.boundary_genus)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .cyclotomic import CycElem, CycRingOps, ResidueSpec, RingUsageError
+from .cyclotomic import CycElem, ResidueSpec, RingUsageError, ring
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class PMatrix:
         )
 
     def inverse(self) -> "PMatrix":
-        inv = linalg.ring_inverse([list(r) for r in self.entries], CycRingOps(self.p))
+        inv = linalg.ring_inverse([list(r) for r in self.entries], ring(self.p))
         return PMatrix.from_rows(self.p, inv, self.projective)
 
     def equal_exact(self, other: "PMatrix") -> bool:

@@ -17,14 +17,20 @@ recoupling.  The S-move matrix is computed by expanding the clasped,
 bridge-connected Hopf pairing into twist eigenvalues and tetrahedral
 coefficients; correctness of the whole assembly is enforced by the braid
 / commutation / Hermitian relation suite rather than by construction.
+
+The S-move and bridge blocks and the conjugators are built over a scalar
+ring R chosen by the caller, as in skein: p for exact PMatrices, a
+ResidueSpec for residue matrices.  rho multiplies exact letters; rho_mod
+multiplies letters built in F_q, which equal the reductions of the exact
+letters.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclotomic import CycElem, CycRingOps, ResidueSpec, eta
-from .linalg import FqSpan, ring_inverse
+from .cyclotomic import ResidueSpec, RingUsageError, eta, scalar_ring
+from .linalg import FqSpan, fq_mat_mul, ring_inverse
 from .mcg import TwistWord, WordError
 from .pmatrix import PMatrix
 from .skein import (
@@ -35,6 +41,7 @@ from .skein import (
     s_matrix,
     tet,
     theta,
+    _theta_inv,
     twist,
 )
 
@@ -79,7 +86,7 @@ def vacuum_index(genus: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _holed_torus_s(p: int, c: int) -> tuple[tuple[CycElem, ...], ...]:
+def _holed_torus_s(R, c: int) -> tuple[tuple, ...]:
     """Operator matrix of the S-move on the one-holed torus with boundary
     color c, in the basis {loop color y : (y,y,c) admissible}.
 
@@ -87,38 +94,41 @@ def _holed_torus_s(p: int, c: int) -> tuple[tuple[CycElem, ...], ...]:
     sum_e mu_e (Delta_e / theta(y,a,e)) tet[y y c; a a e].
     Reduces to the closed-torus s_matrix at c = 0.
     """
+    S = scalar_ring(R)
+    p = S.p
     idx = [y for y in colors(p) if admissible(p, y, y, c)]
-    h = eta(p)
+    h = eta(R)
     rows = []
     for y in idx:
-        pref = h * quantum_dim(p, y) * theta(p, y, y, c).inv()
+        pref = h * quantum_dim(R, y) * _theta_inv(R, y, y, c)
         row = []
         for a in idx:
-            acc = CycElem.zero(p)
+            acc = S.zero
             for e in colors(p):
                 if admissible(p, y, a, e):
-                    acc = acc + twist(p, e) * quantum_dim(p, e) * theta(p, y, a, e).inv() * tet(
-                        p, y, y, c, a, a, e
+                    acc = acc + twist(R, e) * quantum_dim(R, e) * _theta_inv(R, y, a, e) * tet(
+                        R, y, y, c, a, a, e
                     )
-            row.append(pref * (twist(p, y) * twist(p, a)).inv() * acc)
+            row.append(pref * (twist(R, y) * twist(R, a)).inv() * acc)
         rows.append(row)
     return tuple(tuple(r) for r in rows)
 
 
 @lru_cache(maxsize=None)
-def _bridge_f_block(p: int, a: int, b: int) -> tuple[tuple[CycElem, ...], ...]:
+def _bridge_f_block(R, a: int, b: int) -> tuple[tuple, ...]:
     """Expansion of dumbbell vectors in the theta basis for fixed loop colors.
 
     Row f, column c: Delta_f * tet[a a c; b b f] / theta(a,b,f)^2, carrying
     the (a,a)(b,b) channel c to the bridge-recoupled channel f.
     """
+    p = scalar_ring(R).p
     cs = [c for c in colors(p) if admissible(p, a, a, c) and admissible(p, b, b, c)]
     fs = [f for f in colors(p) if admissible(p, a, b, f)]
     rows = []
     for f in fs:
-        th = theta(p, a, b, f).inv()
+        th = _theta_inv(R, a, b, f)
         rows.append(
-            tuple(quantum_dim(p, f) * tet(p, a, a, c, b, b, f) * th * th for c in cs)
+            tuple(quantum_dim(R, f) * tet(R, a, a, c, b, b, f) * th * th for c in cs)
         )
     return tuple(rows)
 
@@ -140,60 +150,59 @@ def _block_indices_right(p: int):
     return groups
 
 
-def _embed_blocks(p: int, groups, block_of, invert: bool = False) -> PMatrix:
-    """Assemble a block-diagonal PMatrix from per-group square blocks.
+def _embed_blocks(R, groups, block_of, invert: bool = False):
+    """Assemble a block-diagonal matrix over R from per-group square blocks.
 
     Blocks are at most a few entries wide, so inverting blockwise keeps
     all ring inversions tiny.
     """
-    n = rep_dim(2, p)
-    zero = CycElem.zero(p)
-    rows = [[zero] * n for _ in range(n)]
-    ops = CycRingOps(p)
+    S = scalar_ring(R)
+    n = rep_dim(2, S.p)
+    rows = [[S.zero] * n for _ in range(n)]
     for key, positions in groups.items():
         block = [list(r) for r in block_of(key, positions)]
         if invert:
-            block = ring_inverse(block, ops)
+            block = ring_inverse(block, S)
         for bi, pi in enumerate(positions):
             for bj, pj in enumerate(positions):
                 rows[pi][pj] = block[bi][bj]
-    return PMatrix.from_rows(p, rows)
+    return S.matrix(rows)
 
 
 @lru_cache(maxsize=None)
-def _left_s_operator(p: int, invert: bool = False) -> PMatrix:
+def _left_s_operator(R, invert: bool = False):
     def block_of(key, positions):
         c, _b = key
-        return _holed_torus_s(p, c)
+        return _holed_torus_s(R, c)
 
-    return _embed_blocks(p, _block_indices_left(p), block_of, invert)
+    return _embed_blocks(R, _block_indices_left(scalar_ring(R).p), block_of, invert)
 
 
 @lru_cache(maxsize=None)
-def _right_s_operator(p: int, invert: bool = False) -> PMatrix:
+def _right_s_operator(R, invert: bool = False):
     def block_of(key, positions):
         _a, c = key
-        return _holed_torus_s(p, c)
+        return _holed_torus_s(R, c)
 
-    return _embed_blocks(p, _block_indices_right(p), block_of, invert)
+    return _embed_blocks(R, _block_indices_right(scalar_ring(R).p), block_of, invert)
 
 
 @lru_cache(maxsize=None)
-def _bridge_f_matrix(p: int, invert: bool = False) -> PMatrix:
+def _bridge_f_matrix(R, invert: bool = False):
     """Coordinate change dumbbell -> theta, block-diagonal over (a, b).
 
     Theta-basis labels (a, f, b) are ordered per block by f ascending.
     """
-    basis = genus2_basis(p)
+    basis = genus2_basis(scalar_ring(R).p)
     groups: dict[tuple[int, int], list[int]] = {}
     for pos, (a, c, b) in enumerate(basis):
         groups.setdefault((a, b), []).append(pos)
 
     def block_of(key, positions):
         a, b = key
-        return _bridge_f_block(p, a, b)
+        return _bridge_f_block(R, a, b)
 
-    return _embed_blocks(p, groups, block_of, invert)
+    return _embed_blocks(R, groups, block_of, invert)
 
 
 @lru_cache(maxsize=None)
@@ -214,46 +223,43 @@ def _theta_labels(p: int) -> tuple[tuple[int, int, int], ...]:
 # -- twist generator matrices ----------------------------------------------
 
 
-def _diag_over_basis(p: int, eigen_of) -> list[CycElem]:
-    return [eigen_of(label) for label in genus2_basis(p)]
-
-
 @lru_cache(maxsize=None)
-def _twist_conjugators(genus: int, p: int, curve: str):
-    """(Q, Q^{-1}, eigenvalues d): the twist is Q diag(d) Q^{-1}.
+def _twist_conjugators(genus: int, R, curve: str):
+    """(Q, Q^{-1}, eigenvalues d) over R: the twist is Q diag(d) Q^{-1}.
 
     Q = None means the twist is diagonal in the reference basis.
     Arbitrary powers are then exact: Q diag(d^k) Q^{-1}.  The conjugators
     are products of block-diagonal moves, inverted blockwise.
     """
+    S = scalar_ring(R)
+    p = S.p
     if genus == 1:
-        diag = tuple(twist(p, n) for n in genus1_basis(p))
+        diag = tuple(twist(R, n) for n in genus1_basis(p))
         if curve == "a":
             return None, None, diag
         if curve == "b":
-            S = s_matrix(p)
-            return S, S.inverse(), diag
+            return s_matrix(R), s_matrix(R, True), diag
         raise WordError(f"unknown genus-1 curve {curve!r}")
     basis = genus2_basis(p)
     if curve == "c2":
-        return None, None, tuple(twist(p, a) for a, c, b in basis)
+        return None, None, tuple(twist(R, a) for a, c, b in basis)
     if curve == "c4":
-        return None, None, tuple(twist(p, b) for a, c, b in basis)
+        return None, None, tuple(twist(R, b) for a, c, b in basis)
     if curve == "s":
-        return None, None, tuple(twist(p, c) for a, c, b in basis)
+        return None, None, tuple(twist(R, c) for a, c, b in basis)
     if curve == "c1":
-        Q = _left_s_operator(p)
-        return Q, _left_s_operator(p, True), tuple(twist(p, a) for a, c, b in basis)
+        Q = _left_s_operator(R)
+        return Q, _left_s_operator(R, True), tuple(twist(R, a) for a, c, b in basis)
     if curve == "c5":
-        Q = _right_s_operator(p)
-        return Q, _right_s_operator(p, True), tuple(twist(p, b) for a, c, b in basis)
+        Q = _right_s_operator(R)
+        return Q, _right_s_operator(R, True), tuple(twist(R, b) for a, c, b in basis)
     if curve == "c3":
-        BL, BLi = _left_s_operator(p), _left_s_operator(p, True)
-        BR, BRi = _right_s_operator(p), _right_s_operator(p, True)
-        F, Fi = _bridge_f_matrix(p), _bridge_f_matrix(p, True)
-        Q = BL * BR * Fi
-        Qinv = F * BRi * BLi
-        diag = tuple(twist(p, f) for a, f, b in _theta_labels(p))
+        BL, BLi = _left_s_operator(R), _left_s_operator(R, True)
+        BR, BRi = _right_s_operator(R), _right_s_operator(R, True)
+        F, Fi = _bridge_f_matrix(R), _bridge_f_matrix(R, True)
+        Q = S.mat_mul(S.mat_mul(BL, BR), Fi)
+        Qinv = S.mat_mul(S.mat_mul(F, BRi), BLi)
+        diag = tuple(twist(R, f) for a, f, b in _theta_labels(p))
         return Q, Qinv, diag
     raise WordError(f"unknown genus-2 curve {curve!r}")
 
@@ -284,14 +290,6 @@ def rho(word: TwistWord, p: int) -> PMatrix:
 # -- mod-q reductions -------------------------------------------------------
 
 
-def fq_mat_mul(A, B, q: int):
-    n = len(A)
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(n)) % q for j in range(n))
-        for i in range(n)
-    )
-
-
 def fq_identity(n: int):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -309,41 +307,24 @@ def fq_is_scalar(M, q: int) -> bool:
     return d % q != 0
 
 
-def fq_proj_equal(A, B, q: int) -> bool:
-    n = len(A)
-    ref = None
-    for i in range(n):
-        for j in range(n):
-            if (A[i][j] % q == 0) != (B[i][j] % q == 0):
-                return False
-            if ref is None and A[i][j] % q:
-                ref = (i, j)
-    if ref is None:
-        return True
-    a0, b0 = A[ref[0]][ref[1]], B[ref[0]][ref[1]]
-    for i in range(n):
-        for j in range(n):
-            if (a0 * B[i][j] - b0 * A[i][j]) % q:
-                return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _letter_matrix_mod(genus: int, p: int, curve: str, k: int, r: ResidueSpec):
-    """Mod-J matrix of t_curve^k via the reduced conjugator and eigenvalues."""
-    Q, Qinv, diag = _twist_conjugators(genus, p, curve)
+    """Mod-J matrix of t_curve^k: Q D^k Q^{-1} from the conjugators over F_q."""
+    if r.p != p:
+        raise RingUsageError("word and residue spec use different p")
+    Q, Qinv, diag = _twist_conjugators(genus, r, curve)
     q = r.q
-    eig = [r.reduce(x) for x in diag]
-    dk = [pow(e, k % (q - 1), q) for e in eig]
-    n = len(eig)
-    D = tuple(tuple(dk[i] if i == j else 0 for j in range(n)) for i in range(n))
+    dk = [(d ** k).v for d in diag]
     if Q is None:
-        return D
-    return fq_mat_mul(fq_mat_mul(Q.reduce(r), D, q), Qinv.reduce(r), q)
+        n = len(dk)
+        return tuple(tuple(dk[i] if i == j else 0 for j in range(n)) for i in range(n))
+    QD = tuple(tuple(x * d % q for x, d in zip(row, dk)) for row in Q)
+    return fq_mat_mul(QD, Qinv, q)
 
 
 def rho_mod(word: TwistWord, p: int, r: ResidueSpec):
-    """Entrywise residue reduction of rho(word); functorial on the nose."""
+    """rho(word) mod J, computed in F_q; equal to the entrywise reduction of
+    rho(word) and functorial on the nose."""
     n = rep_dim(word.genus, p)
     out = fq_identity(n)
     for curve, exp in word.letters:

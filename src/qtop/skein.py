@@ -12,13 +12,19 @@ The SO(3) theory lives on the even colors 0, 2, ..., p-3; there are
 {(-A)^{i^2-1} : i = 1..(p-1)/2}: writing n = c(i) for the color ordering
 used by the genus-1 basis (c(i) = i-1 for odd i, p-1-i for even i, so
 that c(i)+1 = +-i mod p), one has mu_{c(i)} = (-A)^{i^2-1} exactly.
+
+The constants are generic over their scalars: the first argument R is the
+prime p for exact elements of Z[zeta_{4p}, 1/p], or a ResidueSpec for
+their images in F_q (see cyclotomic.scalar_ring).  Each formula is
+written once; over F_q it gives the reduction of the exact value.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclotomic import CycElem, elem_A, eta, ring
+from .cyclotomic import CycElem, eta, ring, scalar_ring
+from .linalg import ring_inverse
 from .pmatrix import PMatrix
 
 
@@ -63,40 +69,40 @@ def check_admissible(p: int, a: int, b: int, c: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def quantum_integer(p: int, n: int) -> CycElem:
-    """[n] as an exact element: u^{n-1} + u^{n-3} + ... + u^{1-n}."""
+def quantum_integer(R, n: int):
+    """[n]: u^{n-1} + u^{n-3} + ... + u^{1-n}."""
     if n < 0:
         raise ValueError("quantum integer wants n >= 0")
-    u = elem_A(p) ** 2
-    acc = CycElem.zero(p)
+    S = scalar_ring(R)
+    acc = S.zero
     for k in range(n):
-        acc = acc + u ** (n - 1 - 2 * k)
+        acc = acc + S.root_power(4 * (n - 1 - 2 * k))
     return acc
 
 
 @lru_cache(maxsize=None)
-def quantum_factorial(p: int, n: int) -> CycElem:
+def quantum_factorial(R, n: int):
     if n <= 0:
-        return CycElem.one(p)
-    return quantum_factorial(p, n - 1) * quantum_integer(p, n)
+        return scalar_ring(R).one
+    return quantum_factorial(R, n - 1) * quantum_integer(R, n)
 
 
 @lru_cache(maxsize=None)
-def _qfact_inv(p: int, n: int) -> CycElem:
-    return quantum_factorial(p, n).inv()
+def _qfact_inv(R, n: int):
+    return quantum_factorial(R, n).inv()
 
 
 @lru_cache(maxsize=None)
-def quantum_dim(p: int, n: int) -> CycElem:
+def quantum_dim(R, n: int):
     """Delta_n = (-1)^n [n+1]; positive on the even colors."""
-    d = quantum_integer(p, n + 1)
+    d = quantum_integer(R, n + 1)
     return -d if n % 2 else d
 
 
 @lru_cache(maxsize=None)
-def twist(p: int, n: int) -> CycElem:
+def twist(R, n: int):
     """mu_n = (-1)^n A^{n(n+2)}, the eigenvalue of the twist on color n."""
-    val = elem_A(p) ** (n * (n + 2))
+    val = scalar_ring(R).root_power(2 * n * (n + 2))
     return -val if n % 2 else val
 
 
@@ -106,73 +112,74 @@ def t_eigenvalue(p: int, n: int) -> CycElem:
 
 
 @lru_cache(maxsize=None)
-def theta(p: int, a: int, b: int, c: int) -> CycElem:
+def theta(R, a: int, b: int, c: int):
     """Value of the theta network, signed convention: theta(n,n,0) = Delta_n."""
-    check_admissible(p, a, b, c)
+    check_admissible(scalar_ring(R).p, a, b, c)
     i, j, k = (b + c - a) // 2, (a + c - b) // 2, (a + b - c) // 2
     num = (
-        quantum_factorial(p, i + j + k + 1)
-        * quantum_factorial(p, i)
-        * quantum_factorial(p, j)
-        * quantum_factorial(p, k)
+        quantum_factorial(R, i + j + k + 1)
+        * quantum_factorial(R, i)
+        * quantum_factorial(R, j)
+        * quantum_factorial(R, k)
     )
     val = (
         num
-        * _qfact_inv(p, i + j)
-        * _qfact_inv(p, j + k)
-        * _qfact_inv(p, i + k)
+        * _qfact_inv(R, i + j)
+        * _qfact_inv(R, j + k)
+        * _qfact_inv(R, i + k)
     )
     return -val if (i + j + k) % 2 else val
 
 
 @lru_cache(maxsize=None)
-def _theta_inv(p: int, a: int, b: int, c: int) -> CycElem:
-    return theta(p, a, b, c).inv()
+def _theta_inv(R, a: int, b: int, c: int):
+    return theta(R, a, b, c).inv()
 
 
 @lru_cache(maxsize=None)
-def tet(p: int, a: int, b: int, e: int, c: int, d: int, f: int) -> CycElem:
+def tet(R, a: int, b: int, e: int, c: int, d: int, f: int):
     """Tetrahedral network with admissible faces (a,b,e), (c,d,e), (a,d,f), (b,c,f).
 
     Degenerates to theta: tet(a, b, e, b, a, 0) = theta(a, b, e).
     """
+    S = scalar_ring(R)
     for face in ((a, b, e), (c, d, e), (a, d, f), (b, c, f)):
-        check_admissible(p, *face)
+        check_admissible(S.p, *face)
     v = [(a + b + e) // 2, (c + d + e) // 2, (a + d + f) // 2, (b + c + f) // 2]
     q = [(a + b + c + d) // 2, (a + c + e + f) // 2, (b + d + e + f) // 2]
-    pref = CycElem.one(p)
+    pref = S.one
     for qq in q:
         for vv in v:
-            pref = pref * quantum_factorial(p, qq - vv)
+            pref = pref * quantum_factorial(R, qq - vv)
     for edge in (a, b, c, d, e, f):
-        pref = pref * _qfact_inv(p, edge)
-    total = CycElem.zero(p)
+        pref = pref * _qfact_inv(R, edge)
+    total = S.zero
     for s in range(max(v), min(q) + 1):
-        if s + 1 >= p:
+        if s + 1 >= S.p:
             continue  # [s+1]! vanishes at level p
-        term = quantum_factorial(p, s + 1)
+        term = quantum_factorial(R, s + 1)
         for vv in v:
-            term = term * _qfact_inv(p, s - vv)
+            term = term * _qfact_inv(R, s - vv)
         for qq in q:
-            term = term * _qfact_inv(p, qq - s)
+            term = term * _qfact_inv(R, qq - s)
         total = total + (-term if s % 2 else term)
     return pref * total
 
 
 @lru_cache(maxsize=None)
-def sixj(p: int, a: int, b: int, e: int, c: int, d: int, f: int) -> CycElem:
+def sixj(R, a: int, b: int, e: int, c: int, d: int, f: int):
     """Recoupling coefficient carrying the (a,b)(c,d) channel e to (b,c)(a,d) channel f.
 
     Rows of the resulting change of basis are mutually inverse:
     sum_f sixj(a,b,e,c,d,f) sixj(b,c,f,d,a,e') = delta_{e,e'}.
     """
-    val = tet(p, a, b, e, c, d, f) * quantum_dim(p, f)
-    return val * _theta_inv(p, a, d, f) * _theta_inv(p, b, c, f)
+    val = tet(R, a, b, e, c, d, f) * quantum_dim(R, f)
+    return val * _theta_inv(R, a, d, f) * _theta_inv(R, b, c, f)
 
 
-def hopf(p: int, a: int, b: int) -> CycElem:
+def hopf(R, a: int, b: int):
     """Bracket of the (a,b)-colored zero-framed Hopf link: (-1)^{a+b}[(a+1)(b+1)]."""
-    val = quantum_integer(p, (a + 1) * (b + 1))
+    val = quantum_integer(R, (a + 1) * (b + 1))
     return -val if (a + b) % 2 else val
 
 
@@ -191,13 +198,15 @@ def t_matrix(p: int) -> PMatrix:
 
 
 @lru_cache(maxsize=None)
-def s_matrix(p: int) -> PMatrix:
-    """eta-normalized Hopf pairing of colored cores; squares to the identity
-    projectively and generates a projective SL2(Z) action with t_matrix."""
-    order = spectral_color_order(p)
-    h = eta(p)
-    rows = [[h * hopf(p, a, b) for b in order] for a in order]
-    return PMatrix.from_rows(p, rows)
+def s_matrix(R, invert: bool = False):
+    """eta-normalized Hopf pairing of colored cores (or its inverse); squares
+    to the identity projectively and generates a projective SL2(Z) action
+    with t_matrix.  A PMatrix for p, rows of residues for a ResidueSpec."""
+    S = scalar_ring(R)
+    order = spectral_color_order(S.p)
+    h = eta(R)
+    rows = [[h * hopf(R, a, b) for b in order] for a in order]
+    return S.matrix(ring_inverse(rows, S) if invert else rows)
 
 
 @lru_cache(maxsize=None)

@@ -17,11 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import ResidueSpec, is_prime
-from .linalg import fq_rank
 from .manifolds import BoundedHeegaard
 from .mcg import word_in_subgroup
 from .obstruct import surviving_indices
-from .rep import rep_dim, rho_mod, vacuum_index
+from .rep import fq_mat_mul, rep_dim, rho_mod, vacuum_index
 
 
 class WalkUsageError(ValueError):
@@ -40,14 +39,6 @@ def projective_canon(mat, q: int):
     inv = pow(lead, q - 2, q)
     n = len(mat)
     return tuple(tuple((mat[i][j] * inv) % q for j in range(n)) for i in range(n))
-
-
-def mat_mul_q(A, B, q: int):
-    n = len(A)
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(n)) % q for j in range(n))
-        for i in range(n)
-    )
 
 
 @dataclass(frozen=True)
@@ -79,7 +70,7 @@ def enumerate_group(generators, q: int, cap: int = 200_000) -> GroupClosure:
     while queue:
         cur = queue.pop()
         for g in gens:
-            nxt = projective_canon(mat_mul_q(cur, g, q), q)
+            nxt = projective_canon(fq_mat_mul(cur, g, q), q)
             if nxt not in seen:
                 if len(seen) >= cap:
                     return GroupClosure(tuple(), False, len(seen) + 1)
@@ -183,7 +174,7 @@ def tv_to_uniform(
         gq = projective_canon(g, q)
         if gq not in index:
             raise WalkUsageError("generator outside the enumerated group")
-        gen_maps.append([index[projective_canon(mat_mul_q(h, gq, q), q)] for h in elements])
+        gen_maps.append([index[projective_canon(fq_mat_mul(h, gq, q), q)] for h in elements])
     uniform = Fraction(1, N)
     dist = [Fraction(0)] * N
     ident = projective_canon(
@@ -264,7 +255,7 @@ def hyperplane_prob(
             for _ in range(60):
                 g = rng.choice(pool)
                 if g is not None:
-                    X = mat_mul_q(X, g, q)
+                    X = fq_mat_mul(X, g, q)
             col = [X[i][0] for i in range(n)]
             if all(x % q == 0 for x in col[m:]):
                 hits += 1
@@ -338,19 +329,14 @@ def montecarlo_vanishing(
     q = r.q
     keep = surviving_indices(p, desc.boundary_genus)
     dim = rep_dim(2, p)
-    kernel = [i for i in range(dim) if i not in keep]
-    # measured kernel dimension of the compression projection mod q
-    rows = []
-    for i in kernel:
-        row = [0] * dim
-        row[i] = 1
-        rows.append(row)
-    kdim = fq_rank(rows, q) if rows else 0
+    kdim = dim - len(keep)  # the projection kills every other coordinate
     exact = Fraction(q ** kdim - 1, q ** dim - 1)
     bound = Fraction(q ** (dim - (1 if desc.boundary_genus == 0 else rep_dim(1, p))) - 1, q ** dim - 1)
 
     vac = vacuum_index(2, p)
-    base = np.array(rho_mod(desc.word, p, r), dtype=np.int64)
+    # int64 holds every sum of dim products of residues only below this q
+    dtype = np.int64 if dim * (q - 1) ** 2 < 2 ** 63 else object
+    base = np.array(rho_mod(desc.word, p, r), dtype=dtype)
     if np.all(base[:, vac] % q == 0):
         raise WalkUsageError("handlebody vector is zero mod J: degenerate setup")
 
@@ -360,7 +346,7 @@ def montecarlo_vanishing(
         )
 
     gen_mats = np.array(
-        [rho_mod(w, p, r) for w in walkspec.generators], dtype=np.int64
+        [rho_mod(w, p, r) for w in walkspec.generators], dtype=dtype
     )
     weights = np.array([float(w) for w in walkspec.weights])
     weights = weights / weights.sum()

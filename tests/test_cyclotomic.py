@@ -16,6 +16,7 @@ from qtop.cyclotomic import (
     elem_u,
     eta,
     gauss_sqrt_minus_p,
+    is_prime,
     residue_primes,
     ring,
 )
@@ -149,6 +150,20 @@ def test_root_has_exact_order_m():
         assert pow(r.root, m, q) == 1
         for ell in (2, p):
             assert pow(r.root, m // ell, q) != 1
+
+
+def test_smallest_root_matches_scan():
+    # for_primes finds the root without a scan; compare with one
+    for p in (5, 7, 11, 13):
+        m = 4 * p
+        for q in range(m + 1, 3000, m):
+            if not is_prime(q):
+                continue
+            scan = next(
+                x for x in range(2, q)
+                if pow(x, m, q) == 1 and pow(x, m // 2, q) != 1 and pow(x, m // p, q) != 1
+            )
+            assert ResidueSpec.for_primes(p, q).root == scan, (p, q)
 
 
 def test_residue_preserves_one():

@@ -5,6 +5,7 @@ from qtop.cyclotomic import ResidueSpec, elem_A
 from qtop.mcg import empty_word, letter, parse_word, random_word
 from qtop.pmatrix import PMatrix, proj_equal
 from qtop.rep import (
+    _letter_matrix_mod,
     algebra_span_dim,
     fq_identity,
     fq_is_scalar,
@@ -147,12 +148,23 @@ def test_rho_mod_functoriality_and_inverses():
 
 
 def test_reduction_compatibility():
-    p = 5
-    for seed in range(5):
-        w = random_word(2, 6, seed)
-        assert rho(w, p).reduce(R41) == rho_mod(w, p, R41)
-    w1 = random_word(1, 8, 5)
-    assert rho(w1, p).reduce(R41) == rho_mod(w1, p, R41)
+    # letters are built in F_q; they must equal the reduced exact letters,
+    # also at the inverse of the smallest root (another maximal ideal)
+    curves = {1: ("a", "b"), 2: GENUS2_CURVES}
+    for p, qs in ((5, (41, 61, 101)), (7, (29, 113, 197))):
+        specs = [ResidueSpec.for_primes(p, q) for q in qs]
+        specs.append(ResidueSpec(p, qs[0], pow(specs[0].root, -1, qs[0])))
+        for r in specs:
+            for genus, names in curves.items():
+                for c in names:
+                    for k in (1, -1, 2, -3):
+                        exact = twist_power_matrix(genus, p, c, k).reduce(r)
+                        assert _letter_matrix_mod(genus, p, c, k, r) == exact, (p, r, c, k)
+            for seed in range(3):
+                w = random_word(2, 6, seed)
+                assert rho(w, p).reduce(r) == rho_mod(w, p, r)
+            w1 = random_word(1, 8, 5)
+            assert rho(w1, p).reduce(r) == rho_mod(w1, p, r)
 
 
 def test_rho_mod_empty_word():

@@ -2,9 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
 from qtop.cyclotomic import ResidueSpec
 from qtop.manifolds import BoundedHeegaard
-from qtop.mcg import empty_word
+from qtop.mcg import empty_word, parse_word
+from qtop.obstruct import surviving_indices
+from qtop.rep import fq_mat_mul, rho_mod, vacuum_index
 from qtop.walks import (
     WalkSpec,
     WalkUsageError,
@@ -175,3 +179,28 @@ def test_montecarlo_genus1_boundary_kernel_dim():
     report = montecarlo_vanishing(desc, 5, R41, spec, 10)
     assert report.kernel_dim == 3
     assert report.exact_probability == Fraction(41 ** 3 - 1, 41 ** 5 - 1)
+
+
+def test_montecarlo_exact_above_int64_range():
+    # dim * (q - 1)^2 >= 2^63, so an int64 product would overflow; the
+    # vacuum entry of (c1*c3^-1)*g is 0 for g = c3^2*c5^2, so walks whose
+    # steps multiply to g hit
+    p, r = 5, ResidueSpec(5, 3000000361, 2562159243)
+    assert 5 * (r.q - 1) ** 2 >= 2 ** 63
+    desc = BoundedHeegaard(2, 0, parse_word(2, "c1*c3^-1"))
+    g = parse_word(2, "c3^2*c5^2")
+    spec = WalkSpec.uniform((g, g.inverse()), 3, 11)
+    trials = 40
+    report = montecarlo_vanishing(desc, p, r, spec, trials)
+    # replay the walk's picks with Python-int products
+    picks = np.random.default_rng(spec.seed).choice(2, size=(trials, spec.length), p=[0.5, 0.5])
+    gens = [rho_mod(w, p, r) for w in spec.generators]
+    vac, keep = vacuum_index(2, p), surviving_indices(p, 0)
+    hits = 0
+    for row in picks:
+        acc = rho_mod(desc.word, p, r)
+        for i in row:
+            acc = fq_mat_mul(acc, gens[i], r.q)
+        hits += all(acc[k][vac] == 0 for k in keep)
+    assert 0 < hits < trials
+    assert report.hits == hits
