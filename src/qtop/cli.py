@@ -63,7 +63,6 @@ class CliError(Exception):
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    payload: dict
     output: str | None
     fmt: str
 
@@ -469,7 +468,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     config = RunConfig(
         command=getattr(args, "name", args.command),
-        payload={},
         output=args.output,
         fmt=args.format,
     )

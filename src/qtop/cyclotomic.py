@@ -58,8 +58,9 @@ class ScalarRing:
     """A ring of scalars for the skein constants and the twist conjugators.
 
     Subclasses provide p, zero, one, root_power(k) = zeta^k, matrix(rows)
-    (their dense matrix type) and mat_mul(A, B).  The methods below expose
-    element arithmetic to the generic helpers in linalg.
+    and vector(xs) (their dense matrix and vector types), mat_mul(A, B)
+    and mat_vec(A, v).  The methods below expose element arithmetic to the
+    generic helpers in linalg.
     """
 
     @staticmethod
@@ -145,8 +146,16 @@ class RingSpec(ScalarRing):
         return PMatrix.from_rows(self.p, rows)
 
     @staticmethod
+    def vector(xs):
+        return list(xs)
+
+    @staticmethod
     def mat_mul(A, B):
         return A * B
+
+    @staticmethod
+    def mat_vec(A, v):
+        return A.apply(v)
 
     def reduce_poly(self, raw: list[int]) -> list[int]:
         """Canonically reduce a polynomial in zeta of any degree."""
@@ -541,8 +550,15 @@ class ResidueSpec(ScalarRing):
     def matrix(rows):
         return tuple(tuple(x.v for x in row) for row in rows)
 
+    @staticmethod
+    def vector(xs):
+        return tuple(x.v for x in xs)
+
     def mat_mul(self, A, B):
         return linalg.fq_mat_mul(A, B, self.q)
+
+    def mat_vec(self, A, v):
+        return linalg.fq_mat_vec(A, v, self.q)
 
 
 def scalar_ring(R) -> ScalarRing:

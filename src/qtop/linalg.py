@@ -207,6 +207,11 @@ def fq_mat_mul(A, B, q: int):
     )
 
 
+def fq_mat_vec(A, v, q: int):
+    """Product A v of a square matrix and a vector over F_q, as a tuple."""
+    return tuple(sum(a * x for a, x in zip(row, v)) % q for row in A)
+
+
 def fq_rank(rows: list[list[int]], q: int) -> int:
     return len(fq_rref(rows, q))
 

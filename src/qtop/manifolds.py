@@ -36,7 +36,7 @@ from .mcg import (
     pi1_action,
     SURFACE_RELATOR,
 )
-from .rep import rho, rep_dim, vacuum_index
+from .rep import rho, rho_apply, vacuum_index, vacuum_vector
 from .skein import colors, kappa, quantum_dim, twist
 
 
@@ -459,8 +459,6 @@ def hom_count(pres: GroupPresentation, G: FiniteGroupTable, budget: int = 2_000_
     for rel in pres.relators:
         stage = max((abs(x) for x in rel), default=0)
         by_stage[stage].append(rel)
-    if by_stage[0] and any(len(r) for r in by_stage[0]):
-        pass  # empty-support relators are vacuous on the identity
     count = 0
     nodes = 0
     assign = [G.identity] * (n + 1)
@@ -485,9 +483,6 @@ def hom_count(pres: GroupPresentation, G: FiniteGroupTable, budget: int = 2_000_
             if all(evaluate(rel) == G.identity for rel in by_stage[stage]):
                 backtrack(stage + 1)
 
-    for rel in by_stage[0]:
-        if rel:  # freely reduced nonempty relator with no letters cannot occur
-            raise AssertionError
     backtrack(1)
     return count
 
@@ -612,7 +607,7 @@ def rt_closed(desc: ManifoldDesc, p: int) -> CycElem:
         return rho(desc.word, p).trace()
     if isinstance(desc, HeegaardGluing):
         v = vacuum_index(desc.genus, p)
-        val = rho(desc.word, p).entries[v][v]
+        val = rho_apply(desc.word, p, vacuum_vector(desc.genus, p))[v]
         if desc.genus == 2:
             val = val * eta(p).inv()
         return val

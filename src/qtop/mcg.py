@@ -356,7 +356,7 @@ def _invert_auto(phi):
                 right.append(x)
         lw = free_inverse(_pullback(tuple(left), phi, inv))
         rw = free_inverse(_pullback(tuple(right), phi, inv))
-        inv[g] = free_mul(lw if not left else lw, (g,), rw)
+        inv[g] = free_mul(lw, (g,), rw)
         # correctness is asserted below
     for g in (1, 2, 3, 4):
         assert apply_auto(phi, inv[g]) == (g,), "twist inversion failed"

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CycElem, CycIdeal, ResidueSpec, eta, residue_primes
+from .cyclotomic import CycElem, CycIdeal, ResidueSpec, RingUsageError, eta, residue_primes
 from .manifolds import (
     BoundedHeegaard,
     DescError,
@@ -28,15 +28,7 @@ from .manifolds import (
     rt_closed,
 )
 from .mcg import TwistWord, empty_word, word_in_subgroup
-from .rep import (
-    fq_mat_mul,
-    genus1_basis,
-    genus2_basis,
-    rep_dim,
-    rho,
-    rho_mod,
-    vacuum_index,
-)
+from .rep import genus1_basis, genus2_basis, rho_apply, rho_mod, vacuum_vector
 
 SOUNDNESS_AXIOM = (
     "vector vanishing mod J implies I_p(N) <= J: closed invariants of "
@@ -89,10 +81,8 @@ def boundary_vector(desc: BoundedHeegaard, p: int) -> BoundaryVector:
     value exactly).  Boundary genus 1 coordinates are indexed by the
     genus-1 basis order.
     """
-    vac = vacuum_index(2, p)
-    M = rho(desc.word, p)
+    column = rho_apply(desc.word, p, vacuum_vector(2, p))
     scale = eta(p).inv() ** (2 - desc.boundary_genus)
-    column = [M.entries[i][vac] for i in range(rep_dim(2, p))]
     coords = tuple(
         scale * column[i] for i in surviving_indices(p, desc.boundary_genus)
     )
@@ -100,10 +90,10 @@ def boundary_vector(desc: BoundedHeegaard, p: int) -> BoundaryVector:
 
 
 def boundary_vector_mod(desc: BoundedHeegaard, p: int, r: ResidueSpec) -> tuple[int, ...]:
-    vac = vacuum_index(2, p)
-    M = rho_mod(desc.word, p, r)
+    if r.p != p:
+        raise RingUsageError("word and residue spec use different p")
+    column = rho_apply(desc.word, r, vacuum_vector(2, r))
     scale = (eta(r).inv() ** (2 - desc.boundary_genus)).v
-    column = [M[i][vac] for i in range(rep_dim(2, p))]
     return tuple(
         scale * column[i] % r.q for i in surviving_indices(p, desc.boundary_genus)
     )
@@ -146,11 +136,10 @@ def fkb_ideal_inner(desc: BoundedHeegaard, p: int, budget: int) -> InnerIdealRep
         raise DescError("budget must be >= 1")
     bv = boundary_vector(desc, p)
     values = [_filling_value(bv, w, p) for w in _genus1_words_upto(budget)]
-    prev_values = [_filling_value(bv, w, p) for w in _genus1_words_upto(budget - 1)]
+    # the words up to budget - 1 are a prefix of those up to budget
+    prev = CycIdeal.from_generators(values[: len(_genus1_words_upto(budget - 1))])
     ideal = CycIdeal.from_generators(values)
-    prev = CycIdeal.from_generators(prev_values) if prev_values else None
-    stabilized = prev is not None and prev == ideal
-    return InnerIdealReport(ideal, budget, stabilized)
+    return InnerIdealReport(ideal, budget, prev == ideal)
 
 
 def _genus1_words_upto(length: int):
@@ -177,9 +166,7 @@ def _genus1_words_upto(length: int):
 
 def _filling_value(bv: BoundaryVector, w: TwistWord, p: int) -> CycElem:
     """Closed invariant of the filling glued by w: <bv, rho(w) e_vac>."""
-    M = rho(w, p)
-    vac = vacuum_index(1, p)
-    col = [M.entries[i][vac] for i in range(rep_dim(1, p))]
+    col = rho_apply(w, p, vacuum_vector(1, p))
     acc = CycElem.zero(p)
     for x, y in zip(bv.coords, col):
         acc = acc + x * y
@@ -279,6 +266,10 @@ def rederive_report(report: ObstructionReport) -> bool:
 
 @dataclass(frozen=True)
 class TwistSearchResult:
+    """Outcome of twist_search.  distinct_images counts the distinct vacuum
+    columns rho(base f) e_vac mod J over the samples drawn, not distinct
+    matrices."""
+
     found: bool
     word: TwistWord | None        # the subgroup element f (None if not found)
     full_word: TwistWord | None   # base word composed with f
@@ -301,18 +292,17 @@ def twist_search(
     """Search Gamma_k I cap T_n for f with vanishing compressed vector mod J.
 
     Samples products of certified subgroup generators; each sample is a
-    fresh walk of `walk_length` steps.  Deterministic in (seed, budget).
+    fresh walk of `walk_length` steps.  Only the vacuum column of
+    rho(base f) is read, so e_vac is carried right to left through the
+    picked generator matrices and then through the base word's letters.
+    Deterministic in (seed, budget).
     """
     rng = random.Random(seed)
     base = desc.word
-    kill = [
-        i
-        for i in range(rep_dim(2, p))
-        if i not in surviving_indices(p, desc.boundary_genus)
-    ]
     keep = surviving_indices(p, desc.boundary_genus)
-    vac = vacuum_index(2, p)
-    base_mod = rho_mod(base, p, r)
+
+    def vanishes(vec):
+        return all(vec[i] == 0 for i in keep)
 
     gens = []
     certs = []
@@ -323,23 +313,21 @@ def twist_search(
     gen_mats = [rho_mod(g, p, r) for g in gens]
     gen_mats += [rho_mod(g.inverse(), p, r) for g in gens]
     gen_index = list(range(len(gen_mats)))
-
-    def vector_of(mat):
-        col = [mat[i][vac] for i in range(len(mat))]
-        return tuple(col[i] for i in keep)
+    e_vac = vacuum_vector(2, r)
 
     # empty word first: degenerate setups succeed immediately
-    if all(x == 0 for x in vector_of(base_mod)):
+    if vanishes(rho_apply(base, r, e_vac)):
         return TwistSearchResult(True, empty_word(2), base, "1", 0, 1)
 
     images = set()
     for sample in range(1, budget + 1):
         picks = [rng.choice(gen_index) for _ in range(walk_length)]
-        acc = base_mod
-        for i in picks:
-            acc = fq_mat_mul(acc, gen_mats[i], r.q)
-        images.add(acc)
-        if all(x == 0 for x in vector_of(acc)):
+        vec = e_vac
+        for i in reversed(picks):
+            vec = r.mat_vec(gen_mats[i], vec)
+        vec = rho_apply(base, r, vec)
+        images.add(vec)
+        if vanishes(vec):
             f = empty_word(2)
             for i in picks:
                 g = gens[i] if i < len(gens) else gens[i - len(gens)].inverse()

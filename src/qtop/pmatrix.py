@@ -78,19 +78,22 @@ class PMatrix:
         )
 
     def apply(self, vec: list[CycElem]) -> list[CycElem]:
-        return [
-            sum((row[k] * vec[k] for k in range(self.n)), CycElem.zero(self.p))
-            for row in self.entries
-        ]
+        """The product M vec, skipping zero entries as __mul__ does."""
+        support = [k for k in range(self.n) if not vec[k].is_zero()]
+        out = []
+        for row in self.entries:
+            acc = CycElem.zero(self.p)
+            for k in support:
+                if not row[k].is_zero():
+                    acc = acc + row[k] * vec[k]
+            out.append(acc)
+        return out
 
     def trace(self) -> CycElem:
         acc = CycElem.zero(self.p)
         for i in range(self.n):
             acc = acc + self.entries[i][i]
         return acc
-
-    def transpose(self) -> "PMatrix":
-        return PMatrix.from_rows(self.p, list(zip(*self.entries)), self.projective)
 
     def conj_transpose(self) -> "PMatrix":
         return PMatrix.from_rows(

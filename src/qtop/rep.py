@@ -22,7 +22,9 @@ The S-move and bridge blocks and the conjugators are built over a scalar
 ring R chosen by the caller, as in skein: p for exact PMatrices, a
 ResidueSpec for residue matrices.  rho multiplies exact letters; rho_mod
 multiplies letters built in F_q, which equal the reductions of the exact
-letters.
+letters.  rho_apply carries a vector right to left through the letters
+over either ring, one matrix-vector product per letter, for callers that
+read a single column such as the vacuum column.
 """
 
 from __future__ import annotations
@@ -281,8 +283,11 @@ def _letter_matrix(genus: int, p: int, curve: str, k: int) -> PMatrix:
 
 def rho(word: TwistWord, p: int) -> PMatrix:
     """The quantum representation: product of twist-power matrices."""
-    out = PMatrix.identity(p, rep_dim(word.genus, p))
-    for curve, exp in word.letters:
+    if not word.letters:
+        return PMatrix.identity(p, rep_dim(word.genus, p))
+    (curve, exp), *rest = word.letters
+    out = _letter_matrix(word.genus, p, curve, exp)
+    for curve, exp in rest:
         out = out * _letter_matrix(word.genus, p, curve, exp)
     return out
 
@@ -325,11 +330,41 @@ def _letter_matrix_mod(genus: int, p: int, curve: str, k: int, r: ResidueSpec):
 def rho_mod(word: TwistWord, p: int, r: ResidueSpec):
     """rho(word) mod J, computed in F_q; equal to the entrywise reduction of
     rho(word) and functorial on the nose."""
-    n = rep_dim(word.genus, p)
-    out = fq_identity(n)
-    for curve, exp in word.letters:
+    if not word.letters:
+        return fq_identity(rep_dim(word.genus, p))
+    (curve, exp), *rest = word.letters
+    out = _letter_matrix_mod(word.genus, p, curve, exp, r)
+    for curve, exp in rest:
         out = fq_mat_mul(out, _letter_matrix_mod(word.genus, p, curve, exp, r), r.q)
     return out
+
+
+# -- one column: vectors carried through the letters ------------------------
+
+
+def letter_matrix(genus: int, R, curve: str, k: int):
+    """The cached matrix of t_curve^k over R: exact for R = p, in F_q for a
+    ResidueSpec."""
+    if isinstance(R, ResidueSpec):
+        return _letter_matrix_mod(genus, R.p, curve, k, R)
+    return _letter_matrix(genus, R, curve, k)
+
+
+def vacuum_vector(genus: int, R):
+    """The handlebody vector e_vac over R."""
+    S = scalar_ring(R)
+    vac = vacuum_index(genus, S.p)
+    return S.vector([S.one if i == vac else S.zero for i in range(rep_dim(genus, S.p))])
+
+
+def rho_apply(word: TwistWord, R, vec):
+    """rho(word) vec over R, carried right to left through the cached
+    letters: one matrix-vector product per letter instead of a dense
+    matrix product."""
+    S = scalar_ring(R)
+    for curve, exp in reversed(word.letters):
+        vec = S.mat_vec(letter_matrix(word.genus, R, curve, exp), vec)
+    return vec
 
 
 # -- Hermitian structure ----------------------------------------------------

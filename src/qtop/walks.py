@@ -2,9 +2,9 @@
 reproduction of the non-embedding probability bound.
 
 Exact distributions are vectors of Fractions over an enumerated finite
-matrix group; Monte Carlo trials are batched mod-q matrix products with
-all randomness drawn up front from one seed, so results do not depend on
-how trials are scheduled.
+matrix group; Monte Carlo trials carry a batch of vacuum vectors through
+mod-q generator matrices, with all randomness drawn up front from one
+seed, so results do not depend on how trials are scheduled.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import numpy as np
 
 from .cyclotomic import ResidueSpec, is_prime
 from .manifolds import BoundedHeegaard
-from .mcg import word_in_subgroup
+from .mcg import TwistWord, word_in_subgroup
 from .obstruct import surviving_indices
-from .rep import fq_mat_mul, rep_dim, rho_mod, vacuum_index
+from .rep import fq_mat_mul, letter_matrix, rep_dim, vacuum_index
 
 
 class WalkUsageError(ValueError):
@@ -313,6 +313,17 @@ def default_subgroup_walk(
     return WalkSpec.uniform(tuple(words), length, seed)
 
 
+def _word_matrix(word: TwistWord, r: ResidueSpec, dtype) -> np.ndarray:
+    """rho_mod(word) as a numpy product of the cached F_q letters."""
+    mats = [np.array(letter_matrix(word.genus, r, c, e), dtype=dtype) for c, e in word.letters]
+    if not mats:
+        return np.eye(rep_dim(word.genus, r.p), dtype=dtype)
+    out = mats[0]
+    for m in mats[1:]:
+        out = out @ m % r.q
+    return out
+
+
 def montecarlo_vanishing(
     desc: BoundedHeegaard,
     p: int,
@@ -324,7 +335,9 @@ def montecarlo_vanishing(
 
     Each trial composes the base gluing with an independent walk of
     walkspec.length steps; all generator picks are drawn up front from
-    the seed, so the result is reproducible for any worker count.
+    the seed, so the result is reproducible for any worker count.  Only
+    the vacuum column is read, so a (trials, dim) batch of vectors is
+    carried right to left through the picked generators, then the base.
     """
     q = r.q
     keep = surviving_indices(p, desc.boundary_genus)
@@ -336,7 +349,7 @@ def montecarlo_vanishing(
     vac = vacuum_index(2, p)
     # int64 holds every sum of dim products of residues only below this q
     dtype = np.int64 if dim * (q - 1) ** 2 < 2 ** 63 else object
-    base = np.array(rho_mod(desc.word, p, r), dtype=dtype)
+    base = _word_matrix(desc.word, r, dtype)
     if np.all(base[:, vac] % q == 0):
         raise WalkUsageError("handlebody vector is zero mod J: degenerate setup")
 
@@ -345,23 +358,18 @@ def montecarlo_vanishing(
             0, 0, None, None, None, kdim, dim, exact, bound, walkspec.length, walkspec.seed
         )
 
-    gen_mats = np.array(
-        [rho_mod(w, p, r) for w in walkspec.generators], dtype=dtype
-    )
+    gen_mats = np.array([_word_matrix(w, r, dtype) for w in walkspec.generators])
     weights = np.array([float(w) for w in walkspec.weights])
     weights = weights / weights.sum()
     rng = np.random.default_rng(walkspec.seed)
     picks = rng.choice(len(gen_mats), size=(trials, walkspec.length), p=weights)
 
-    state = np.broadcast_to(base, (trials, dim, dim)).copy()
-    for step in range(walkspec.length):
-        chosen = gen_mats[picks[:, step]]
-        state = np.einsum("tij,tjk->tik", state, chosen) % q
-    vectors = state[:, :, vac] % q
-    ok = np.ones(trials, dtype=bool)
-    for i in keep:
-        ok &= vectors[:, i] == 0
-    hits = int(ok.sum())
+    vectors = np.zeros((trials, dim), dtype=dtype)
+    vectors[:, vac] = 1
+    for step in reversed(range(walkspec.length)):
+        vectors = np.einsum("tij,tj->ti", gen_mats[picks[:, step]], vectors) % q
+    vectors = vectors @ base.T % q
+    hits = int(np.all(vectors[:, list(keep)] == 0, axis=1).sum())
     freq = Fraction(hits, trials)
     fhat = float(freq)
     se = math.sqrt(max(fhat * (1 - fhat), 1e-12) / trials)

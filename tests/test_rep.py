@@ -1,8 +1,10 @@
 import itertools
 import random
 
-from qtop.cyclotomic import ResidueSpec, elem_A
-from qtop.mcg import empty_word, letter, parse_word, random_word
+from hypothesis import given, settings, strategies as st
+
+from qtop.cyclotomic import CycElem, ResidueSpec, elem_A
+from qtop.mcg import GENUS_CURVES, empty_word, letter, parse_word, random_word
 from qtop.pmatrix import PMatrix, proj_equal
 from qtop.rep import (
     _letter_matrix_mod,
@@ -16,8 +18,11 @@ from qtop.rep import (
     hermitian_gram,
     rep_dim,
     rho,
+    rho_apply,
     rho_mod,
     twist_power_matrix,
+    vacuum_index,
+    vacuum_vector,
 )
 from qtop.skein import admissible, colors, twist
 from qtop.walks import enumerate_group
@@ -165,6 +170,35 @@ def test_reduction_compatibility():
                 assert rho(w, p).reduce(r) == rho_mod(w, p, r)
             w1 = random_word(1, 8, 5)
             assert rho(w1, p).reduce(r) == rho_mod(w1, p, r)
+
+
+# smallest-root specs, and one at the inverse of the smallest root
+APPLY_SPECS = {
+    p: [ResidueSpec.for_primes(p, q) for q in qs]
+    + [ResidueSpec(p, qs[0], pow(ResidueSpec.for_primes(p, qs[0]).root, -1, qs[0]))]
+    for p, qs in ((5, (41, 61)), (7, (29, 113)))
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((5, 7)), st.sampled_from((1, 2)), st.data())
+def test_rho_apply_is_a_column_of_rho(p, genus, data):
+    exps = st.sampled_from((-2, -1, 1, 2))
+    letters = data.draw(st.lists(st.tuples(st.sampled_from(GENUS_CURVES[genus]), exps), max_size=6))
+    w = empty_word(genus)
+    for c, e in letters:
+        w = w * letter(genus, c, e)
+    n = rep_dim(genus, p)
+    j = data.draw(st.integers(0, n - 1))
+    M = rho(w, p)
+    e_j = [CycElem.one(p) if i == j else CycElem.zero(p) for i in range(n)]
+    assert rho_apply(w, p, e_j) == [M.entries[i][j] for i in range(n)]
+    for r in APPLY_SPECS[p]:
+        Mq = rho_mod(w, p, r)
+        e_j = tuple(int(i == j) for i in range(n))
+        assert rho_apply(w, r, e_j) == tuple(Mq[i][j] for i in range(n))
+        vac = vacuum_index(genus, p)
+        assert rho_apply(w, r, vacuum_vector(genus, r)) == tuple(Mq[i][vac] for i in range(n))
 
 
 def test_rho_mod_empty_word():

@@ -181,6 +181,19 @@ def test_montecarlo_genus1_boundary_kernel_dim():
     assert report.exact_probability == Fraction(41 ** 3 - 1, 41 ** 5 - 1)
 
 
+def test_montecarlo_hits_pinned():
+    # hits of the walks that multiplied whole matrices; carrying a batch of
+    # vacuum vectors must give the same count
+    R29 = ResidueSpec.for_primes(7, 29)
+    for p, r, word, length, seed, trials, hits in (
+        (5, R41, "c1*c3", 30, 7, 400, 13),
+        (7, R29, "c3^-1*c2", 20, 5, 300, 12),
+    ):
+        desc = BoundedHeegaard(2, 0, parse_word(2, word))
+        spec = default_subgroup_walk(p, length, seed)
+        assert montecarlo_vanishing(desc, p, r, spec, trials).hits == hits, p
+
+
 def test_montecarlo_exact_above_int64_range():
     # dim * (q - 1)^2 >= 2^63, so an int64 product would overflow; the
     # vacuum entry of (c1*c3^-1)*g is 0 for g = c3^2*c5^2, so walks whose
