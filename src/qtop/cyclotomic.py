@@ -200,14 +200,18 @@ class CycElem:
     @staticmethod
     def make(p: int, coeffs: list[int], e: int = 0) -> "CycElem":
         """Canonicalize: reduce mod Phi and strip common p factors."""
-        spec = ring(p)
-        vec = spec.reduce_poly(coeffs)
-        while e > 0 and all(c % p == 0 for c in vec):
-            vec = [c // p for c in vec]
-            e -= 1
-        if all(c == 0 for c in vec):
-            e = 0
-        return CycElem(p, tuple(vec), e)
+        vec = ring(p).reduce_poly(coeffs)
+        g = math.gcd(*vec)
+        if not g:
+            return CycElem(p, tuple(vec), 0)
+        k = 0
+        while k < e and g % p == 0:
+            g //= p
+            k += 1
+        if k:
+            s = p**k
+            vec = [c // s for c in vec]
+        return CycElem(p, tuple(vec), e - k)
 
     @staticmethod
     def from_int(p: int, n: int) -> "CycElem":
@@ -286,7 +290,7 @@ class CycElem:
         return result
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     # -- Galois action and norms --------------------------------------
 

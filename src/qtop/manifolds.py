@@ -24,6 +24,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import linalg
 from .cyclotomic import CycElem, eta
 from .groups import FiniteGroupTable
@@ -447,43 +449,69 @@ def h1_order(desc: ManifoldDesc) -> int:
 # -- Dijkgraaf-Witten invariants --------------------------------------------
 
 
-def hom_count(pres: GroupPresentation, G: FiniteGroupTable, budget: int = 2_000_000) -> int:
-    """Exhaustive count of homomorphisms by backtracking with relator pruning.
+_HOM_CHUNK = 1 << 12  # candidate assignments evaluated per numpy batch
 
-    Raises BudgetExceededError when the node budget is exhausted; no
-    partial counts are ever returned.
+
+def _evaluate(rel: tuple[int, ...], assign, table, inverse):
+    """The relator's value under each row of assignments, by table lookups."""
+    acc = None
+    for x in rel:
+        g = assign[:, abs(x) - 1]
+        if x < 0:
+            g = inverse[g]
+        acc = g if acc is None else table[acc, g]
+    return acc
+
+
+def hom_count(pres: GroupPresentation, G: FiniteGroupTable, budget: int = 2_000_000) -> int:
+    """Exhaustive count of homomorphisms, one generator at a time.
+
+    Stage s extends each assignment of x_1 .. x_{s-1} that satisfies the
+    relators checkable so far by every value of x_s, and keeps the rows that
+    satisfy the relators whose highest letter is x_s, evaluated over a whole
+    batch at once.  Stages after the last relator multiply the count by |G|.
+    The node count is that of a depth-first search with relator pruning: one
+    root plus the survivors of every stage.  Raises BudgetExceededError as
+    soon as it exceeds the budget; no partial counts are ever returned.
     """
     n = pres.num_generators
     # relators become checkable once all their letters are assigned
     by_stage: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     for rel in pres.relators:
-        stage = max((abs(x) for x in rel), default=0)
-        by_stage[stage].append(rel)
-    count = 0
+        by_stage[max((abs(x) for x in rel), default=0)].append(rel)
+    last = max((s for s in range(1, n + 1) if by_stage[s]), default=0)
+    dtype = np.uint8 if G.order <= 256 else np.intp
+    table = np.array(G.table, dtype=dtype)
+    inverse = np.array(G.inverse, dtype=dtype)
+    values = np.arange(G.order, dtype=dtype)
     nodes = 0
-    assign = [G.identity] * (n + 1)
 
-    def evaluate(rel) -> int:
-        acc = G.identity
-        for x in rel:
-            g = assign[abs(x)]
-            acc = G.mul(acc, g if x > 0 else G.inv(g))
-        return acc
-
-    def backtrack(stage: int):
-        nonlocal count, nodes
-        nodes += 1
+    def visit(k: int) -> None:
+        nonlocal nodes
+        nodes += k
         if nodes > budget:
             raise BudgetExceededError(f"homomorphism search exceeded {budget} nodes")
-        if stage > n:
-            count += 1
-            return
-        for g in range(G.order):
-            assign[stage] = g
-            if all(evaluate(rel) == G.identity for rel in by_stage[stage]):
-                backtrack(stage + 1)
 
-    backtrack(1)
+    visit(1)
+    level = np.zeros((1, 0), dtype=dtype)
+    per = max(1, _HOM_CHUNK // G.order)
+    for s in range(1, last + 1):
+        kept = [np.zeros((0, s), dtype=dtype)]
+        for start in range(0, len(level), per):
+            parents = level[start : start + per]
+            cand = np.column_stack(
+                (np.repeat(parents, G.order, axis=0), np.tile(values, len(parents)))
+            )
+            keep = np.ones(len(cand), dtype=bool)
+            for rel in by_stage[s]:
+                keep &= _evaluate(rel, cand, table, inverse) == G.identity
+            kept.append(cand[keep])
+            visit(len(kept[-1]))
+        level = np.concatenate(kept)
+    count = len(level)
+    for _ in range(last, n):
+        count *= G.order
+        visit(count)
     return count
 
 

@@ -3,15 +3,62 @@
 A PMatrix is a square matrix of CycElem entries, flagged projective when
 equality should only be tested up to one global invertible scalar (the
 situation for quantum representations, whose anomaly phases we never
-normalize away silently).
+normalize away silently).  Products and matrix-vector products bring each
+operand over one p-power denominator and pack every entry into one Python
+integer by Kronecker substitution, so a dot product is a sum of integer
+products, unpacked and canonicalized once per output entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 from . import linalg
 from .cyclotomic import CycElem, ResidueSpec, RingUsageError, ring
+
+
+def _common_bound(p: int, elems) -> tuple[int, int]:
+    """(E, M): the largest denominator exponent among elems, and the largest
+    |c| among their coefficients brought over the one denominator p^E."""
+    E = max(x.e for x in elems)
+    return E, max(p ** (E - x.e) * max(map(abs, x.coeffs)) for x in elems)
+
+
+class _Kronecker:
+    """Kronecker substitution zeta -> 2^B for dot products of length n whose
+    coefficient products are bounded by m.
+
+    An element x over p^E packs into the integer sum c_k 2^(B k), where c is
+    the coefficient vector of x scaled by p^(E - e).  The product of two
+    packed entries packs the polynomial product, and a sum of n of them has
+    2 deg - 1 digits, each at most n deg m < 2^(B - 2) in absolute value, so
+    balanced base-2^B digits recover it exactly.
+    """
+
+    def __init__(self, p: int, n: int, m: int):
+        self.p = p
+        deg = ring(p).degree
+        self.B = B = (n * deg * m).bit_length() + 2
+        self.half = 1 << (B - 1)
+        self.mask = (1 << B) - 1
+        self.shifts = range(0, B * (2 * deg - 1), B)
+        # adding half to every digit makes them all non-negative
+        self.offset = sum(self.half << s for s in self.shifts)
+
+    def pack(self, x: CycElem, E: int) -> int:
+        B, acc = self.B, 0
+        for c in reversed(x.coeffs):
+            acc = (acc << B) + c
+        return acc if x.e == E else acc * self.p ** (E - x.e)
+
+    def unpack(self, packed: int, e: int) -> CycElem:
+        """The element packed / p^e."""
+        if not packed:
+            return CycElem.zero(self.p)
+        t, mask, half = packed + self.offset, self.mask, self.half
+        return CycElem.make(self.p, [((t >> s) & mask) - half for s in self.shifts], e)
 
 
 @dataclass(frozen=True)
@@ -43,22 +90,19 @@ class PMatrix:
             p, [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
         )
 
+    @cached_property
+    def _bound(self) -> tuple[int, int]:
+        return _common_bound(self.p, [x for row in self.entries for x in row])
+
     def __mul__(self, other: "PMatrix") -> "PMatrix":
         if self.p != other.p or self.n != other.n:
             raise RingUsageError("incompatible matrices")
-        n = self.n
-        a, b = self.entries, other.entries
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = CycElem.zero(self.p)
-                for k in range(n):
-                    if not a[i][k].is_zero() and not b[k][j].is_zero():
-                        acc = acc + a[i][k] * b[k][j]
-                row.append(acc)
-            rows.append(row)
-        return PMatrix.from_rows(self.p, rows, self.projective or other.projective)
+        (ea, ma), (eb, mb) = self._bound, other._bound
+        kron = _Kronecker(self.p, self.n, ma * mb)
+        rows = [[kron.pack(x, ea) for x in row] for row in self.entries]
+        cols = [[kron.pack(row[j], eb) for row in other.entries] for j in range(self.n)]
+        out = [[kron.unpack(sum(map(mul, ra, cb)), ea + eb) for cb in cols] for ra in rows]
+        return PMatrix.from_rows(self.p, out, self.projective or other.projective)
 
     def __pow__(self, k: int) -> "PMatrix":
         if k < 0:
@@ -78,16 +122,14 @@ class PMatrix:
         )
 
     def apply(self, vec: list[CycElem]) -> list[CycElem]:
-        """The product M vec, skipping zero entries as __mul__ does."""
-        support = [k for k in range(self.n) if not vec[k].is_zero()]
-        out = []
-        for row in self.entries:
-            acc = CycElem.zero(self.p)
-            for k in support:
-                if not row[k].is_zero():
-                    acc = acc + row[k] * vec[k]
-            out.append(acc)
-        return out
+        """The product M vec, by the packed dot product of __mul__."""
+        (em, mm), (ev, mv) = self._bound, _common_bound(self.p, vec)
+        kron = _Kronecker(self.p, self.n, mm * mv)
+        col = [kron.pack(x, ev) for x in vec]
+        return [
+            kron.unpack(sum(map(mul, (kron.pack(x, em) for x in row), col)), em + ev)
+            for row in self.entries
+        ]
 
     def trace(self) -> CycElem:
         acc = CycElem.zero(self.p)

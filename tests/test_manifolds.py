@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtop.cyclotomic import CycElem, elem_A, elem_u, eta
 from qtop.groups import FiniteGroupTable, GroupTableError, builtin_group
@@ -147,6 +148,90 @@ def test_hom_count_budget_error():
     pres = presentation(MappingTorus(2, random_word(2, 4, 0)))
     with pytest.raises(BudgetExceededError):
         hom_count(pres, builtin_group("S3"), budget=10)
+
+
+def dfs_hom_count(pres: GroupPresentation, G: FiniteGroupTable) -> tuple[int, int]:
+    """Backtracking with relator pruning, one G.mul at a time: the oracle for
+    hom_count.  Returns (homomorphisms, search nodes)."""
+    n = pres.num_generators
+    by_stage = [[] for _ in range(n + 1)]
+    for rel in pres.relators:
+        by_stage[max((abs(x) for x in rel), default=0)].append(rel)
+    count = nodes = 0
+    assign = [G.identity] * (n + 1)
+
+    def evaluate(rel) -> int:
+        acc = G.identity
+        for x in rel:
+            g = assign[abs(x)]
+            acc = G.mul(acc, g if x > 0 else G.inv(g))
+        return acc
+
+    def backtrack(stage: int):
+        nonlocal count, nodes
+        nodes += 1
+        if stage > n:
+            count += 1
+            return
+        for g in range(G.order):
+            assign[stage] = g
+            if all(evaluate(rel) == G.identity for rel in by_stage[stage]):
+                backtrack(stage + 1)
+
+    backtrack(1)
+    return count, nodes
+
+
+@st.composite
+def presentations(draw):
+    n = draw(st.integers(2, 5))
+    letter = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    relators = draw(st.lists(st.lists(letter, min_size=1, max_size=6), max_size=n + 1))
+    return GroupPresentation(n, tuple(tuple(r) for r in relators))
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations(), st.sampled_from(("Z/2", "Z/3", "Z/5", "S3", "Q8")))
+def test_hom_count_equals_depth_first_search(pres, group):
+    G = builtin_group(group)
+    count, nodes = dfs_hom_count(pres, G)
+    assert hom_count(pres, G, budget=nodes) == count
+    with pytest.raises(BudgetExceededError):
+        hom_count(pres, G, budget=nodes - 1)
+
+
+def test_hom_count_budget_at_the_search_node_count():
+    for desc, group in (
+        (MappingTorus(2, parse_word(2, "c1*c3*s^-1*c2*c5")), "Q8"),
+        (HeegaardGluing(2, parse_word(2, "c1*c3")), "S3"),
+        (LensSurgery(5), "Z/5"),
+    ):
+        pres, G = presentation(desc), builtin_group(group)
+        count, nodes = dfs_hom_count(pres, G)
+        assert hom_count(pres, G, budget=nodes) == count
+        with pytest.raises(BudgetExceededError):
+            hom_count(pres, G, budget=nodes - 1)
+
+
+# word -> ((RT at p = 5), (RT at p = 7), |Hom(pi1, Q8)|, |Hom(pi1, S3)|) of
+# the genus-2 mapping torus, taken from the per-entry CycElem product and
+# the depth-first homomorphism count
+MAPPING_TORUS_PINS = {
+    "c1*c3*s^-1*c2*c5": ((-3, 0, 1, 0, -2, 0, 3, 0), (2, 0, -4, 0, -2, 0, -4, 0, -5, 0, -2, 0), 64, 36),
+    "c1*c2": ((0, 0, -1, 0, 0, 0, -2, 0), (0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0), 176, 72),
+    "s*c4^-1*c3^2": ((-1, 0, -1, 0, 0, 0, 1, 0), (3, 0, -1, 0, 1, 0, -4, 0, -2, 0, -5, 0), 352, 156),
+    "c5*c1^-1*s^2*c2": ((1, 0, 0, 0, 0, 0, -1, 0), (3, 0, -2, 0, 0, 0, -3, 0, 0, 0, -2, 0), 64, 18),
+    "c3*c4*c5*c1*c2*s": ((-2, 0, 0, 0, -2, 0, 1, 0), (3, 0, -1, 0, 0, 0, -2, 0, -2, 0, -3, 0), 8, 18),
+}
+
+
+def test_mapping_torus_invariants_pinned():
+    for word, (rt5, rt7, q8, s3) in MAPPING_TORUS_PINS.items():
+        desc = MappingTorus(2, parse_word(2, word))
+        assert rt_closed(desc, 5) == CycElem(5, rt5)
+        assert rt_closed(desc, 7) == CycElem(7, rt7)
+        assert dw_invariant(desc, builtin_group("Q8")) == Fraction(q8, 8)
+        assert dw_invariant(desc, builtin_group("S3")) == Fraction(s3, 6)
 
 
 def test_dw_trivial_group_baseline():

@@ -1,0 +1,129 @@
+"""The packed exact matrix kernel against the schoolbook product and sympy."""
+
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from qtop.cyclotomic import CycElem, ring
+from qtop.pmatrix import PMatrix
+
+
+def schoolbook_mul(A: PMatrix, B: PMatrix) -> PMatrix:
+    """Entry by entry in CycElem arithmetic: the oracle for PMatrix.__mul__."""
+    n, a, b = A.n, A.entries, B.entries
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = CycElem.zero(A.p)
+            for k in range(n):
+                if not a[i][k].is_zero() and not b[k][j].is_zero():
+                    acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        rows.append(row)
+    return PMatrix.from_rows(A.p, rows, A.projective or B.projective)
+
+
+def column(M: PMatrix, j: int) -> list[CycElem]:
+    return [row[j] for row in M.entries]
+
+
+# small, moderate and up-to-2^200 coefficients, either sign
+coefficient = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**20), 2**20),
+    st.integers(-(2**200), 2**200),
+)
+
+
+@st.composite
+def elements(draw, p: int):
+    if draw(st.integers(0, 3)) == 0:
+        return CycElem.zero(p)
+    coeffs = draw(st.lists(coefficient, min_size=ring(p).degree, max_size=ring(p).degree))
+    return CycElem.make(p, coeffs, draw(st.integers(0, 3)))
+
+
+@st.composite
+def matrices(draw, p: int, n: int):
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    return PMatrix.from_rows(
+        p,
+        [
+            [CycElem.zero(p) if i in zero_rows else draw(elements(p)) for _ in range(n)]
+            for i in range(n)
+        ],
+    )
+
+
+@st.composite
+def matrix_pairs(draw):
+    p = draw(st.sampled_from((5, 7)))
+    n = draw(st.integers(1, 4))
+    return draw(matrices(p, n)), draw(matrices(p, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_pairs())
+def test_packed_product_equals_schoolbook(pair):
+    A, B = pair
+    AB = A * B
+    assert AB.entries == schoolbook_mul(A, B).entries
+    for j in range(A.n):
+        assert A.apply(column(B, j)) == column(AB, j)
+
+
+def test_extreme_digits():
+    """Equal coefficients of equal sign put the middle digit of an entry at
+    its bound n deg max|a| max|b|; the packing width must still hold it."""
+    for p in (5, 7):
+        deg = ring(p).degree
+        for n in (1, 2, 4):
+            for m in (1, 3, 2**64 - 1, 2**200):
+                for sign in (1, -1):
+                    x = CycElem.make(p, [sign * m] * deg)
+                    A = PMatrix.from_rows(p, [[x] * n] * n)
+                    B = PMatrix.from_rows(p, [[CycElem.make(p, [m] * deg)] * n] * n)
+                    assert (A * B).entries == schoolbook_mul(A, B).entries
+                    assert A.apply(column(B, 0)) == column(schoolbook_mul(A, B), 0)
+
+
+def test_apply_of_zero_and_identity():
+    p, n = 7, 3
+    A = PMatrix.from_rows(
+        p, [[CycElem.make(p, [i + j - k for k in range(12)], j) for j in range(n)] for i in range(n)]
+    )
+    zero = [CycElem.zero(p)] * n
+    assert A.apply(zero) == zero
+    assert (A * PMatrix.identity(p, n)).entries == A.entries
+    assert (PMatrix.identity(p, n) * A).entries == A.entries
+    for j in range(n):
+        e_j = [CycElem.one(p) if i == j else CycElem.zero(p) for i in range(n)]
+        assert A.apply(e_j) == column(A, j)
+
+
+def _poly(x: CycElem, z):
+    return sympy.Poly(list(reversed(x.coeffs)), z, domain="QQ") * sympy.Rational(1, x.p**x.e)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from((5, 7)), st.data())
+def test_product_matches_sympy_cyclotomic_remainder(p, data):
+    """Each entry of A B is sum_k a_ik b_kj reduced mod Phi_4p, over the
+    common denominator of the operands."""
+    n = 3
+    A, B = data.draw(matrices(p, n)), data.draw(matrices(p, n))
+    z = sympy.Symbol("z")
+    phi = sympy.Poly(sympy.cyclotomic_poly(4 * p, z), z, domain="QQ")
+    ea = max(x.e for row in A.entries for x in row)
+    eb = max(x.e for row in B.entries for x in row)
+    AB = A * B
+    for i in range(n):
+        for j in range(n):
+            total = sympy.Poly(0, z, domain="QQ")
+            for k in range(n):
+                total += _poly(A.entries[i][k], z) * _poly(B.entries[k][j], z)
+            expected = total.rem(phi) * p ** (ea + eb)
+            got = _poly(AB.entries[i][j], z) * p ** (ea + eb)
+            assert got == expected
+            # the packed product's numerator over p^(ea + eb) is integral
+            assert all(c.q == 1 for c in got.all_coeffs())
