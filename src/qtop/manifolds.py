@@ -725,23 +725,3 @@ def murakami_check(desc: ManifoldDesc, p: int) -> dict:
         if residue == _w_multiple(k, expected, p):
             return {"ok": True, "sign": _W_SIGNS[k], "residue": residue, "h1": order}
     return {"ok": False, "sign": 0, "residue": residue, "h1": order}
-
-
-# -- classical obstructions --------------------------------------------------
-
-
-def betti_obstruction(b1N: int, b1dN: int, b1M: int, b1dM: int) -> bool:
-    """True when the half-lives-half-dies inequality FAILS (embedding excluded)."""
-    if min(b1N, b1dN, b1M, b1dM) < 0:
-        raise ValueError("Betti numbers must be nonnegative")
-    return Fraction(b1N) - Fraction(b1dN, 2) < Fraction(b1M) - Fraction(b1dM, 2)
-
-
-def casson_congruence(lambda_M: int, lambda_M0: int, dd_alex: int) -> bool:
-    """True when the surgery-formula congruence holds (no obstruction).
-
-    dd_alex = 0 carries no information and returns True.
-    """
-    if dd_alex == 0:
-        return True
-    return (lambda_M - lambda_M0) % abs(dd_alex) == 0

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from . import linalg
 from .cyclotomic import CycElem, ResidueSpec, RingUsageError, ring
 
 
@@ -106,7 +105,7 @@ class PMatrix:
 
     def __pow__(self, k: int) -> "PMatrix":
         if k < 0:
-            return self.inverse() ** (-k)
+            raise RingUsageError("PMatrix powers need k >= 0")
         result = PMatrix.identity(self.p, self.n)
         base = self
         while k:
@@ -143,10 +142,6 @@ class PMatrix:
             [[self.entries[j][i].conjugate() for j in range(self.n)] for i in range(self.n)],
             self.projective,
         )
-
-    def inverse(self) -> "PMatrix":
-        inv = linalg.ring_inverse([list(r) for r in self.entries], ring(self.p))
-        return PMatrix.from_rows(self.p, inv, self.projective)
 
     def equal_exact(self, other: "PMatrix") -> bool:
         return self.entries == other.entries

@@ -20,7 +20,9 @@ coefficients; correctness of the whole assembly is enforced by the braid
 
 The S-move and bridge blocks and the conjugators are built over a scalar
 ring R chosen by the caller, as in skein: p for exact PMatrices, a
-ResidueSpec for residue matrices.  rho multiplies exact letters; rho_mod
+ResidueSpec for residue matrices.  Each block comes with its inverse from
+an identity of the move (see _twist_conjugators), so nothing is inverted
+by a general method.  rho multiplies exact letters; rho_mod
 multiplies letters built in F_q, which equal the reductions of the exact
 letters.  rho_apply carries a vector right to left through the letters
 over either ring, one matrix-vector product per letter, for callers that
@@ -32,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclotomic import ResidueSpec, RingUsageError, eta, scalar_ring
-from .linalg import FqSpan, fq_mat_mul, ring_inverse
+from .linalg import FqSpan, fq_mat_mul
 from .mcg import TwistWord, WordError
 from .pmatrix import PMatrix
 from .skein import (
@@ -88,13 +90,15 @@ def vacuum_index(genus: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _holed_torus_s(R, c: int) -> tuple[tuple, ...]:
+def _holed_torus_s(R, c: int) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
     """Operator matrix of the S-move on the one-holed torus with boundary
-    color c, in the basis {loop color y : (y,y,c) admissible}.
+    color c, in the basis {loop color y : (y,y,c) admissible}, and its
+    inverse.
 
     Entry (y, a): eta * Delta_y / theta(y,y,c) * (mu_y mu_a)^{-1} *
     sum_e mu_e (Delta_e / theta(y,a,e)) tet[y y c; a a e].
-    Reduces to the closed-torus s_matrix at c = 0.
+    Reduces to the closed-torus s_matrix at c = 0.  The move squares to
+    the scalar lambda = (S^2)_00, a root of unity, so S^{-1} = S / lambda.
     """
     S = scalar_ring(R)
     p = S.p
@@ -112,27 +116,34 @@ def _holed_torus_s(R, c: int) -> tuple[tuple, ...]:
                         R, y, y, c, a, a, e
                     )
             row.append(pref * (twist(R, y) * twist(R, a)).inv() * acc)
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
+        rows.append(tuple(row))
+    lam = S.zero
+    for row, top in zip(rows, rows[0]):
+        lam = lam + top * row[0]
+    lam_inv = lam.inv()
+    return tuple(rows), tuple(tuple(lam_inv * x for x in row) for row in rows)
 
 
 @lru_cache(maxsize=None)
-def _bridge_f_block(R, a: int, b: int) -> tuple[tuple, ...]:
-    """Expansion of dumbbell vectors in the theta basis for fixed loop colors.
+def _bridge_f_block(R, a: int, b: int) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+    """Expansion of dumbbell vectors in the theta basis for fixed loop
+    colors, and its inverse.
 
-    Row f, column c: Delta_f * tet[a a c; b b f] / theta(a,b,f)^2, carrying
-    the (a,a)(b,b) channel c to the bridge-recoupled channel f.
+    Row f, column c: sixj(a, a, c, b, b, f), carrying the (a,a)(b,b)
+    channel c to the bridge-recoupled channel f.  By the orthogonality of
+    6j symbols the inverse has entry (c, f) = sixj(a, b, f, b, a, c).  Both
+    symbols normalize the same tetrahedron tet[a a c; b b f], so it is
+    evaluated once for the pair.
     """
     p = scalar_ring(R).p
     cs = [c for c in colors(p) if admissible(p, a, a, c) and admissible(p, b, b, c)]
     fs = [f for f in colors(p) if admissible(p, a, b, f)]
-    rows = []
-    for f in fs:
-        th = _theta_inv(R, a, b, f)
-        rows.append(
-            tuple(quantum_dim(R, f) * tet(R, a, a, c, b, b, f) * th * th for c in cs)
-        )
-    return tuple(rows)
+    tets = [[tet(R, a, a, c, b, b, f) for c in cs] for f in fs]
+    f_weights = [quantum_dim(R, f) * _theta_inv(R, a, b, f) * _theta_inv(R, a, b, f) for f in fs]
+    c_weights = [quantum_dim(R, c) * _theta_inv(R, a, a, c) * _theta_inv(R, b, b, c) for c in cs]
+    block = tuple(tuple(t * w for t in row) for row, w in zip(tets, f_weights))
+    inverse = tuple(tuple(t * w for t in col) for col, w in zip(zip(*tets), c_weights))
+    return block, inverse
 
 
 def _block_indices_left(p: int):
@@ -152,46 +163,41 @@ def _block_indices_right(p: int):
     return groups
 
 
-def _embed_blocks(R, groups, block_of, invert: bool = False):
-    """Assemble a block-diagonal matrix over R from per-group square blocks.
+def _embed_blocks(R, groups, block_of):
+    """(M, M^{-1}) over R, block-diagonal, from per-group square blocks.
 
-    Blocks are at most a few entries wide, so inverting blockwise keeps
-    all ring inversions tiny.
+    block_of(key) gives a group's block and its inverse; the inverse of a
+    block-diagonal matrix is the block-diagonal matrix of the inverses.
     """
     S = scalar_ring(R)
     n = rep_dim(2, S.p)
-    rows = [[S.zero] * n for _ in range(n)]
+    pair = ([[S.zero] * n for _ in range(n)], [[S.zero] * n for _ in range(n)])
     for key, positions in groups.items():
-        block = [list(r) for r in block_of(key, positions)]
-        if invert:
-            block = ring_inverse(block, S)
-        for bi, pi in enumerate(positions):
-            for bj, pj in enumerate(positions):
-                rows[pi][pj] = block[bi][bj]
-    return S.matrix(rows)
+        for rows, block in zip(pair, block_of(key)):
+            for bi, pi in enumerate(positions):
+                for bj, pj in enumerate(positions):
+                    rows[pi][pj] = block[bi][bj]
+    return tuple(S.matrix(rows) for rows in pair)
 
 
 @lru_cache(maxsize=None)
-def _left_s_operator(R, invert: bool = False):
-    def block_of(key, positions):
-        c, _b = key
-        return _holed_torus_s(R, c)
-
-    return _embed_blocks(R, _block_indices_left(scalar_ring(R).p), block_of, invert)
+def _left_s_operator(R):
+    return _embed_blocks(
+        R, _block_indices_left(scalar_ring(R).p), lambda key: _holed_torus_s(R, key[0])
+    )
 
 
 @lru_cache(maxsize=None)
-def _right_s_operator(R, invert: bool = False):
-    def block_of(key, positions):
-        _a, c = key
-        return _holed_torus_s(R, c)
-
-    return _embed_blocks(R, _block_indices_right(scalar_ring(R).p), block_of, invert)
+def _right_s_operator(R):
+    return _embed_blocks(
+        R, _block_indices_right(scalar_ring(R).p), lambda key: _holed_torus_s(R, key[1])
+    )
 
 
 @lru_cache(maxsize=None)
-def _bridge_f_matrix(R, invert: bool = False):
-    """Coordinate change dumbbell -> theta, block-diagonal over (a, b).
+def _bridge_f_matrix(R):
+    """Coordinate change dumbbell -> theta and its inverse, block-diagonal
+    over (a, b).
 
     Theta-basis labels (a, f, b) are ordered per block by f ascending.
     """
@@ -199,12 +205,7 @@ def _bridge_f_matrix(R, invert: bool = False):
     groups: dict[tuple[int, int], list[int]] = {}
     for pos, (a, c, b) in enumerate(basis):
         groups.setdefault((a, b), []).append(pos)
-
-    def block_of(key, positions):
-        a, b = key
-        return _bridge_f_block(R, a, b)
-
-    return _embed_blocks(R, groups, block_of, invert)
+    return _embed_blocks(R, groups, lambda key: _bridge_f_block(R, *key))
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +232,9 @@ def _twist_conjugators(genus: int, R, curve: str):
 
     Q = None means the twist is diagonal in the reference basis.
     Arbitrary powers are then exact: Q diag(d^k) Q^{-1}.  The conjugators
-    are products of block-diagonal moves, inverted blockwise.
+    are products of block-diagonal moves, each built with its inverse: the
+    closed-torus S-move is an involution, the one-holed S-moves square to
+    scalars and the bridge move is inverted by 6j orthogonality.
     """
     S = scalar_ring(R)
     p = S.p
@@ -240,7 +243,7 @@ def _twist_conjugators(genus: int, R, curve: str):
         if curve == "a":
             return None, None, diag
         if curve == "b":
-            return s_matrix(R), s_matrix(R, True), diag
+            return s_matrix(R), s_matrix(R), diag
         raise WordError(f"unknown genus-1 curve {curve!r}")
     basis = genus2_basis(p)
     if curve == "c2":
@@ -250,15 +253,13 @@ def _twist_conjugators(genus: int, R, curve: str):
     if curve == "s":
         return None, None, tuple(twist(R, c) for a, c, b in basis)
     if curve == "c1":
-        Q = _left_s_operator(R)
-        return Q, _left_s_operator(R, True), tuple(twist(R, a) for a, c, b in basis)
+        return (*_left_s_operator(R), tuple(twist(R, a) for a, c, b in basis))
     if curve == "c5":
-        Q = _right_s_operator(R)
-        return Q, _right_s_operator(R, True), tuple(twist(R, b) for a, c, b in basis)
+        return (*_right_s_operator(R), tuple(twist(R, b) for a, c, b in basis))
     if curve == "c3":
-        BL, BLi = _left_s_operator(R), _left_s_operator(R, True)
-        BR, BRi = _right_s_operator(R), _right_s_operator(R, True)
-        F, Fi = _bridge_f_matrix(R), _bridge_f_matrix(R, True)
+        BL, BLi = _left_s_operator(R)
+        BR, BRi = _right_s_operator(R)
+        F, Fi = _bridge_f_matrix(R)
         Q = S.mat_mul(S.mat_mul(BL, BR), Fi)
         Qinv = S.mat_mul(S.mat_mul(F, BRi), BLi)
         diag = tuple(twist(R, f) for a, f, b in _theta_labels(p))

@@ -24,7 +24,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclotomic import CycElem, eta, ring, scalar_ring
-from .linalg import ring_inverse
 from .pmatrix import PMatrix
 
 
@@ -198,15 +197,15 @@ def t_matrix(p: int) -> PMatrix:
 
 
 @lru_cache(maxsize=None)
-def s_matrix(R, invert: bool = False):
-    """eta-normalized Hopf pairing of colored cores (or its inverse); squares
-    to the identity projectively and generates a projective SL2(Z) action
-    with t_matrix.  A PMatrix for p, rows of residues for a ResidueSpec."""
+def s_matrix(R):
+    """eta-normalized Hopf pairing of colored cores.  It squares to the
+    identity exactly, so it is its own inverse, and it generates a
+    projective SL2(Z) action with t_matrix.  A PMatrix for p, rows of
+    residues for a ResidueSpec."""
     S = scalar_ring(R)
     order = spectral_color_order(S.p)
     h = eta(R)
-    rows = [[h * hopf(R, a, b) for b in order] for a in order]
-    return S.matrix(ring_inverse(rows, S) if invert else rows)
+    return S.matrix([[h * hopf(R, a, b) for b in order] for a in order])
 
 
 @lru_cache(maxsize=None)

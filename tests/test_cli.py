@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from qtop.cli import main
 from qtop.manifolds import desc_from_json, parse_desc
@@ -154,3 +157,43 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["text"] == "Z/5"
+
+
+# Exit code and sha256 of stdout for the README examples and four p = 7
+# commands over letters, RT, the walk and the search.  A change that keeps
+# results must keep these bytes; one that means to change them updates the
+# digests and says which output moved and why.
+CLI_DIGESTS = {
+    "--format text homology --desc lens:5":
+        (0, "076304e1afb07bf5ebb64dc1c97fc7909792e2a387a855bf3baa0f8613f966c7"),
+    "--format text invariant dw --desc lens:3 --group S3":
+        (0, "de7e55cd172f2065828bdd6c2015c5e92fdd6271ab1bd0f30a5e15104e64678d"),
+    "invariant rt --desc s3 --p 5 --q 41":
+        (0, "84fdea04ce09a8cb37593bc3593cd596cc14aec26054c4b36e80f4935e9a90ba"),
+    "fkb --desc bounded:2:1:1 --p 5 --budget 3":
+        (0, "5fcbb6e7551fe07d6eb56ea3381c5bc1eee7311c68ed6d229b97d6f58326c953"),
+    "--format text walk prob --q 3 --n 2 --m 1 --mode enumerate":
+        (0, "93eb24eedf43b048b7225800d0d36b77abc2640b226582c7e95a3618d316a9b2"),
+    "--format csv walk mix --group psl2:5 --steps 200":
+        (0, "ebb154c0f88f50708d2fe8293eb952367259db3da9d0e8d7262ad12e30779ffe"),
+    "walk montecarlo --desc bounded:2:0:1 --p 5 --q 41 --d 200 --trials 2000 --seed 42":
+        (0, "d0c0d3a4a92ce5a26eef476ae65b066b0cff9e2f2aa7e40d7bc67194543d7e38"),
+    "rep check --genus 2 --p 5 --q 41":
+        (0, "a9b61a200a9cf33f1747222adbb2747151496fde985758273ea0df3f06672942"),
+    "obstruct --candidate bounded:2:0:1 --target s3 --p 5 --q 41 --search --seed 1":
+        (0, "ee5703a07cf874fc4af1f29484c0bc5dc612266d2bbb79048b6beaa60c5631be"),
+    "rep check --genus 1 --p 7 --q 29":
+        (0, "aab24fb16a72c724831b772f54fab890bb5ce191dceac321019fa7381625213a"),
+    "invariant rt --desc heegaard:2:c1*c3 --p 7 --q 113":
+        (0, "0203e26cbbbc9c8394e90bf07a0d559688a62f4286c6471481ef3b5e8115542c"),
+    "walk montecarlo --desc bounded:2:1:c1*c3 --p 7 --q 29":
+        (0, "4eb31155f3f0b02d79941921b6525eaa147d1f2f810db886ea30082ee5969dfa"),
+    "obstruct --candidate bounded:2:0:1 --target lens:3 --p 7 --q 29 --search --seed 2":
+        (0, "c81e2d14062c564ccf99a337295f21061122e20741e0bf2cf588463968cbb84f"),
+}
+
+
+@pytest.mark.parametrize("command", CLI_DIGESTS)
+def test_cli_output_is_byte_identical(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == CLI_DIGESTS[command]

@@ -18,8 +18,6 @@ from qtop.manifolds import (
     MappingTorus,
     NotQHSError,
     S3,
-    betti_obstruction,
-    casson_congruence,
     desc_from_json,
     desc_to_json,
     dw_invariant,
@@ -481,19 +479,3 @@ def test_murakami_residue_map_is_multiplicative():
         # (a + bw)(a' + b'w) with w^2 = -1
         assert axy == (ax * ay - bx * by) % 5
         assert bxy == (ax * by + bx * ay) % 5
-
-
-# -- classical obstructions ----------------------------------------------------------------
-
-
-def test_betti_obstruction_examples():
-    assert betti_obstruction(0, 0, 1, 0) is True
-    assert betti_obstruction(3, 2, 2, 0) is False
-    with pytest.raises(ValueError):
-        betti_obstruction(-1, 0, 0, 0)
-
-
-def test_casson_congruence_examples():
-    assert casson_congruence(5, 2, 3) is True
-    assert casson_congruence(5, 1, 3) is False
-    assert casson_congruence(5, 1, 0) is True  # no information

@@ -1,9 +1,10 @@
 """The packed exact matrix kernel against the schoolbook product and sympy."""
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from qtop.cyclotomic import CycElem, ring
+from qtop.cyclotomic import CycElem, RingUsageError, ring
 from qtop.pmatrix import PMatrix
 
 
@@ -99,6 +100,16 @@ def test_apply_of_zero_and_identity():
     for j in range(n):
         e_j = [CycElem.one(p) if i == j else CycElem.zero(p) for i in range(n)]
         assert A.apply(e_j) == column(A, j)
+
+
+
+def test_pow_by_square_and_multiply_and_negative_exponent_raises():
+    p = 5
+    A = PMatrix.from_rows(p, [[CycElem.one(p), CycElem.root_power(p, 3)], [CycElem.zero(p), CycElem.one(p)]])
+    assert (A ** 0).entries == PMatrix.identity(p, 2).entries
+    assert (A ** 5).entries == (A * A * A * A * A).entries
+    with pytest.raises(RingUsageError):
+        A ** -1
 
 
 def _poly(x: CycElem, z):

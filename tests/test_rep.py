@@ -1,13 +1,18 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtop.cyclotomic import CycElem, ResidueSpec, elem_A
+from qtop.cyclotomic import CycElem, ResidueSpec, elem_A, scalar_ring
+from qtop.linalg import ring_inverse
 from qtop.mcg import GENUS_CURVES, empty_word, letter, parse_word, random_word
 from qtop.pmatrix import PMatrix, proj_equal
 from qtop.rep import (
+    _bridge_f_block,
+    _holed_torus_s,
     _letter_matrix_mod,
+    _twist_conjugators,
     algebra_span_dim,
     fq_identity,
     fq_is_scalar,
@@ -24,7 +29,7 @@ from qtop.rep import (
     vacuum_index,
     vacuum_vector,
 )
-from qtop.skein import admissible, colors, twist
+from qtop.skein import admissible, colors, s_matrix, sixj, twist
 from qtop.walks import enumerate_group
 
 R41 = ResidueSpec.for_primes(5, 41)
@@ -170,6 +175,68 @@ def test_reduction_compatibility():
                 assert rho(w, p).reduce(r) == rho_mod(w, p, r)
             w1 = random_word(1, 8, 5)
             assert rho(w1, p).reduce(r) == rho_mod(w1, p, r)
+
+
+def _block_mul(A, B, zero):
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), zero) for col in zip(*B)) for row in A)
+
+
+def _scalar_block(n, d, zero):
+    return tuple(tuple(d if i == j else zero for j in range(n)) for i in range(n))
+
+
+# exact at p = 5 and 7; in F_q at p = 11 and 13, and at the inverse of the
+# smallest root mod 29 (the conjugate prime)
+IDENTITY_SPECS = (
+    5,
+    7,
+    ResidueSpec.for_primes(11, 89),
+    ResidueSpec.for_primes(13, 53),
+    ResidueSpec(7, 29, pow(ResidueSpec.for_primes(7, 29).root, -1, 29)),
+)
+
+
+@pytest.mark.parametrize("R", IDENTITY_SPECS, ids=str)
+def test_conjugator_blocks_are_inverted_by_their_identities(R):
+    S = scalar_ring(R)
+    p, zero, one = S.p, S.zero, S.one
+    exact = not isinstance(R, ResidueSpec)
+    basis = genus2_basis(p)
+
+    def same(A, B):  # entrywise equality over R, for PMatrices or residue rows
+        return S.matrix(A) == S.matrix(B)
+
+    def eye(n):
+        return _scalar_block(n, one, zero)
+
+    for c in sorted({c for _a, c, _b in basis}):
+        block, inv = _holed_torus_s(R, c)
+        n = len(block)
+        square = _block_mul(block, block, zero)
+        # the S-move squares to a scalar: a root of unity, 1 on the closed torus
+        lam = square[0][0]
+        assert same(square, _scalar_block(n, lam, zero))
+        assert same([[lam ** (4 * p)]], [[one]]) and (c or same([[lam]], [[one]]))
+        assert same(_block_mul(block, inv, zero), eye(n))
+        if exact:
+            assert same(inv, ring_inverse(block, S))
+    for a, b in sorted({(a, b) for a, _c, b in basis}):
+        block, inv = _bridge_f_block(R, a, b)
+        n = len(block)
+        assert same(_block_mul(block, inv, zero), eye(n))
+        assert same(_block_mul(inv, block, zero), eye(n))
+        cs = [c for x, c, y in basis if (x, y) == (a, b)]
+        fs = [f for f in colors(p) if admissible(p, a, b, f)]
+        assert same(block, [[sixj(R, a, a, c, b, b, f) for c in cs] for f in fs])
+        assert same(inv, [[sixj(R, a, b, f, b, a, c) for f in fs] for c in cs])
+        if exact:
+            assert same(inv, ring_inverse(block, S))
+    Smat = s_matrix(R)
+    assert S.mat_mul(Smat, Smat) == S.matrix(eye(len(colors(p))))
+    if p <= 7:
+        for curve in ("c1", "c3", "c5"):
+            Q, Qinv, _d = _twist_conjugators(2, R, curve)
+            assert S.mat_mul(Q, Qinv) == S.mat_mul(Qinv, Q) == S.matrix(eye(len(basis)))
 
 
 # smallest-root specs, and one at the inverse of the smallest root
