@@ -1,17 +1,28 @@
 #!/usr/bin/env python3
-"""Record two sets of benchmark results as one BENCH_*.json file.
+"""Record two sets of benchmark results as one BENCH_*.json file, or
+compare fresh results against a committed one.
 
-    python3 scripts/bench_record.py BASE NEW --out BENCH_11.json \
+    python3 scripts/bench_record.py BASE NEW --out BENCH_13.json \
         [--base-commit REV] [--new-commit REV]
+    python3 scripts/bench_record.py --against BENCH_13.json FRESH
 
-BASE and NEW are directories (or single files) of result files written by
-bench/run.py, read with bench/compare.py's `load`.  For each workload and
-metric the file holds both sides' quartiles (`bench/compare.py`'s
-`quartiles`), their number of runs, and the change of the medians as a
-share of the base median, signed so that a positive share is a change for
-the worse.  Per-layer metrics come from the traced runs among the files.
-Provenance: the two commits, Python, numpy, its BLAS and the BLAS thread
-count that a benchmark run sees.
+BASE, NEW and FRESH are directories (or single files) of result files
+written by bench/run.py, read with bench/compare.py's `load`.  For each
+workload and metric the record holds both sides' quartiles
+(`bench/compare.py`'s `quartiles`), their number of runs, and the change
+of the medians as a share of the base median, signed so that a positive
+share is a change for the worse.  Per-layer metrics come from the traced
+runs among the files.  Provenance: the two commits, the seeds of each
+side's untraced and traced runs, Python, numpy, its BLAS and the BLAS
+thread count that a benchmark run sees.
+
+With --against, FRESH is held to the recorded NEW side.  An end-to-end
+metric whose fresh median is worse by more than its bound is a
+REGRESSION when the medians differ by more than the recorded quartile
+spread, and "unresolved" when they do not; only quartiles are recorded,
+so this is the rule for claiming a gain turned around.  A count that
+moves is "COUNT MOVED", since counts repeat exactly for the same seeds.
+The exit status is 1 when either happens.
 """
 
 from __future__ import annotations
@@ -55,22 +66,79 @@ def git_commit(rev: str) -> str:
     return done.stdout.strip() or rev
 
 
+def seeds(path: Path) -> dict:
+    """{workload: {"trace0": [seeds], "trace1": [seeds]}} of the result files under path."""
+    files = sorted(path.glob("*-trace[01].json")) if path.is_dir() else [path]
+    out: dict = {}
+    for f in files:
+        record = json.loads(f.read_text())
+        runs = out.setdefault(record["workload"], {"trace0": [], "trace1": []})
+        runs[f"trace{record['trace']}"].append(record["seed"])
+    return {workload: {k: sorted(v) for k, v in runs.items()} for workload, runs in out.items()}
+
+
+def metric_info() -> dict:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def against(bench: Path, fresh_path: Path) -> int:
+    """Print FRESH against the NEW side of a committed record; 1 on a regression
+    or a moved count."""
+    recorded = json.loads(bench.read_text())["workloads"]
+    fresh = load(fresh_path)
+    info = metric_info()
+    failures = 0
+    print(f"{'workload':<11} {'metric':<36} {'recorded q1/median/q3':>32} {'fresh q1/median/q3':>32} {'worse by':>9}  verdict")
+    for workload, name in sorted(fresh.keys()):
+        entry = recorded.get(workload, {}).get(name)
+        if entry is None:
+            continue
+        old, values = entry["new"], fresh[workload, name]
+        n = quartiles(values)
+        sign = 1 if entry["better"] == "lower" else -1
+        worse = sign * (n[1] - old["median"]) / old["median"] if old["median"] else 0.0
+        verdict = ""
+        if entry.get("unit") == "count":
+            verdict = "same" if n[1] == old["median"] else "COUNT MOVED"
+        elif name in info and "bound" in info[name]:
+            bound = info[name]["bound"]
+            if worse <= bound:
+                verdict = f"ok (bound {bound:.0%})"
+            elif abs(n[1] - old["median"]) > old["q3"] - old["q1"]:
+                verdict = "REGRESSION"
+            else:
+                verdict = "unresolved"
+        failures += verdict in ("REGRESSION", "COUNT MOVED")
+        fmt = "{:.4g}/{:.4g}/{:.4g}"
+        recorded_q = fmt.format(old["q1"], old["median"], old["q3"])
+        print(f"{workload:<11} {name:<36} {recorded_q:>32} {fmt.format(*n):>32} {worse:>+9.1%}  {verdict}")
+    return 1 if failures else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="record two sets of bench/run.py results as JSON")
-    ap.add_argument("base", type=Path)
-    ap.add_argument("new", type=Path)
-    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("base", type=Path, help="BASE results; with --against, the fresh results")
+    ap.add_argument("new", type=Path, nargs="?")
+    ap.add_argument("--out", type=Path)
+    ap.add_argument("--against", type=Path, help="a committed BENCH_*.json to compare fresh results with")
     ap.add_argument("--base-commit", default="HEAD~1", help="commit the BASE runs were taken on")
     ap.add_argument("--new-commit", default="HEAD", help="commit the NEW runs were taken on")
     args = ap.parse_args(argv)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    info = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
+    if args.against:
+        if args.new or args.out:
+            ap.error("--against takes one set of fresh results and writes nothing")
+        return against(args.against, args.base)
+    if not (args.new and args.out):
+        ap.error("recording needs BASE, NEW and --out")
+    info = metric_info()
     base, new = load(args.base), load(args.new)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record = {
         "provenance": {
             "base_commit": git_commit(args.base_commit),
             "new_commit": git_commit(args.new_commit),
+            "seeds": {"base": seeds(args.base), "new": seeds(args.new)},
             "python": platform.python_version(),
             "numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}",

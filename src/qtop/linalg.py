@@ -2,10 +2,14 @@
 
 Everything here works on plain Python ints (arbitrary precision) or on
 ring elements supplied by the caller, so results are exact.  Matrices are
-lists of lists, rows first.
+lists of lists, rows first.  The F_q walk kernel works on numpy arrays
+whose dtype is chosen so that no product sum overflows.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) = a*x + b*y, g >= 0."""
@@ -210,6 +214,28 @@ def fq_mat_mul(A, B, q: int):
 def fq_mat_vec(A, v, q: int):
     """Product A v of a square matrix and a vector over F_q, as a tuple."""
     return tuple(sum(a * x for a, x in zip(row, v)) % q for row in A)
+
+
+def fq_dtype(n: int, q: int):
+    """numpy dtype for n x n products over F_q: int64 holds every sum of n
+    products of residues only while n (q - 1)^2 < 2^63; above that, Python
+    ints (object)."""
+    return np.int64 if n * (q - 1) ** 2 < 2 ** 63 else object
+
+
+def fq_walk(mats, picks, vec, q: int):
+    """Walks over F_q: row t of the result is
+    mats[picks[t, 0]] ... mats[picks[t, -1]] vec mod q.
+
+    mats is a (generators, n, n) array, picks a (batch, steps) index array
+    and vec a length-n vector.  The (batch, n) array of vectors is carried
+    right to left, one batched matrix-vector product per step.
+    """
+    mats = np.asarray(mats, dtype=fq_dtype(len(vec), q))
+    vectors = np.tile(np.asarray(vec, dtype=mats.dtype), (len(picks), 1))
+    for step in reversed(range(picks.shape[1])):
+        vectors = np.einsum("tij,tj->ti", mats[picks[:, step]], vectors) % q
+    return vectors
 
 
 def fq_rank(rows: list[list[int]], q: int) -> int:

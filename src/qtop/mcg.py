@@ -127,6 +127,12 @@ def _merge(letters):
     return tuple(out)
 
 
+def word_product(genus: int, words) -> TwistWord:
+    """The product of `words` in order, merged in one pass; _merge is a stack
+    reduction, so this equals the chain of pairwise products."""
+    return TwistWord(genus, _merge(tuple(x for w in words for x in w.letters)))
+
+
 def empty_word(genus: int) -> TwistWord:
     return TwistWord(genus)
 

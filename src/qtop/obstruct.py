@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .cyclotomic import CycElem, CycIdeal, ResidueSpec, RingUsageError, eta, residue_primes
 from .manifolds import (
     BoundedHeegaard,
@@ -27,8 +29,16 @@ from .manifolds import (
     is_closed,
     rt_closed,
 )
-from .mcg import TwistWord, empty_word, word_in_subgroup
-from .rep import genus1_basis, genus2_basis, rho_apply, rho_mod, vacuum_vector
+from .linalg import fq_walk
+from .mcg import TwistWord, empty_word, word_in_subgroup, word_product
+from .rep import (
+    genus1_basis,
+    genus2_basis,
+    rho_apply,
+    rho_array,
+    vacuum_index,
+    vacuum_vector,
+)
 
 SOUNDNESS_AXIOM = (
     "vector vanishing mod J implies I_p(N) <= J: closed invariants of "
@@ -264,6 +274,10 @@ def rederive_report(report: ObstructionReport) -> bool:
 # -- randomized search for vanishing gluings ---------------------------------
 
 
+# samples twist_search draws and walks together; results do not depend on it
+SEARCH_BATCH = 32
+
+
 @dataclass(frozen=True)
 class TwistSearchResult:
     """Outcome of twist_search.  distinct_images counts the distinct vacuum
@@ -292,11 +306,18 @@ def twist_search(
     """Search Gamma_k I cap T_n for f with vanishing compressed vector mod J.
 
     Samples products of certified subgroup generators; each sample is a
-    fresh walk of `walk_length` steps.  Only the vacuum column of
-    rho(base f) is read, so e_vac is carried right to left through the
-    picked generator matrices and then through the base word's letters.
-    Deterministic in (seed, budget).
+    fresh walk of `walk_length` steps whose picks come from one
+    random.Random(seed).  Only the vacuum column of rho(base f) is read,
+    so the samples are drawn in batches of SEARCH_BATCH, and
+    linalg.fq_walk (the walk kernel montecarlo_vanishing shares) carries
+    e_vac right to left through each sample's picked generator matrices,
+    then through the base word's matrix.  The rows are scanned in sample
+    order and the first vanishing one wins; drawing picks past it touches
+    only the local rng, so the result is that of drawing one sample at a
+    time.  Deterministic in (seed, budget).
     """
+    if r.p != p:
+        raise RingUsageError("word and residue spec use different p")
     rng = random.Random(seed)
     base = desc.word
     keep = surviving_indices(p, desc.boundary_genus)
@@ -310,34 +331,29 @@ def twist_search(
         cw = word_in_subgroup(n, k, seed * 1009 + j + 1)
         gens.append(cw.word)
         certs.append(cw.certificate)
-    gen_mats = [rho_mod(g, p, r) for g in gens]
-    gen_mats += [rho_mod(g.inverse(), p, r) for g in gens]
-    gen_index = list(range(len(gen_mats)))
+    words = gens + [g.inverse() for g in gens]
+    cert_terms = certs + [f"({c})^-1" for c in certs]
+    gen_mats = np.array([rho_array(w, r) for w in words])
+    gen_index = list(range(len(words)))
     e_vac = vacuum_vector(2, r)
+    base_mat = rho_array(base, r)
 
     # empty word first: degenerate setups succeed immediately
-    if vanishes(rho_apply(base, r, e_vac)):
+    if vanishes(base_mat[:, vacuum_index(2, p)]):
         return TwistSearchResult(True, empty_word(2), base, "1", 0, 1)
 
     images = set()
-    for sample in range(1, budget + 1):
-        picks = [rng.choice(gen_index) for _ in range(walk_length)]
-        vec = e_vac
-        for i in reversed(picks):
-            vec = r.mat_vec(gen_mats[i], vec)
-        vec = rho_apply(base, r, vec)
-        images.add(vec)
-        if vanishes(vec):
-            f = empty_word(2)
-            for i in picks:
-                g = gens[i] if i < len(gens) else gens[i - len(gens)].inverse()
-                f = f * g
-            cert_terms = []
-            for i in picks:
-                if i < len(gens):
-                    cert_terms.append(certs[i])
-                else:
-                    cert_terms.append(f"({certs[i - len(gens)]})^-1")
-            certificate = " . ".join(cert_terms)
-            return TwistSearchResult(True, f, base * f, certificate, sample, len(images))
+    for start in range(0, budget, SEARCH_BATCH):
+        size = min(SEARCH_BATCH, budget - start)
+        picks = [[rng.choice(gen_index) for _ in range(walk_length)] for _ in range(size)]
+        index = np.array(picks, dtype=np.intp).reshape(size, walk_length)
+        rows = fq_walk(gen_mats, index, e_vac, r.q) @ base_mat.T % r.q
+        for offset, vec in enumerate(rows.tolist()):
+            images.add(tuple(vec))
+            if vanishes(vec):
+                chosen = picks[offset]
+                f = word_product(2, [words[i] for i in chosen])
+                certificate = " . ".join(cert_terms[i] for i in chosen)
+                samples = start + offset + 1
+                return TwistSearchResult(True, f, base * f, certificate, samples, len(images))
     return TwistSearchResult(False, None, None, None, budget, len(images))

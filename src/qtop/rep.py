@@ -22,19 +22,23 @@ The S-move and bridge blocks and the conjugators are built over a scalar
 ring R chosen by the caller, as in skein: p for exact PMatrices, a
 ResidueSpec for residue matrices.  Each block comes with its inverse from
 an identity of the move (see _twist_conjugators), so nothing is inverted
-by a general method.  rho multiplies exact letters; rho_mod
+by a general method.  rho multiplies exact letters; rho_array
 multiplies letters built in F_q, which equal the reductions of the exact
-letters.  rho_apply carries a vector right to left through the letters
-over either ring, one matrix-vector product per letter, for callers that
-read a single column such as the vacuum column.
+letters, each cached once as a read-only numpy array, and rho_mod gives
+the same product as a tuple of rows.  rho_apply carries a vector right
+to left through the letters over either ring, one matrix-vector product
+per letter, for callers that read a single column such as the vacuum
+column.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from .cyclotomic import ResidueSpec, RingUsageError, eta, scalar_ring
-from .linalg import FqSpan, fq_mat_mul
+from .linalg import FqSpan, fq_dtype, fq_mat_mul
 from .mcg import TwistWord, WordError
 from .pmatrix import PMatrix
 from .skein import (
@@ -328,16 +332,34 @@ def _letter_matrix_mod(genus: int, p: int, curve: str, k: int, r: ResidueSpec):
     return fq_mat_mul(QD, Qinv, q)
 
 
-def rho_mod(word: TwistWord, p: int, r: ResidueSpec):
-    """rho(word) mod J, computed in F_q; equal to the entrywise reduction of
-    rho(word) and functorial on the nose."""
-    if not word.letters:
-        return fq_identity(rep_dim(word.genus, p))
-    (curve, exp), *rest = word.letters
-    out = _letter_matrix_mod(word.genus, p, curve, exp, r)
-    for curve, exp in rest:
-        out = fq_mat_mul(out, _letter_matrix_mod(word.genus, p, curve, exp, r), r.q)
+@lru_cache(maxsize=None)
+def _letter_array(genus: int, curve: str, k: int, r: ResidueSpec) -> np.ndarray:
+    """_letter_matrix_mod as a read-only numpy array in the F_q kernel dtype."""
+    M = _letter_matrix_mod(genus, r.p, curve, k, r)
+    out = np.array(M, dtype=fq_dtype(len(M), r.q))
+    out.setflags(write=False)
     return out
+
+
+def rho_array(word: TwistWord, r: ResidueSpec) -> np.ndarray:
+    """rho(word) mod J as a numpy array: the product of the cached F_q
+    letters, in the dtype of linalg.fq_dtype."""
+    if not word.letters:
+        n = rep_dim(word.genus, r.p)
+        return np.eye(n, dtype=fq_dtype(n, r.q))
+    (curve, exp), *rest = word.letters
+    out = _letter_array(word.genus, curve, exp, r)
+    for curve, exp in rest:
+        out = out @ _letter_array(word.genus, curve, exp, r) % r.q
+    return out
+
+
+def rho_mod(word: TwistWord, p: int, r: ResidueSpec):
+    """rho(word) mod J, computed in F_q, as a tuple of rows; equal to the
+    entrywise reduction of rho(word) and functorial on the nose."""
+    if r.p != p:
+        raise RingUsageError("word and residue spec use different p")
+    return tuple(map(tuple, rho_array(word, r).tolist()))
 
 
 # -- one column: vectors carried through the letters ------------------------
@@ -413,11 +435,12 @@ def algebra_span_dim(words, genus: int, p: int, r: ResidueSpec) -> int:
 
 
 def fq_projective_order(M, q: int, cap: int = 10000) -> int | None:
-    """Order of M in PGL_n(F_q), or None if it exceeds cap."""
-    n = len(M)
-    acc = M
+    """Order of M in PGL_n(F_q), or None if it exceeds cap.  Successive
+    powers are numpy products in the dtype of linalg.fq_dtype."""
+    A = np.array(M, dtype=fq_dtype(len(M), q))
+    acc = A
     for k in range(1, cap + 1):
         if fq_is_scalar(acc, q):
             return k
-        acc = fq_mat_mul(acc, M, q)
+        acc = acc @ A % q
     return None

@@ -17,10 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import ResidueSpec, is_prime
+from .linalg import fq_walk
 from .manifolds import BoundedHeegaard
-from .mcg import TwistWord, word_in_subgroup
+from .mcg import word_in_subgroup
 from .obstruct import surviving_indices
-from .rep import fq_mat_mul, letter_matrix, rep_dim, vacuum_index
+from .rep import fq_mat_mul, rep_dim, rho_array, vacuum_index, vacuum_vector
 
 
 class WalkUsageError(ValueError):
@@ -313,17 +314,6 @@ def default_subgroup_walk(
     return WalkSpec.uniform(tuple(words), length, seed)
 
 
-def _word_matrix(word: TwistWord, r: ResidueSpec, dtype) -> np.ndarray:
-    """rho_mod(word) as a numpy product of the cached F_q letters."""
-    mats = [np.array(letter_matrix(word.genus, r, c, e), dtype=dtype) for c, e in word.letters]
-    if not mats:
-        return np.eye(rep_dim(word.genus, r.p), dtype=dtype)
-    out = mats[0]
-    for m in mats[1:]:
-        out = out @ m % r.q
-    return out
-
-
 def montecarlo_vanishing(
     desc: BoundedHeegaard,
     p: int,
@@ -336,8 +326,9 @@ def montecarlo_vanishing(
     Each trial composes the base gluing with an independent walk of
     walkspec.length steps; all generator picks are drawn up front from
     the seed, so the result is reproducible for any worker count.  Only
-    the vacuum column is read, so a (trials, dim) batch of vectors is
-    carried right to left through the picked generators, then the base.
+    the vacuum column is read, so linalg.fq_walk carries a (trials, dim)
+    batch of vacuum vectors right to left through the picked generators
+    (the walk kernel twist_search shares), then the base word's matrix.
     """
     q = r.q
     keep = surviving_indices(p, desc.boundary_genus)
@@ -347,9 +338,7 @@ def montecarlo_vanishing(
     bound = Fraction(q ** (dim - (1 if desc.boundary_genus == 0 else rep_dim(1, p))) - 1, q ** dim - 1)
 
     vac = vacuum_index(2, p)
-    # int64 holds every sum of dim products of residues only below this q
-    dtype = np.int64 if dim * (q - 1) ** 2 < 2 ** 63 else object
-    base = _word_matrix(desc.word, r, dtype)
+    base = rho_array(desc.word, r)
     if np.all(base[:, vac] % q == 0):
         raise WalkUsageError("handlebody vector is zero mod J: degenerate setup")
 
@@ -358,17 +347,13 @@ def montecarlo_vanishing(
             0, 0, None, None, None, kdim, dim, exact, bound, walkspec.length, walkspec.seed
         )
 
-    gen_mats = np.array([_word_matrix(w, r, dtype) for w in walkspec.generators])
+    gen_mats = np.array([rho_array(w, r) for w in walkspec.generators])
     weights = np.array([float(w) for w in walkspec.weights])
     weights = weights / weights.sum()
     rng = np.random.default_rng(walkspec.seed)
     picks = rng.choice(len(gen_mats), size=(trials, walkspec.length), p=weights)
 
-    vectors = np.zeros((trials, dim), dtype=dtype)
-    vectors[:, vac] = 1
-    for step in reversed(range(walkspec.length)):
-        vectors = np.einsum("tij,tj->ti", gen_mats[picks[:, step]], vectors) % q
-    vectors = vectors @ base.T % q
+    vectors = fq_walk(gen_mats, picks, vacuum_vector(2, r), q) @ base.T % q
     hits = int(np.all(vectors[:, list(keep)] == 0, axis=1).sum())
     freq = Fraction(hits, trials)
     fhat = float(freq)

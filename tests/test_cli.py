@@ -159,8 +159,9 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["text"] == "Z/5"
 
 
-# Exit code and sha256 of stdout for the README examples and four p = 7
-# commands over letters, RT, the walk and the search.  A change that keeps
+# Exit code and sha256 of stdout for the README examples and five p = 7
+# commands over letters, RT, the walk, the search and the sampled
+# projective orders.  A change that keeps
 # results must keep these bytes; one that means to change them updates the
 # digests and says which output moved and why.
 CLI_DIGESTS = {
@@ -190,6 +191,8 @@ CLI_DIGESTS = {
         (0, "4eb31155f3f0b02d79941921b6525eaa147d1f2f810db886ea30082ee5969dfa"),
     "obstruct --candidate bounded:2:0:1 --target lens:3 --p 7 --q 29 --search --seed 2":
         (0, "c81e2d14062c564ccf99a337295f21061122e20741e0bf2cf588463968cbb84f"),
+    "rep check --genus 2 --p 7 --q 29":
+        (0, "6d61227e24de0c886f2c5e4b63226fe44860e569a84a73f78f7300de75d70232"),
 }
 
 

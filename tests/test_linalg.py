@@ -2,6 +2,9 @@ import itertools
 import math
 import random
 
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
 from qtop import linalg
 
 
@@ -114,3 +117,41 @@ def test_bareiss_det_over_integers():
         n = rng.randint(1, 4)
         mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         assert linalg.bareiss_det(mat, IntRing) == _bareiss_int_det(mat)
+
+
+def test_fq_dtype_guard_boundary():
+    # int64 exactly while n (q - 1)^2 < 2^63
+    assert linalg.fq_dtype(5, 41) is np.int64
+    assert linalg.fq_dtype(5, 3000000361) is object
+    q = math.isqrt((2 ** 63 - 1) // 5) + 1  # the largest q with 5 (q - 1)^2 < 2^63
+    assert linalg.fq_dtype(5, q) is np.int64
+    assert linalg.fq_dtype(5, q + 1) is object
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.sampled_from((2, 41, 3000000361, 2 ** 61 - 1)),
+    n=st.integers(1, 4),
+    gens=st.integers(1, 3),
+    batch=st.integers(0, 5),
+    steps=st.integers(0, 6),
+    data=st.data(),
+)
+def test_fq_walk_matches_python_products(q, n, gens, batch, steps, data):
+    residue = st.integers(0, q - 1)
+    mats = data.draw(st.lists(
+        st.lists(st.lists(residue, min_size=n, max_size=n), min_size=n, max_size=n),
+        min_size=gens, max_size=gens,
+    ))
+    vec = data.draw(st.lists(residue, min_size=n, max_size=n))
+    picks = data.draw(st.lists(
+        st.lists(st.integers(0, gens - 1), min_size=steps, max_size=steps),
+        min_size=batch, max_size=batch,
+    ))
+    rows = linalg.fq_walk(mats, np.array(picks, dtype=np.intp).reshape(batch, steps), vec, q)
+    assert rows.shape == (batch, n)
+    for row, walk in zip(rows.tolist(), picks):
+        expect = tuple(vec)
+        for i in reversed(walk):
+            expect = linalg.fq_mat_vec(mats[i], expect, q)
+        assert tuple(row) == expect

@@ -19,6 +19,7 @@ from qtop.mcg import (
     pi1_action,
     random_word,
     word_in_subgroup,
+    word_product,
 )
 
 
@@ -207,3 +208,13 @@ def test_word_in_subgroup_genus1_rejected():
 
 def test_word_in_subgroup_deterministic():
     assert word_in_subgroup(3, 2, 11).word == word_in_subgroup(3, 2, 11).word
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(letters_strategy(2), max_size=6))
+def test_word_product_is_the_chain_of_products(parts):
+    words = [TwistWord(2, tuple(letters)) for letters in parts]
+    chained = empty_word(2)
+    for w in words:
+        chained = chained * w
+    assert word_product(2, words) == chained

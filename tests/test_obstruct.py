@@ -1,6 +1,9 @@
 import hashlib
+import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtop.cyclotomic import CycElem, ResidueSpec, elem_A, elem_u, eta
 from qtop.manifolds import (
@@ -11,9 +14,12 @@ from qtop.manifolds import (
     MappingTorus,
     S3,
 )
-from qtop.mcg import empty_word, letter, parse_word
+from qtop.linalg import fq_dtype, fq_mat_mul
+from qtop.mcg import empty_word, letter, parse_word, word_in_subgroup
 from qtop.obstruct import (
+    SEARCH_BATCH,
     BoundaryVector,
+    TwistSearchResult,
     _genus1_words_upto,
     boundary_vector,
     boundary_vector_mod,
@@ -21,11 +27,12 @@ from qtop.obstruct import (
     fkb_ideal_inner,
     obstruct_embedding,
     rederive_report,
+    surviving_indices,
     twist_search,
     vanishes_mod,
     very_good_probe,
 )
-from qtop.rep import genus1_basis
+from qtop.rep import genus1_basis, letter_matrix, rho_apply, vacuum_vector
 
 R41 = ResidueSpec.for_primes(5, 41)
 
@@ -221,11 +228,91 @@ def test_twist_search_deterministic():
     assert a.found == b.found and a.word == b.word and a.samples == b.samples
 
 
+def _python_rho_mod(word, r):
+    """rho(word) mod J by pure-Python products of the cached F_q letters."""
+    letters = [letter_matrix(2, r, c, e) for c, e in word.letters]
+    return reduce(lambda A, B: fq_mat_mul(A, B, r.q), letters)
+
+
+def _twist_search_one_sample_at_a_time(desc, p, r, budget, seed, walk_length=48):
+    """The search before batching, kept as the oracle: each sample draws its
+    picks, carries e_vac through pure-Python matrix-vector products, and
+    a hit builds f by successive word products."""
+    rng = random.Random(seed)
+    base = desc.word
+    keep = surviving_indices(p, desc.boundary_genus)
+
+    def vanishes(vec):
+        return all(vec[i] == 0 for i in keep)
+
+    gens, certs = [], []
+    for j in range(6):
+        cw = word_in_subgroup(3, 1, seed * 1009 + j + 1)
+        gens.append(cw.word)
+        certs.append(cw.certificate)
+    gen_mats = [_python_rho_mod(g, r) for g in gens]
+    gen_mats += [_python_rho_mod(g.inverse(), r) for g in gens]
+    gen_index = list(range(len(gen_mats)))
+    e_vac = vacuum_vector(2, r)
+    if vanishes(rho_apply(base, r, e_vac)):
+        return TwistSearchResult(True, empty_word(2), base, "1", 0, 1)
+    images = set()
+    for sample in range(1, budget + 1):
+        picks = [rng.choice(gen_index) for _ in range(walk_length)]
+        vec = e_vac
+        for i in reversed(picks):
+            vec = r.mat_vec(gen_mats[i], vec)
+        vec = rho_apply(base, r, vec)
+        images.add(vec)
+        if vanishes(vec):
+            f = empty_word(2)
+            for i in picks:
+                f = f * (gens[i] if i < len(gens) else gens[i - len(gens)].inverse())
+            certificate = " . ".join(
+                certs[i] if i < len(gens) else f"({certs[i - len(gens)]})^-1" for i in picks
+            )
+            return TwistSearchResult(True, f, base * f, certificate, sample, len(images))
+    return TwistSearchResult(False, None, None, None, budget, len(images))
+
+
+# budgets around the first three multiples of the batch, and a spread below
+BATCH_BUDGETS = st.one_of(
+    st.sampled_from([m * SEARCH_BATCH + d for m in (1, 2, 3) for d in (-1, 0, 1)]),
+    st.integers(0, 3 * SEARCH_BATCH + 2),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 1 << 20),
+    budget=BATCH_BUDGETS,
+    boundary_genus=st.sampled_from((0, 1)),
+    word=st.sampled_from(("1", "c1*c3", "c3^-1*c2")),
+)
+def test_batched_search_equals_one_sample_at_a_time(seed, budget, boundary_genus, word):
+    desc = BoundedHeegaard(2, boundary_genus, parse_word(2, word))
+    assert twist_search(desc, 5, R41, budget=budget, seed=seed) == (
+        _twist_search_one_sample_at_a_time(desc, 5, R41, budget, seed)
+    )
+
+
+def test_batched_search_equals_one_sample_at_a_time_above_int64_range():
+    # 5 (q - 1)^2 >= 2^63: the walk runs on Python ints (object dtype)
+    r = ResidueSpec(5, 3000000361, 2562159243)
+    assert fq_dtype(5, r.q) is object
+    for desc in (BoundedHeegaard(2, 0, parse_word(2, "c1*c3^-1")), BoundedHeegaard(2, 1, empty_word(2))):
+        budget = SEARCH_BATCH + 3
+        res = twist_search(desc, 5, r, budget=budget, seed=3)
+        assert res == _twist_search_one_sample_at_a_time(desc, 5, r, budget, 3)
+        assert res.samples == budget
+
+
 def test_twist_search_budget_exhaustion_is_not_found():
-    res = twist_search(BoundedHeegaard(2, 0, empty_word(2)), 5, R41, budget=2, seed=12)
-    if not res.found:
-        assert res.word is None
-        assert res.distinct_images <= 2
+    desc = BoundedHeegaard(2, 0, empty_word(2))
+    res = twist_search(desc, 5, R41, budget=2, seed=12)
+    assert not res.found and res.word is None
+    assert res.samples == 2
+    assert res.distinct_images == _twist_search_one_sample_at_a_time(desc, 5, R41, 2, 12).distinct_images
 
 
 def test_twist_search_degenerate_immediate():

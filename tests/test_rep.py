@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +25,7 @@ from qtop.rep import (
     rep_dim,
     rho,
     rho_apply,
+    rho_array,
     rho_mod,
     twist_power_matrix,
     vacuum_index,
@@ -268,6 +270,18 @@ def test_rho_apply_is_a_column_of_rho(p, genus, data):
         assert rho_apply(w, r, vacuum_vector(genus, r)) == tuple(Mq[i][vac] for i in range(n))
 
 
+@pytest.mark.parametrize("r, dtype", [(R41, np.int64), (ResidueSpec(5, 3000000361, 2562159243), object)])
+def test_rho_array_letters_are_cached_read_only(r, dtype):
+    word = parse_word(2, "c1*c3^-1*s^2")
+    M = rho_array(word, r)
+    assert M.dtype == dtype and M.tolist() == [list(row) for row in rho_mod(word, 5, r)]
+    single = rho_array(letter(2, "c3", -1), r)
+    assert single is rho_array(letter(2, "c3", -1), r)  # the cached letter itself
+    with pytest.raises(ValueError):
+        single[0, 0] = 1
+    assert rho_array(empty_word(2), r).tolist() == [list(row) for row in fq_identity(5)]
+
+
 def test_rho_mod_empty_word():
     assert rho_mod(empty_word(2), 5, R41) == fq_identity(5)
 
@@ -331,3 +345,33 @@ def test_projective_order_helper():
     assert fq_projective_order(eye, 41) == 1
     ts = rho_mod(letter(2, "s"), 5, R41)
     assert fq_projective_order(ts, 41) == 5
+
+
+def _projective_order_by_python_products(M, q: int, cap: int):
+    """The order loop before numpy powers, kept as the oracle."""
+    acc = M
+    for k in range(1, cap + 1):
+        if fq_is_scalar(acc, q):
+            return k
+        acc = fq_mat_mul(acc, M, q)
+    return None
+
+
+@pytest.mark.parametrize("p, r, cap", [
+    (5, R41, 200),
+    (7, ResidueSpec.for_primes(7, 29), 60),
+    (5, ResidueSpec(5, 3000000361, 2562159243), 30),  # object dtype
+])
+def test_projective_order_matches_python_products(p, r, cap):
+    # the words of `rep check`'s sampled orders; at p = 7, q = 29 their
+    # orders are None, 42, 7, None, 420 with cap 5000
+    outcomes = set()
+    for seed in range(1000, 1005):
+        M = rho_mod(random_word(2, 10, seed), p, r)
+        order = fq_projective_order(M, r.q, cap=cap)
+        assert order == _projective_order_by_python_products(M, r.q, cap), seed
+        outcomes.add(order is None)
+        if order is not None:
+            # one step short of the order exceeds the cap
+            assert fq_projective_order(M, r.q, cap=order - 1) is None
+    assert outcomes == {True, False}  # found orders and cap-exceeded ones
