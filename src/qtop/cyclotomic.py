@@ -440,10 +440,12 @@ def gauss_sqrt_minus_p(R):
     return g
 
 
+@lru_cache(maxsize=None)
 def eta(R):
     """RT invariant of the 3-sphere: (A^2 - A^{-2}) / sqrt(-p); a unit.
 
-    R is p for the exact ring or a ResidueSpec for F_q.
+    R is p for the exact ring or a ResidueSpec for F_q.  Cached: both
+    element types are immutable.
     """
     S = scalar_ring(R)
     return (S.root_power(4) - S.root_power(-4)).exact_div(gauss_sqrt_minus_p(R))
@@ -559,7 +561,7 @@ class ResidueSpec(ScalarRing):
         return tuple(x.v for x in xs)
 
     def mat_mul(self, A, B):
-        return linalg.fq_mat_mul(A, B, self.q)
+        return tuple(map(tuple, linalg.fq_matmul(A, B, self.q).tolist()))
 
     def mat_vec(self, A, v):
         return linalg.fq_mat_vec(A, v, self.q)

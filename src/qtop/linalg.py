@@ -3,7 +3,8 @@
 Everything here works on plain Python ints (arbitrary precision) or on
 ring elements supplied by the caller, so results are exact.  Matrices are
 lists of lists, rows first.  The F_q walk kernel works on numpy arrays
-whose dtype is chosen so that no product sum overflows.
+whose dtype is chosen so that every product sum is exact: float64 BLAS
+while the sums stay below 2^53, then int64, then Python ints.
 """
 
 from __future__ import annotations
@@ -223,19 +224,58 @@ def fq_dtype(n: int, q: int):
     return np.int64 if n * (q - 1) ** 2 < 2 ** 63 else object
 
 
+def _product_dtype(n: int, q: int):
+    """dtype in which a sum of n products of residues is computed exactly.
+
+    float64 while n (q - 1)^2 < 2^53, the delayed-reduction bound of
+    FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008): every partial sum
+    is then an integer below 2^53, so BLAS gives the exact sum in whatever
+    order it adds.  Above it, fq_dtype.
+    """
+    return np.float64 if n * (q - 1) ** 2 < 2 ** 53 else fq_dtype(n, q)
+
+
+def _residues(x, q: int):
+    """x mod q for exact products x, as int64 (or object) residues."""
+    if x.dtype == np.float64:
+        x = x.astype(np.int64)
+    return x % q
+
+
+def fq_matmul(a, b, q: int):
+    """a @ b mod q for 2-D arrays (or nested sequences) of residues in [0, q).
+
+    The product runs in float64 BLAS while n (q - 1)^2 < 2^53 (n = len(b),
+    the inner dimension), in int64 while n (q - 1)^2 < 2^63 and on Python
+    ints above; the result is a numpy array in fq_dtype(n, q).
+    """
+    dtype = _product_dtype(len(b), q)
+    return _residues(np.asarray(a, dtype=dtype) @ np.asarray(b, dtype=dtype), q)
+
+
 def fq_walk(mats, picks, vec, q: int):
     """Walks over F_q: row t of the result is
     mats[picks[t, 0]] ... mats[picks[t, -1]] vec mod q.
 
-    mats is a (generators, n, n) array, picks a (batch, steps) index array
-    and vec a length-n vector.  The (batch, n) array of vectors is carried
-    right to left, one batched matrix-vector product per step.
+    mats is a (generators, n, n) array of residues, picks a (batch, steps)
+    index array and vec a length-n vector.  The (batch, n) array of
+    vectors is carried right to left.  The generators are laid out once as
+    an (n, generators * n) block whose column block k is mats[k].T, so
+    each step is one product giving every generator's image of every
+    vector (one dgemm on the float64 tier of fq_matmul); each row then
+    keeps the image under its own pick, and only that is reduced mod q.
+    The result is in fq_dtype(n, q).
     """
-    mats = np.asarray(mats, dtype=fq_dtype(len(vec), q))
-    vectors = np.tile(np.asarray(vec, dtype=mats.dtype), (len(picks), 1))
+    mats = np.asarray(mats)
+    gens, n = mats.shape[0], len(vec)
+    dtype = _product_dtype(n, q)
+    stacked = np.asarray(mats.transpose(2, 0, 1).reshape(n, gens * n), dtype=dtype)
+    batch = np.arange(len(picks))
+    vectors = np.tile(np.asarray(vec, dtype=dtype), (len(picks), 1))
     for step in reversed(range(picks.shape[1])):
-        vectors = np.einsum("tij,tj->ti", mats[picks[:, step]], vectors) % q
-    return vectors
+        every = (vectors @ stacked).reshape(len(picks), gens, n)
+        vectors = np.asarray(_residues(every[batch, picks[:, step]], q), dtype=dtype)
+    return np.asarray(vectors, dtype=fq_dtype(n, q))
 
 
 def fq_rank(rows: list[list[int]], q: int) -> int:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class WordError(ValueError):
@@ -233,7 +234,9 @@ def symplectic_form(genus: int) -> list[list[int]]:
     return J
 
 
-def _transvection(genus: int, curve: str, exp: int) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def _transvection(genus: int, curve: str, exp: int) -> tuple[tuple[int, ...], ...]:
+    """Action of t_curve^exp on H_1 (a transvection), rows first."""
     n = 2 * genus
     J = symplectic_form(genus)
     gamma = CURVE_CLASSES[genus][curve]
@@ -242,7 +245,7 @@ def _transvection(genus: int, curve: str, exp: int) -> list[list[int]]:
         v = [1 if i == j else 0 for i in range(n)]
         pairing = sum(v[i] * J[i][k] * gamma[k] for i in range(n) for k in range(n))
         cols.append([v[i] + exp * pairing * gamma[i] for i in range(n)])
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
 def _mat_mul(A, B):

@@ -29,7 +29,7 @@ from .manifolds import (
     is_closed,
     rt_closed,
 )
-from .linalg import fq_walk
+from .linalg import fq_matmul, fq_walk
 from .mcg import TwistWord, empty_word, word_in_subgroup, word_product
 from .rep import (
     genus1_basis,
@@ -311,10 +311,10 @@ def twist_search(
     so the samples are drawn in batches of SEARCH_BATCH, and
     linalg.fq_walk (the walk kernel montecarlo_vanishing shares) carries
     e_vac right to left through each sample's picked generator matrices,
-    then through the base word's matrix.  The rows are scanned in sample
-    order and the first vanishing one wins; drawing picks past it touches
-    only the local rng, so the result is that of drawing one sample at a
-    time.  Deterministic in (seed, budget).
+    then linalg.fq_matmul applies the base word's matrix.  The rows are
+    scanned in sample order and the first vanishing one wins; drawing
+    picks past it touches only the local rng, so the result is that of
+    drawing one sample at a time.  Deterministic in (seed, budget).
     """
     if r.p != p:
         raise RingUsageError("word and residue spec use different p")
@@ -347,7 +347,7 @@ def twist_search(
         size = min(SEARCH_BATCH, budget - start)
         picks = [[rng.choice(gen_index) for _ in range(walk_length)] for _ in range(size)]
         index = np.array(picks, dtype=np.intp).reshape(size, walk_length)
-        rows = fq_walk(gen_mats, index, e_vac, r.q) @ base_mat.T % r.q
+        rows = fq_matmul(fq_walk(gen_mats, index, e_vac, r.q), base_mat.T, r.q)
         for offset, vec in enumerate(rows.tolist()):
             images.add(tuple(vec))
             if vanishes(vec):

@@ -24,8 +24,9 @@ ResidueSpec for residue matrices.  Each block comes with its inverse from
 an identity of the move (see _twist_conjugators), so nothing is inverted
 by a general method.  rho multiplies exact letters; rho_array
 multiplies letters built in F_q, which equal the reductions of the exact
-letters, each cached once as a read-only numpy array, and rho_mod gives
-the same product as a tuple of rows.  rho_apply carries a vector right
+letters, each cached once as a read-only numpy array (letters and words
+are both multiplied by linalg.fq_matmul), and rho_mod gives the same
+product as a tuple of rows.  rho_apply carries a vector right
 to left through the letters over either ring, one matrix-vector product
 per letter, for callers that read a single column such as the vacuum
 column.
@@ -38,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclotomic import ResidueSpec, RingUsageError, eta, scalar_ring
-from .linalg import FqSpan, fq_dtype, fq_mat_mul
+from .linalg import FqSpan, fq_dtype, fq_mat_mul, fq_matmul  # noqa: F401  (fq_mat_mul: re-exported)
 from .mcg import TwistWord, WordError
 from .pmatrix import PMatrix
 from .skein import (
@@ -329,7 +330,7 @@ def _letter_matrix_mod(genus: int, p: int, curve: str, k: int, r: ResidueSpec):
         n = len(dk)
         return tuple(tuple(dk[i] if i == j else 0 for j in range(n)) for i in range(n))
     QD = tuple(tuple(x * d % q for x, d in zip(row, dk)) for row in Q)
-    return fq_mat_mul(QD, Qinv, q)
+    return r.mat_mul(QD, Qinv)
 
 
 @lru_cache(maxsize=None)
@@ -343,14 +344,14 @@ def _letter_array(genus: int, curve: str, k: int, r: ResidueSpec) -> np.ndarray:
 
 def rho_array(word: TwistWord, r: ResidueSpec) -> np.ndarray:
     """rho(word) mod J as a numpy array: the product of the cached F_q
-    letters, in the dtype of linalg.fq_dtype."""
+    letters by linalg.fq_matmul, in the dtype of linalg.fq_dtype."""
     if not word.letters:
         n = rep_dim(word.genus, r.p)
         return np.eye(n, dtype=fq_dtype(n, r.q))
     (curve, exp), *rest = word.letters
     out = _letter_array(word.genus, curve, exp, r)
     for curve, exp in rest:
-        out = out @ _letter_array(word.genus, curve, exp, r) % r.q
+        out = fq_matmul(out, _letter_array(word.genus, curve, exp, r), r.q)
     return out
 
 
@@ -436,11 +437,11 @@ def algebra_span_dim(words, genus: int, p: int, r: ResidueSpec) -> int:
 
 def fq_projective_order(M, q: int, cap: int = 10000) -> int | None:
     """Order of M in PGL_n(F_q), or None if it exceeds cap.  Successive
-    powers are numpy products in the dtype of linalg.fq_dtype."""
+    powers are linalg.fq_matmul products."""
     A = np.array(M, dtype=fq_dtype(len(M), q))
     acc = A
     for k in range(1, cap + 1):
         if fq_is_scalar(acc, q):
             return k
-        acc = acc @ A % q
+        acc = fq_matmul(acc, A, q)
     return None

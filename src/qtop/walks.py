@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import ResidueSpec, is_prime
-from .linalg import fq_walk
+from .linalg import fq_matmul, fq_walk
 from .manifolds import BoundedHeegaard
 from .mcg import word_in_subgroup
 from .obstruct import surviving_indices
@@ -328,7 +328,10 @@ def montecarlo_vanishing(
     the seed, so the result is reproducible for any worker count.  Only
     the vacuum column is read, so linalg.fq_walk carries a (trials, dim)
     batch of vacuum vectors right to left through the picked generators
-    (the walk kernel twist_search shares), then the base word's matrix.
+    (the walk kernel twist_search shares: one product per step giving
+    every generator's image, of which each trial keeps its pick's), then
+    linalg.fq_matmul applies the base word's matrix.  Products run in
+    float64 BLAS while dim (q - 1)^2 < 2^53, exactly.
     """
     q = r.q
     keep = surviving_indices(p, desc.boundary_genus)
@@ -353,7 +356,7 @@ def montecarlo_vanishing(
     rng = np.random.default_rng(walkspec.seed)
     picks = rng.choice(len(gen_mats), size=(trials, walkspec.length), p=weights)
 
-    vectors = fq_walk(gen_mats, picks, vacuum_vector(2, r), q) @ base.T % q
+    vectors = fq_matmul(fq_walk(gen_mats, picks, vacuum_vector(2, r), q), base.T, q)
     hits = int(np.all(vectors[:, list(keep)] == 0, axis=1).sum())
     freq = Fraction(hits, trials)
     fhat = float(freq)

@@ -3,9 +3,11 @@ import math
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtop import linalg
+from qtop.cyclotomic import is_prime
 
 
 def _bareiss_int_det(sub):
@@ -154,4 +156,47 @@ def test_fq_walk_matches_python_products(q, n, gens, batch, steps, data):
         expect = tuple(vec)
         for i in reversed(walk):
             expect = linalg.fq_mat_vec(mats[i], expect, q)
+        assert tuple(row) == expect
+
+
+def _next_prime(q, step):
+    while not is_prime(q):
+        q += step
+    return q
+
+
+def _float64_bound_primes(n):
+    """The last prime q with n (q - 1)^2 < 2^53 and the first prime above it."""
+    edge = math.isqrt((2 ** 53 - 1) // n) + 1  # the largest q with n (q - 1)^2 < 2^53
+    return _next_prime(edge, -1), _next_prime(edge + 1, 1)
+
+
+# (n, q) on both sides of the float64 bound n (q - 1)^2 = 2^53, and one in
+# the int64 tier between 2^53 and 2^63
+BOUND_CASES = [(n, q) for n in (3, 7) for q in _float64_bound_primes(n)] + [
+    (3, _next_prime(1_500_000_000, 1))
+]
+
+
+@pytest.mark.parametrize("n, q", BOUND_CASES)
+def test_fq_matmul_and_walk_exact_at_the_float64_bound(n, q):
+    worst = n * (q - 1) ** 2
+    assert worst < 2 ** 63 and (worst < 2 ** 53) == (q == _float64_bound_primes(n)[0])
+    full = [[q - 1] * n for _ in range(n)]  # every sum is n (q - 1)^2, the largest
+    rng = random.Random(q)
+    near = [[rng.choice((q - 2, q - 1)) for _ in range(n)] for _ in range(n)]
+    # past the bound, these sums too need more than float64's 53 bits
+    assert (n * (q - 2) ** 2 >= 2 ** 53) == (worst >= 2 ** 53)
+    for a, b in ((full, full), (full, near), (near, full), (near, near)):
+        got = linalg.fq_matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), q)
+        assert got.dtype == np.int64
+        assert tuple(map(tuple, got.tolist())) == linalg.fq_mat_mul(a, b, q)
+    picks = [[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 0]]
+    vec = [q - 1] * n
+    rows = linalg.fq_walk([full, near], np.array(picks, dtype=np.intp), vec, q)
+    assert rows.dtype == np.int64
+    for row, walk in zip(rows.tolist(), picks):
+        expect = tuple(vec)
+        for i in reversed(walk):
+            expect = linalg.fq_mat_vec((full, near)[i], expect, q)
         assert tuple(row) == expect

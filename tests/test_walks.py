@@ -8,7 +8,8 @@ from qtop.cyclotomic import ResidueSpec
 from qtop.manifolds import BoundedHeegaard
 from qtop.mcg import empty_word, parse_word
 from qtop.obstruct import surviving_indices
-from qtop.rep import fq_mat_mul, rho_mod, vacuum_index
+from qtop.linalg import fq_walk
+from qtop.rep import fq_mat_mul, rho_array, rho_mod, vacuum_index, vacuum_vector
 from qtop.walks import (
     WalkSpec,
     WalkUsageError,
@@ -192,6 +193,31 @@ def test_montecarlo_hits_pinned():
         desc = BoundedHeegaard(2, 0, parse_word(2, word))
         spec = default_subgroup_walk(p, length, seed)
         assert montecarlo_vanishing(desc, p, r, spec, trials).hits == hits, p
+
+
+def _gather_einsum_walk(mats, picks, vec, q):
+    """The walk kernel before the stacked product, kept as the oracle: each
+    step gathers every trial's picked matrix and multiplies by an int64
+    einsum."""
+    vectors = np.tile(np.asarray(vec, dtype=np.int64), (len(picks), 1))
+    for step in reversed(range(picks.shape[1])):
+        vectors = np.einsum("tij,tj->ti", mats[picks[:, step]], vectors) % q
+    return vectors
+
+
+def test_montecarlo_p11_matches_the_gather_einsum_walk():
+    p, r, trials = 11, ResidueSpec.for_primes(11, 89), 64
+    desc = BoundedHeegaard(2, 0, parse_word(2, "c1*c3"))
+    spec = default_subgroup_walk(p, 100, 1)
+    gen_mats = np.array([rho_array(w, r) for w in spec.generators])
+    weights = [float(w) for w in spec.weights]
+    picks = np.random.default_rng(spec.seed).choice(len(gen_mats), size=(trials, spec.length), p=weights)
+    e_vac = vacuum_vector(2, r)
+    rows = _gather_einsum_walk(gen_mats, picks, e_vac, r.q)
+    assert np.array_equal(fq_walk(gen_mats, picks, e_vac, r.q), rows)
+    columns = rows @ rho_array(desc.word, r).T % r.q
+    hits = int(np.all(columns[:, list(surviving_indices(p, 0))] == 0, axis=1).sum())
+    assert montecarlo_vanishing(desc, p, r, spec, trials).hits == hits == 3
 
 
 def test_montecarlo_exact_above_int64_range():
