@@ -2,9 +2,9 @@
 
 Everything here works on plain Python ints (arbitrary precision) or on
 ring elements supplied by the caller, so results are exact.  Matrices are
-lists of lists, rows first.  The F_q walk kernel works on numpy arrays
-whose dtype is chosen so that every product sum is exact: float64 BLAS
-while the sums stay below 2^53, then int64, then Python ints.
+lists of lists, rows first.  The F_q product and walk kernel works on
+numpy arrays in a dtype chosen from n and q so that every product sum is
+exact (the tiers are listed in _product_dtype).
 """
 
 from __future__ import annotations
@@ -227,17 +227,26 @@ def fq_dtype(n: int, q: int):
 def _product_dtype(n: int, q: int):
     """dtype in which a sum of n products of residues is computed exactly.
 
-    float64 while n (q - 1)^2 < 2^53, the delayed-reduction bound of
-    FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008): every partial sum
-    is then an integer below 2^53, so BLAS gives the exact sum in whatever
-    order it adds.  Above it, fq_dtype.
+    The tiers, by the largest such sum n (q - 1)^2:
+      below 2^24, float32 (sgemm);
+      below 2^53, float64 (dgemm);
+      below 2^63, int64;
+      above, Python ints (object).
+    The float tiers are the delayed-reduction bound of FFLAS-FFPACK (Dumas,
+    Giorgi, Pernet, ACM TOMS 2008): with every input a residue in [0, q),
+    every product and partial sum is an integer below 2^24 (2^53), which
+    float32 (float64) holds exactly, so BLAS gives the exact sum in
+    whatever order it adds and whether or not it fuses multiply and add.
     """
-    return np.float64 if n * (q - 1) ** 2 < 2 ** 53 else fq_dtype(n, q)
+    worst = n * (q - 1) ** 2
+    if worst < 2 ** 24:
+        return np.float32
+    return np.float64 if worst < 2 ** 53 else fq_dtype(n, q)
 
 
 def _residues(x, q: int):
     """x mod q for exact products x, as int64 (or object) residues."""
-    if x.dtype == np.float64:
+    if x.dtype.kind == "f":  # either float tier
         x = x.astype(np.int64)
     return x % q
 
@@ -245,9 +254,8 @@ def _residues(x, q: int):
 def fq_matmul(a, b, q: int):
     """a @ b mod q for 2-D arrays (or nested sequences) of residues in [0, q).
 
-    The product runs in float64 BLAS while n (q - 1)^2 < 2^53 (n = len(b),
-    the inner dimension), in int64 while n (q - 1)^2 < 2^63 and on Python
-    ints above; the result is a numpy array in fq_dtype(n, q).
+    The product runs in _product_dtype(n, q) (n = len(b), the inner
+    dimension); the result is a numpy array in fq_dtype(n, q).
     """
     dtype = _product_dtype(len(b), q)
     return _residues(np.asarray(a, dtype=dtype) @ np.asarray(b, dtype=dtype), q)
@@ -262,9 +270,9 @@ def fq_walk(mats, picks, vec, q: int):
     vectors is carried right to left.  The generators are laid out once as
     an (n, generators * n) block whose column block k is mats[k].T, so
     each step is one product giving every generator's image of every
-    vector (one dgemm on the float64 tier of fq_matmul); each row then
-    keeps the image under its own pick, and only that is reduced mod q.
-    The result is in fq_dtype(n, q).
+    vector (one BLAS call on the float tiers of _product_dtype); each row
+    then keeps the image under its own pick, and only that is reduced mod
+    q.  The result is in fq_dtype(n, q).
     """
     mats = np.asarray(mats)
     gens, n = mats.shape[0], len(vec)

@@ -153,24 +153,23 @@ def fkb_ideal_inner(desc: BoundedHeegaard, p: int, budget: int) -> InnerIdealRep
 
 
 def _genus1_words_upto(length: int):
-    """All genus-1 words of letter length <= length (free enumeration)."""
-    out = [empty_word(1)]
-    frontier = [empty_word(1)]
-    letters = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
+    """All distinct genus-1 words of letter length <= length, in the order
+    they first appear in the free enumeration.  A word's children depend on
+    its letters alone, so only words not seen before are extended."""
+    letters = [TwistWord(1, (letter,)) for letter in (("a", 1), ("a", -1), ("b", 1), ("b", -1))]
+    unique = [empty_word(1)]
+    frontier = unique[:]
+    seen = {empty_word(1).letters}
     for _ in range(length):
         nxt = []
         for w in frontier:
-            for c, e in letters:
-                nw = w * TwistWord(1, ((c, e),))
-                nxt.append(nw)
-        out.extend(nxt)
+            for x in letters:
+                nw = w * x
+                if nw.letters not in seen:
+                    seen.add(nw.letters)
+                    nxt.append(nw)
+        unique.extend(nxt)
         frontier = nxt
-    seen = set()
-    unique = []
-    for w in out:
-        if w.letters not in seen:
-            seen.add(w.letters)
-            unique.append(w)
     return unique
 
 

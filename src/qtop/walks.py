@@ -330,8 +330,8 @@ def montecarlo_vanishing(
     batch of vacuum vectors right to left through the picked generators
     (the walk kernel twist_search shares: one product per step giving
     every generator's image, of which each trial keeps its pick's), then
-    linalg.fq_matmul applies the base word's matrix.  Products run in
-    float64 BLAS while dim (q - 1)^2 < 2^53, exactly.
+    linalg.fq_matmul applies the base word's matrix.  Both compute exactly
+    in the dtype linalg._product_dtype picks from dim and q.
     """
     q = r.q
     keep = surviving_indices(p, desc.boundary_genus)

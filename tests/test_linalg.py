@@ -200,3 +200,53 @@ def test_fq_matmul_and_walk_exact_at_the_float64_bound(n, q):
         for i in reversed(walk):
             expect = linalg.fq_mat_vec((full, near)[i], expect, q)
         assert tuple(row) == expect
+
+
+def _float32_edge(n):
+    """The largest q with n (q - 1)^2 < 2^24."""
+    return math.isqrt((2 ** 24 - 1) // n) + 1
+
+
+def _float32_bound_primes(n):
+    """The last prime q with n (q - 1)^2 < 2^24 and the first prime above it."""
+    edge = _float32_edge(n)
+    return _next_prime(edge, -1), _next_prime(edge + 1, 1)
+
+
+@pytest.mark.parametrize("n", (3, 7, 55))
+def test_product_dtype_leaves_float32_exactly_at_its_bound(n):
+    edge = _float32_edge(n)
+    assert n * (edge - 1) ** 2 < 2 ** 24 <= n * edge ** 2
+    assert linalg._product_dtype(n, edge) is np.float32
+    assert linalg._product_dtype(n, edge + 1) is np.float64
+
+
+# (n, q) on both sides of the float32 bound n (q - 1)^2 = 2^24; n = 55 is
+# the genus-2 dimension at p = 11
+FLOAT32_CASES = [(n, q) for n in (3, 7, 55) for q in _float32_bound_primes(n)]
+
+
+@pytest.mark.parametrize("n, q", FLOAT32_CASES)
+def test_fq_matmul_and_walk_exact_at_the_float32_bound(n, q):
+    worst = n * (q - 1) ** 2
+    below = q == _float32_bound_primes(n)[0]
+    assert (worst < 2 ** 24) == below
+    assert linalg._product_dtype(n, q) is (np.float32 if below else np.float64)
+    full = [[q - 1] * n for _ in range(n)]  # every sum is n (q - 1)^2, the largest
+    rng = random.Random(q)
+    near = [[rng.choice((q - 2, q - 1)) for _ in range(n)] for _ in range(n)]
+    # past the bound, these sums too need more than float32's 24 bits
+    assert (n * (q - 2) ** 2 >= 2 ** 24) == (worst >= 2 ** 24)
+    for a, b in ((full, full), (full, near), (near, full), (near, near)):
+        got = linalg.fq_matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), q)
+        assert got.dtype == np.int64
+        assert tuple(map(tuple, got.tolist())) == linalg.fq_mat_mul(a, b, q)
+    picks = [[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 0]]
+    vec = [q - 1] * n
+    rows = linalg.fq_walk([full, near], np.array(picks, dtype=np.intp), vec, q)
+    assert rows.dtype == np.int64
+    for row, walk in zip(rows.tolist(), picks):
+        expect = tuple(vec)
+        for i in reversed(walk):
+            expect = linalg.fq_mat_vec((full, near)[i], expect, q)
+        assert tuple(row) == expect

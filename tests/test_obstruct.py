@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from functools import reduce
 
@@ -146,6 +147,19 @@ def test_genus1_words_are_prefixes():
     for length in range(1, 5):
         short, full = _genus1_words_upto(length - 1), _genus1_words_upto(length)
         assert full[: len(short)] == short and len(full) > len(short)
+
+
+def test_genus1_words_match_the_free_enumeration():
+    # every product of up to `length` letters, deduplicated in order of
+    # first appearance (itertools.product order is the breadth-first order)
+    letters = [letter(1, c, e) for c, e in (("a", 1), ("a", -1), ("b", 1), ("b", -1))]
+    for length in range(7):
+        first = {}
+        for k in range(length + 1):
+            for seq in itertools.product(letters, repeat=k):
+                w = reduce(lambda x, y: x * y, seq, empty_word(1))
+                first.setdefault(w.letters, w)
+        assert _genus1_words_upto(length) == list(first.values())
 
 
 def test_fkb_inner_usage_errors():

@@ -11,8 +11,11 @@ from qtop.mcg import GENUS_CURVES, empty_word, letter, parse_word, random_word
 from qtop.pmatrix import PMatrix, proj_equal
 from qtop.rep import (
     _bridge_f_block,
+    _bridge_f_matrix,
     _holed_torus_s,
+    _left_s_operator,
     _letter_matrix_mod,
+    _right_s_operator,
     _twist_conjugators,
     algebra_span_dim,
     fq_identity,
@@ -32,7 +35,7 @@ from qtop.rep import (
     vacuum_vector,
 )
 from qtop.skein import admissible, colors, s_matrix, sixj, twist
-from qtop.walks import enumerate_group
+from qtop.walks import default_subgroup_walk, enumerate_group
 
 R41 = ResidueSpec.for_primes(5, 41)
 
@@ -280,6 +283,31 @@ def test_rho_array_letters_are_cached_read_only(r, dtype):
     with pytest.raises(ValueError):
         single[0, 0] = 1
     assert rho_array(empty_word(2), r).tolist() == [list(row) for row in fq_identity(5)]
+
+
+@pytest.mark.parametrize(
+    "r", [R41, ResidueSpec.for_primes(7, 29), ResidueSpec.for_primes(11, 89)], ids=str
+)
+def test_fq_kernel_inputs_are_residues(r):
+    # linalg._product_dtype's float tiers are exact only for inputs in [0, q):
+    # the conjugators and their factors, the letters and rho_array products
+    q = r.q
+
+    def residues(M):
+        return all(isinstance(x, int) and 0 <= x < q for row in M for x in row)
+
+    for genus, curves in GENUS_CURVES.items():
+        for curve in curves:
+            Q, Qinv, _diag = _twist_conjugators(genus, r, curve)
+            assert Q is None or residues(Q) and residues(Qinv)
+            for k in (-2, -1, 1, 2):
+                M = _letter_matrix_mod(genus, r.p, curve, k, r)
+                assert residues(M)
+                assert residues(rho_array(letter(genus, curve, k), r).tolist())
+    for factor in (_left_s_operator, _right_s_operator, _bridge_f_matrix):
+        assert all(residues(M) for M in factor(r))
+    for word in default_subgroup_walk(r.p, 1, 42).generators + (parse_word(2, "c1*c3^-1*s^2"),):
+        assert residues(rho_array(word, r).tolist())
 
 
 def test_rho_mod_empty_word():

@@ -195,6 +195,15 @@ def test_montecarlo_hits_pinned():
         assert montecarlo_vanishing(desc, p, r, spec, trials).hits == hits, p
 
 
+def test_montecarlo_hits_pinned_p11():
+    # walk montecarlo --desc bounded:2:0:1 --p 11 --q 89 --d 200 --trials 2000
+    # --seed 42: n = 55, on the float32 tier (55 * 88^2 < 2^24); 13 hits
+    # was counted by the float64-BLAS walk
+    r = ResidueSpec.for_primes(11, 89)
+    spec = default_subgroup_walk(11, 200, 42)
+    assert montecarlo_vanishing(BoundedHeegaard(2, 0, empty_word(2)), 11, r, spec, 2000).hits == 13
+
+
 def _gather_einsum_walk(mats, picks, vec, q):
     """The walk kernel before the stacked product, kept as the oracle: each
     step gathers every trial's picked matrix and multiplies by an int64
