@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .cyclotomic import ResidueSpec, residue_primes
 from .groups import FiniteGroupTable, builtin_group
 from .manifolds import (
@@ -40,7 +42,7 @@ from .rep import (
     fq_projective_order,
     hermitian_check,
     rep_dim,
-    rho_mod,
+    rho_array,
     twist_power_matrix,
 )
 from .pmatrix import PMatrix
@@ -243,11 +245,8 @@ def _cmd_fkb(args, config: RunConfig) -> int:
 
 
 def _psl2_generators(q: int):
-    g1 = ((1, 1), (0, 1))
-    g2 = ((1, 0), (1, 1))
-    g1i = ((1, q - 1), (0, 1))
-    g2i = ((1, 0), (q - 1, 1))
-    return (g1, g2, g1i, g2i)
+    rows = ([[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, q - 1], [0, 1]], [[1, 0], [q - 1, 1]])
+    return tuple(np.array(g) for g in rows)
 
 
 def _cmd_walk_mix(args, config: RunConfig) -> int:
@@ -364,9 +363,9 @@ def _cmd_rep_check(args, config: RunConfig) -> int:
         span = algebra_span_dim(words, genus, p, r)
         orders = []
         for seed in range(5):
-            M = rho_mod(random_word(genus, 10, 1000 + seed), p, r)
+            M = rho_array(random_word(genus, 10, 1000 + seed), r)
             orders.append(fq_projective_order(M, args.q, cap=5000))
-        ts = rho_mod(parse_word(genus, "s" if genus == 2 else "a"), p, r)
+        ts = rho_array(parse_word(genus, "s" if genus == 2 else "a"), r)
         doc["modQ"] = {
             "q": args.q,
             "algebraSpanDim": span,

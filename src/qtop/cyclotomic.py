@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 
 class RingUsageError(ValueError):
     """Operands constructed over different primes, or malformed input."""
@@ -58,7 +60,8 @@ class ScalarRing:
     """A ring of scalars for the skein constants and the twist conjugators.
 
     Subclasses provide p, zero, one, root_power(k) = zeta^k, matrix(rows)
-    and vector(xs) (their dense matrix and vector types), mat_mul(A, B)
+    and vector(xs) (their dense matrix and vector types: PMatrix and lists
+    of CycElems exactly, read-only numpy arrays over F_q), mat_mul(A, B)
     and mat_vec(A, v).  The methods below expose element arithmetic to the
     generic helpers in linalg.
     """
@@ -501,8 +504,9 @@ class ResidueSpec(ScalarRing):
 
     The root is the smallest residue of multiplicative order exactly 4p,
     which pins down one maximal ideal J with Z[zeta,1/p]/J = F_q and makes
-    runs reproducible.  As a ScalarRing it is F_q with zeta -> root:
-    FqElem elements, and matrices as tuples of rows of ints in [0, q).
+    runs reproducible.  As a ScalarRing it is F_q with zeta -> root: FqElem
+    elements, and matrices and vectors as read-only numpy arrays of residues
+    in [0, q), in linalg.fq_dtype, multiplied by linalg.fq_matmul.
     """
 
     p: int
@@ -552,19 +556,22 @@ class ResidueSpec(ScalarRing):
     def root_power(self, k: int) -> FqElem:
         return FqElem(self.q, pow(self.root, k % (4 * self.p), self.q))
 
-    @staticmethod
-    def matrix(rows):
-        return tuple(tuple(x.v for x in row) for row in rows)
+    def matrix(self, rows):
+        dtype = linalg.fq_dtype(len(rows), self.q)
+        return _read_only(np.array([[x.v for x in row] for row in rows], dtype=dtype))
 
-    @staticmethod
-    def vector(xs):
-        return tuple(x.v for x in xs)
+    def vector(self, xs):
+        return _read_only(np.array([x.v for x in xs], dtype=linalg.fq_dtype(len(xs), self.q)))
 
     def mat_mul(self, A, B):
-        return tuple(map(tuple, linalg.fq_matmul(A, B, self.q).tolist()))
+        return _read_only(linalg.fq_matmul(A, B, self.q))
 
-    def mat_vec(self, A, v):
-        return linalg.fq_mat_vec(A, v, self.q)
+    mat_vec = mat_mul  # fq_matmul takes a vector as its right factor too
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 def scalar_ring(R) -> ScalarRing:

@@ -1,10 +1,13 @@
 """Exact integer and finite-field linear algebra helpers.
 
-Everything here works on plain Python ints (arbitrary precision) or on
-ring elements supplied by the caller, so results are exact.  Matrices are
-lists of lists, rows first.  The F_q product and walk kernel works on
-numpy arrays in a dtype chosen from n and q so that every product sum is
-exact (the tiers are listed in _product_dtype).
+The exact and lattice helpers (HNF, Smith form, Bareiss, the F_q
+echelon fq_rref and FqSpan) work on plain Python ints (arbitrary
+precision) or on ring elements supplied by the caller, so results are
+exact; their matrices are lists of lists, rows first.  F_q matrices
+elsewhere are numpy arrays of residues in fq_dtype, and fq_matmul and
+fq_walk are the one F_q product and walk kernel, computing in a dtype
+chosen from n and q so that every product sum is exact (the tiers are
+listed in _product_dtype).
 """
 
 from __future__ import annotations
@@ -204,17 +207,14 @@ def fq_rref(rows: list[list[int]], q: int) -> list[list[int]]:
 
 
 def fq_mat_mul(A, B, q: int):
-    """Product of two square matrices over F_q, as a tuple of rows."""
+    """Schoolbook product of two square matrices over F_q, as a tuple of
+    rows.  No code here calls it: it is the oracle the tests compare
+    fq_matmul against, and bench/tracing.py wraps it by name."""
     n = len(A)
     return tuple(
         tuple(sum(A[i][k] * B[k][j] for k in range(n)) % q for j in range(n))
         for i in range(n)
     )
-
-
-def fq_mat_vec(A, v, q: int):
-    """Product A v of a square matrix and a vector over F_q, as a tuple."""
-    return tuple(sum(a * x for a, x in zip(row, v)) % q for row in A)
 
 
 def fq_dtype(n: int, q: int):
@@ -252,7 +252,8 @@ def _residues(x, q: int):
 
 
 def fq_matmul(a, b, q: int):
-    """a @ b mod q for 2-D arrays (or nested sequences) of residues in [0, q).
+    """a @ b mod q for a 2-D a and a 2-D or 1-D b, arrays (or nested
+    sequences) of residues in [0, q).
 
     The product runs in _product_dtype(n, q) (n = len(b), the inner
     dimension); the result is a numpy array in fq_dtype(n, q).

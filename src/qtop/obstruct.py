@@ -104,8 +104,9 @@ def boundary_vector_mod(desc: BoundedHeegaard, p: int, r: ResidueSpec) -> tuple[
         raise RingUsageError("word and residue spec use different p")
     column = rho_apply(desc.word, r, vacuum_vector(2, r))
     scale = (eta(r).inv() ** (2 - desc.boundary_genus)).v
+    # Python ints, as certificates record them in JSON
     return tuple(
-        scale * column[i] % r.q for i in surviving_indices(p, desc.boundary_genus)
+        scale * int(column[i]) % r.q for i in surviving_indices(p, desc.boundary_genus)
     )
 
 

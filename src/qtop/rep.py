@@ -22,14 +22,15 @@ The S-move and bridge blocks and the conjugators are built over a scalar
 ring R chosen by the caller, as in skein: p for exact PMatrices, a
 ResidueSpec for residue matrices.  Each block comes with its inverse from
 an identity of the move (see _twist_conjugators), so nothing is inverted
-by a general method.  rho multiplies exact letters; rho_array
-multiplies letters built in F_q, which equal the reductions of the exact
-letters, each cached once as a read-only numpy array (letters and words
-are both multiplied by linalg.fq_matmul), and rho_mod gives the same
-product as a tuple of rows.  rho_apply carries a vector right
-to left through the letters over either ring, one matrix-vector product
-per letter, for callers that read a single column such as the vacuum
-column.
+by a general method.  rho multiplies exact letters.  Over F_q there is
+one matrix type, the read-only numpy array of a ResidueSpec, from the
+block assembly on: each letter is built in F_q (equal to the reduction
+of the exact letter) and cached once, by _letter_matrix_mod, and
+rho_array multiplies letters by linalg.fq_matmul.  rho_mod is the list
+edge for output, the same product as a tuple of rows of ints.  rho_apply
+carries a vector right to left through the letters over either ring, one
+matrix-vector product per letter, for callers that read a single column
+such as the vacuum column.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclotomic import ResidueSpec, RingUsageError, eta, scalar_ring
-from .linalg import FqSpan, fq_dtype, fq_mat_mul, fq_matmul  # noqa: F401  (fq_mat_mul: re-exported)
+from .linalg import FqSpan, fq_dtype, fq_mat_mul, fq_matmul  # noqa: F401  (fq_mat_mul: kept for bench/tracing.py)
 from .mcg import TwistWord, WordError
 from .pmatrix import PMatrix
 from .skein import (
@@ -301,43 +302,25 @@ def rho(word: TwistWord, p: int) -> PMatrix:
 # -- mod-q reductions -------------------------------------------------------
 
 
-def fq_identity(n: int):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def fq_is_scalar(M, q: int) -> bool:
-    n = len(M)
-    d = M[0][0]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if M[i][j] != d:
-                    return False
-            elif M[i][j] % q:
-                return False
-    return d % q != 0
+    """Whether the matrix M of residues mod q is a nonzero scalar."""
+    M = np.asarray(M)
+    d = M[0, 0]
+    return bool(d % q) and np.array_equal(M, d * np.eye(len(M), dtype=M.dtype))
 
 
 @lru_cache(maxsize=None)
-def _letter_matrix_mod(genus: int, p: int, curve: str, k: int, r: ResidueSpec):
-    """Mod-J matrix of t_curve^k: Q D^k Q^{-1} from the conjugators over F_q."""
+def _letter_matrix_mod(genus: int, p: int, curve: str, k: int, r: ResidueSpec) -> np.ndarray:
+    """Mod-J matrix of t_curve^k, a read-only array in linalg.fq_dtype:
+    (Q D^k) Q^{-1} from the conjugators over F_q, or D^k for a diagonal
+    twist."""
     if r.p != p:
         raise RingUsageError("word and residue spec use different p")
     Q, Qinv, diag = _twist_conjugators(genus, r, curve)
-    q = r.q
-    dk = [(d ** k).v for d in diag]
-    if Q is None:
-        n = len(dk)
-        return tuple(tuple(dk[i] if i == j else 0 for j in range(n)) for i in range(n))
-    QD = tuple(tuple(x * d % q for x, d in zip(row, dk)) for row in Q)
-    return r.mat_mul(QD, Qinv)
-
-
-@lru_cache(maxsize=None)
-def _letter_array(genus: int, curve: str, k: int, r: ResidueSpec) -> np.ndarray:
-    """_letter_matrix_mod as a read-only numpy array in the F_q kernel dtype."""
-    M = _letter_matrix_mod(genus, r.p, curve, k, r)
-    out = np.array(M, dtype=fq_dtype(len(M), r.q))
+    dk = r.vector([d ** k for d in diag])
+    if Q is not None:
+        return r.mat_mul(Q * dk % r.q, Qinv)  # dk scales the columns of Q
+    out = np.diag(dk)
     out.setflags(write=False)
     return out
 
@@ -349,15 +332,16 @@ def rho_array(word: TwistWord, r: ResidueSpec) -> np.ndarray:
         n = rep_dim(word.genus, r.p)
         return np.eye(n, dtype=fq_dtype(n, r.q))
     (curve, exp), *rest = word.letters
-    out = _letter_array(word.genus, curve, exp, r)
+    out = _letter_matrix_mod(word.genus, r.p, curve, exp, r)
     for curve, exp in rest:
-        out = fq_matmul(out, _letter_array(word.genus, curve, exp, r), r.q)
+        out = fq_matmul(out, _letter_matrix_mod(word.genus, r.p, curve, exp, r), r.q)
     return out
 
 
 def rho_mod(word: TwistWord, p: int, r: ResidueSpec):
-    """rho(word) mod J, computed in F_q, as a tuple of rows; equal to the
-    entrywise reduction of rho(word) and functorial on the nose."""
+    """rho(word) mod J, computed in F_q, as a tuple of rows of ints: the
+    list edge of rho_array for output.  Equal to the entrywise reduction
+    of rho(word) and functorial on the nose."""
     if r.p != p:
         raise RingUsageError("word and residue spec use different p")
     return tuple(map(tuple, rho_array(word, r).tolist()))
@@ -423,25 +407,25 @@ def hermitian_check(word: TwistWord, p: int) -> bool:
 
 
 def algebra_span_dim(words, genus: int, p: int, r: ResidueSpec) -> int:
-    """Dimension over F_q of the matrix algebra spanned by rho_mod(words).
+    """Dimension over F_q of the matrix algebra spanned by rho_array(words).
 
     d^2 certifies irreducibility of the generated subgroup (Burnside);
     reported as surjectivity evidence, never as proof.
     """
+    if r.p != p:
+        raise RingUsageError("word and residue spec use different p")
     span = FqSpan(r.q)
     for w in words:
-        M = rho_mod(w, p, r)
-        span.add([x for row in M for x in row])
+        span.add(rho_array(w, r).ravel().tolist())
     return span.dim
 
 
 def fq_projective_order(M, q: int, cap: int = 10000) -> int | None:
-    """Order of M in PGL_n(F_q), or None if it exceeds cap.  Successive
-    powers are linalg.fq_matmul products."""
-    A = np.array(M, dtype=fq_dtype(len(M), q))
-    acc = A
+    """Order of the matrix M of residues in PGL_n(F_q), or None if it
+    exceeds cap.  Successive powers are linalg.fq_matmul products."""
+    acc = M
     for k in range(1, cap + 1):
         if fq_is_scalar(acc, q):
             return k
-        acc = fq_matmul(acc, A, q)
+        acc = fq_matmul(acc, M, q)
     return None

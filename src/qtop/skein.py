@@ -200,8 +200,8 @@ def t_matrix(p: int) -> PMatrix:
 def s_matrix(R):
     """eta-normalized Hopf pairing of colored cores.  It squares to the
     identity exactly, so it is its own inverse, and it generates a
-    projective SL2(Z) action with t_matrix.  A PMatrix for p, rows of
-    residues for a ResidueSpec."""
+    projective SL2(Z) action with t_matrix.  A PMatrix for p, a read-only
+    array of residues for a ResidueSpec."""
     S = scalar_ring(R)
     order = spectral_color_order(S.p)
     h = eta(R)

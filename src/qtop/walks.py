@@ -17,11 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import ResidueSpec, is_prime
-from .linalg import fq_matmul, fq_walk
+from .linalg import fq_dtype, fq_matmul, fq_walk
 from .manifolds import BoundedHeegaard
 from .mcg import word_in_subgroup
 from .obstruct import surviving_indices
-from .rep import fq_mat_mul, rep_dim, rho_array, vacuum_index, vacuum_vector
+from .rep import rep_dim, rho_array, vacuum_index, vacuum_vector
 
 
 class WalkUsageError(ValueError):
@@ -32,14 +32,14 @@ class WalkUsageError(ValueError):
 
 
 def projective_canon(mat, q: int):
-    """Scale a matrix over F_q so its first nonzero entry is 1 (PGL canon)."""
-    flat = [x % q for row in mat for x in row]
-    lead = next((x for x in flat if x), None)
+    """Scale a matrix over F_q so its first nonzero entry is 1 (PGL canon),
+    as a tuple of rows of ints: the hashable key of its projective class."""
+    rows = (np.asarray(mat, dtype=fq_dtype(len(mat), q)) % q).tolist()
+    lead = next((x for row in rows for x in row if x), None)
     if lead is None:
         raise WalkUsageError("zero matrix is not a group element")
     inv = pow(lead, q - 2, q)
-    n = len(mat)
-    return tuple(tuple((mat[i][j] * inv) % q for j in range(n)) for i in range(n))
+    return tuple(tuple(x * inv % q for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,13 @@ def enumerate_group(generators, q: int, cap: int = 200_000) -> GroupClosure:
     if cap < 1:
         raise WalkUsageError("cap must be >= 1")
     gens = [projective_canon(g, q) for g in generators]
-    n = len(gens[0])
-    ident = projective_canon(
-        [[1 if i == j else 0 for j in range(n)] for i in range(n)], q
-    )
+    ident = projective_canon(np.eye(len(gens[0]), dtype=np.int64), q)
     seen = {ident}
     queue = [ident]
     while queue:
         cur = queue.pop()
         for g in gens:
-            nxt = projective_canon(fq_mat_mul(cur, g, q), q)
+            nxt = projective_canon(fq_matmul(cur, g, q), q)
             if nxt not in seen:
                 if len(seen) >= cap:
                     return GroupClosure(tuple(), False, len(seen) + 1)
@@ -94,9 +91,9 @@ def sl_transvection_generators(n: int, q: int):
     for i in range(n):
         for j in range(n):
             if i != j:
-                m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-                m[i][j] = 1
-                gens.append(tuple(tuple(r) for r in m))
+                m = np.eye(n, dtype=fq_dtype(n, q))
+                m[i, j] = 1
+                gens.append(m)
     return gens
 
 
@@ -175,13 +172,10 @@ def tv_to_uniform(
         gq = projective_canon(g, q)
         if gq not in index:
             raise WalkUsageError("generator outside the enumerated group")
-        gen_maps.append([index[projective_canon(fq_mat_mul(h, gq, q), q)] for h in elements])
+        gen_maps.append([index[projective_canon(fq_matmul(h, gq, q), q)] for h in elements])
     uniform = Fraction(1, N)
     dist = [Fraction(0)] * N
-    ident = projective_canon(
-        [[1 if i == j else 0 for j in range(len(spec.generators[0]))] for i in range(len(spec.generators[0]))],
-        q,
-    )
+    ident = projective_canon(np.eye(len(spec.generators[0]), dtype=np.int64), q)
     dist[index[ident]] = Fraction(1)
 
     def tv(d):
@@ -206,6 +200,10 @@ def tv_to_uniform(
 # -- hyperplane hitting --------------------------------------------------------
 
 
+# trials that hyperplane_prob's sample mode walks together; results do not depend on it
+SAMPLE_BATCH = 4096
+
+
 def hyperplane_prob(
     q: int,
     n: int,
@@ -221,7 +219,10 @@ def hyperplane_prob(
     enumerate:  exact count over the full projective group (needs
                 |PSL_n(F_q)| <= cap), v = e_1, V = span(e_1 .. e_m).
     sample:     frequency over `trials` pseudorandom products with a
-                3-sigma binomial radius.
+                3-sigma binomial radius.  Each product is 60 steps, each
+                a transvection or the identity, picked uniformly from
+                random.Random(seed); linalg.fq_walk carries e_1 through
+                a batch of products at once.
     """
     if not (1 <= m < n):
         raise WalkUsageError("need 1 <= m < n")
@@ -248,18 +249,15 @@ def hyperplane_prob(
         if trials < 1:
             raise WalkUsageError("sample mode needs trials >= 1")
         rng = random.Random(seed)
-        pool = gens + [None]  # None = hold step, keeps the walk aperiodic
+        eye = np.eye(n, dtype=fq_dtype(n, q))
+        mats = np.array(gens + [eye])  # the identity is the hold step, keeping the walk aperiodic
+        index = range(len(mats))
         hits = 0
-        for _ in range(trials):
-            X = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            X = tuple(tuple(r) for r in X)
-            for _ in range(60):
-                g = rng.choice(pool)
-                if g is not None:
-                    X = fq_mat_mul(X, g, q)
-            col = [X[i][0] for i in range(n)]
-            if all(x % q == 0 for x in col[m:]):
-                hits += 1
+        for start in range(0, trials, SAMPLE_BATCH):
+            size = min(SAMPLE_BATCH, trials - start)
+            picks = np.array([[rng.choice(index) for _ in range(60)] for _ in range(size)])
+            cols = fq_walk(mats, picks, eye[0], q)  # X e_1, X the product of the picked steps
+            hits += int(np.all(cols[:, m:] == 0, axis=1).sum())
         freq = Fraction(hits, trials)
         sigma = math.sqrt(float(exact) * (1 - float(exact)) / trials)
         return {"frequency": freq, "radius3sigma": 3 * sigma, "formula": exact}

@@ -159,9 +159,10 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["text"] == "Z/5"
 
 
-# Exit code and sha256 of stdout for the README examples and five p = 7
+# Exit code and sha256 of stdout for the README examples, five p = 7
 # commands over letters, RT, the walk, the search and the sampled
-# projective orders.  A change that keeps
+# projective orders, the sampled hyperplane walk, and a certificate whose
+# two-entry nVector comes from boundary_vector_mod.  A change that keeps
 # results must keep these bytes; one that means to change them updates the
 # digests and says which output moved and why.
 CLI_DIGESTS = {
@@ -193,6 +194,10 @@ CLI_DIGESTS = {
         (0, "c81e2d14062c564ccf99a337295f21061122e20741e0bf2cf588463968cbb84f"),
     "rep check --genus 2 --p 7 --q 29":
         (0, "6d61227e24de0c886f2c5e4b63226fe44860e569a84a73f78f7300de75d70232"),
+    "--format text walk prob --q 3 --n 3 --m 1 --mode sample --trials 500 --seed 3":
+        (0, "a9d55eb6d563ba5f5e6544efd08b00ea00ea33bacab8e5749dc55d78a33495d1"),
+    "obstruct --candidate bounded:2:1:c1*c3 --target s3 --p 5 --q 41":
+        (1, "c9b3695755c9c9d6266d659529ccfb8e1580f8cfabb9defcd11732d990de6b89"),
 }
 
 

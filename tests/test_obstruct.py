@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+import json
 import random
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fq_oracles import fq_mat_vec
 from qtop.cyclotomic import CycElem, ResidueSpec, elem_A, elem_u, eta
 from qtop.manifolds import (
     BoundedHeegaard,
@@ -33,7 +35,7 @@ from qtop.obstruct import (
     vanishes_mod,
     very_good_probe,
 )
-from qtop.rep import genus1_basis, letter_matrix, rho_apply, vacuum_vector
+from qtop.rep import genus1_basis, letter_matrix, vacuum_vector
 
 R41 = ResidueSpec.for_primes(5, 41)
 
@@ -179,6 +181,19 @@ def test_solid_torus_never_obstructed_in_s3():
     assert all(not e["obstructed"] for e in report.certificate)
 
 
+@pytest.mark.parametrize("boundary_genus", (0, 1))
+def test_certificate_residues_are_python_ints(boundary_genus):
+    # F_q vectors are numpy arrays; what a certificate records must be int
+    desc = BoundedHeegaard(2, boundary_genus, parse_word(2, "c1*c3"))
+    assert all(type(x) is int for x in boundary_vector_mod(desc, 5, R41))
+    report = obstruct_embedding(desc, S3, 5, [41])
+    for entry in report.certificate:
+        assert all(type(x) is int for x in (entry["q"], entry["root"], entry["mResidue"]))
+        assert all(type(x) is int for x in entry["nVector"])
+    json.dumps(report.to_json())
+    assert rederive_report(report)
+
+
 def test_closed_candidate_obstruction_route():
     # a closed candidate's vector is its invariant; S3 against S3 is clean
     report = obstruct_embedding(S3, S3, 5, [41])
@@ -248,6 +263,14 @@ def _python_rho_mod(word, r):
     return reduce(lambda A, B: fq_mat_mul(A, B, r.q), letters)
 
 
+def _python_apply(word, r, vec):
+    """rho(word) vec mod J by pure-Python matrix-vector products of the
+    cached F_q letters."""
+    for c, e in reversed(word.letters):
+        vec = fq_mat_vec(letter_matrix(2, r, c, e), vec, r.q)
+    return vec
+
+
 def _twist_search_one_sample_at_a_time(desc, p, r, budget, seed, walk_length=48):
     """The search before batching, kept as the oracle: each sample draws its
     picks, carries e_vac through pure-Python matrix-vector products, and
@@ -268,15 +291,15 @@ def _twist_search_one_sample_at_a_time(desc, p, r, budget, seed, walk_length=48)
     gen_mats += [_python_rho_mod(g.inverse(), r) for g in gens]
     gen_index = list(range(len(gen_mats)))
     e_vac = vacuum_vector(2, r)
-    if vanishes(rho_apply(base, r, e_vac)):
+    if vanishes(_python_apply(base, r, e_vac)):
         return TwistSearchResult(True, empty_word(2), base, "1", 0, 1)
     images = set()
     for sample in range(1, budget + 1):
         picks = [rng.choice(gen_index) for _ in range(walk_length)]
         vec = e_vac
         for i in reversed(picks):
-            vec = r.mat_vec(gen_mats[i], vec)
-        vec = rho_apply(base, r, vec)
+            vec = fq_mat_vec(gen_mats[i], vec, r.q)
+        vec = _python_apply(base, r, vec)
         images.add(vec)
         if vanishes(vec):
             f = empty_word(2)

@@ -123,6 +123,34 @@ def test_sample_mode():
     assert abs(float(out["frequency"]) - 0.25) <= out["radius3sigma"]
 
 
+# hyperplane_prob(q, n, m, "sample", trials=300, seed=s) for s = 0..3, taken
+# from the one-trial-at-a-time pure-Python sampler: the batched walk draws
+# the same picks from the same random.Random stream, in the same order
+SAMPLE_FREQUENCIES = {
+    (3, 2, 1): ("13/50", "61/300", "11/50", "79/300"),
+    (5, 2, 1): ("23/150", "49/300", "19/150", "47/300"),
+    (3, 3, 1): ("8/75", "3/50", "3/50", "23/300"),
+    (3, 3, 2): ("37/100", "19/60", "19/60", "8/25"),
+    (7, 3, 1): ("1/50", "7/300", "1/100", "1/60"),
+    (5, 4, 2): ("1/30", "7/300", "2/75", "7/300"),
+}
+
+
+@pytest.mark.parametrize("q, n, m", SAMPLE_FREQUENCIES)
+def test_sample_mode_frequencies_pinned(q, n, m):
+    got = tuple(
+        str(hyperplane_prob(q, n, m, "sample", trials=300, seed=s)["frequency"]) for s in range(4)
+    )
+    assert got == SAMPLE_FREQUENCIES[q, n, m]
+
+
+def test_sample_mode_pinned_across_batches():
+    # 4101 trials span more than one batch of SAMPLE_BATCH = 4096 walks;
+    # frequencies from the same pure-Python sampler
+    assert hyperplane_prob(3, 2, 1, "sample", trials=4101, seed=0)["frequency"] == Fraction(1028, 4101)
+    assert hyperplane_prob(5, 3, 1, "sample", trials=4101, seed=9)["frequency"] == Fraction(142, 4101)
+
+
 def test_mode_errors():
     with pytest.raises(WalkUsageError):
         hyperplane_prob(3, 2, 2)
