@@ -122,6 +122,8 @@ class RingSpec(ScalarRing):
                 vec = [sign * c for c in self._reduction[e]]
             mono.append(tuple(vec))
         self.monomial = tuple(mono)
+        # the exponent E in [0, 4p) of each root of unity +-zeta^k, by its coefficients
+        self.root_exponent = {vec: E for E, vec in enumerate(self.monomial)}
 
     def __eq__(self, other):
         return isinstance(other, RingSpec) and other.p == self.p
@@ -280,17 +282,44 @@ class CycElem:
 
     __rmul__ = __mul__
 
+    def mul_root(self, E: int) -> "CycElem":
+        """self * zeta^E for 0 <= E < 4p, without a general product.
+
+        zeta^E = +-x^k with k = E mod 2p, so the product is a signed
+        rotation of the coefficients in Z[x]/(x^2p + 1), after which the
+        two top coefficients (of x^(2p-2) and x^(2p-1)) are folded back by
+        the cyclotomic reduction.  zeta^E is a unit, so the result keeps
+        the denominator exponent e and is already canonical.
+        """
+        if not any(self.coeffs):
+            return self
+        spec = self.spec
+        deg, twop = spec.degree, 2 * self.p
+        v = self.coeffs + (0, 0)
+        cut = twop - E % twop
+        if E < twop:
+            out = [-c for c in v[cut:]] + list(v[:cut])
+        else:
+            out = list(v[cut:]) + [-c for c in v[:cut]]
+        even, odd, red = out[deg], out[deg + 1], spec._reduction
+        folded = [c + even * a + odd * b for c, a, b in zip(out, red[deg], red[deg + 1])]
+        return CycElem(self.p, tuple(folded), self.e)
+
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        result = CycElem.one(self.p)
-        base = self
-        while n:
+        if n == 0:
+            return CycElem.one(self.p)
+        # square-and-multiply from the low bit: no product by one, no
+        # squaring after the top bit
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

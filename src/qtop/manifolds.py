@@ -463,16 +463,34 @@ def _evaluate(rel: tuple[int, ...], assign, table, inverse):
     return acc
 
 
+def _runs(rel: tuple[int, ...], s: int) -> list:
+    """rel cut at its letters +-s: those letters as ints, and each maximal
+    run of lower letters between them as a tuple."""
+    out: list = []
+    for x in rel:
+        if abs(x) == s:
+            out.append(x)
+        elif out and isinstance(out[-1], tuple):
+            out[-1] += (x,)
+        else:
+            out.append((x,))
+    return out
+
+
 def hom_count(pres: GroupPresentation, G: FiniteGroupTable, budget: int = 2_000_000) -> int:
     """Exhaustive count of homomorphisms, one generator at a time.
 
     Stage s extends each assignment of x_1 .. x_{s-1} that satisfies the
     relators checkable so far by every value of x_s, and keeps the rows that
     satisfy the relators whose highest letter is x_s, evaluated over a whole
-    batch at once.  Stages after the last relator multiply the count by |G|.
-    The node count is that of a depth-first search with relator pruning: one
-    root plus the survivors of every stage.  Raises BudgetExceededError as
-    soon as it exceeds the budget; no partial counts are ever returned.
+    batch at once.  Such a relator is cut at its letters +-x_s: each run of
+    lower letters between them is evaluated once per parent row and
+    repeated to that parent's |G| candidates, and only the letters +-x_s
+    are looked up per candidate.  Stages after the last relator multiply
+    the count by |G|.  The node count is that of a depth-first search with
+    relator pruning: one root plus the survivors of every stage.  Raises
+    BudgetExceededError as soon as it exceeds the budget; no partial counts
+    are ever returned.
     """
     n = pres.num_generators
     # relators become checkable once all their letters are assigned
@@ -496,16 +514,23 @@ def hom_count(pres: GroupPresentation, G: FiniteGroupTable, budget: int = 2_000_
     level = np.zeros((1, 0), dtype=dtype)
     per = max(1, _HOM_CHUNK // G.order)
     for s in range(1, last + 1):
+        rels = [_runs(rel, s) for rel in by_stage[s]]
         kept = [np.zeros((0, s), dtype=dtype)]
         for start in range(0, len(level), per):
             parents = level[start : start + per]
-            cand = np.column_stack(
-                (np.repeat(parents, G.order, axis=0), np.tile(values, len(parents)))
-            )
-            keep = np.ones(len(cand), dtype=bool)
-            for rel in by_stage[s]:
-                keep &= _evaluate(rel, cand, table, inverse) == G.identity
-            kept.append(cand[keep])
+            top = np.tile(values, len(parents))  # x_s over the candidates
+            letter = {s: top, -s: inverse[top]}
+            keep = np.ones(len(top), dtype=bool)
+            for segments in rels:
+                acc = None
+                for seg in segments:
+                    if isinstance(seg, tuple):
+                        g = np.repeat(_evaluate(seg, parents, table, inverse), G.order)
+                    else:
+                        g = letter[seg]
+                    acc = g if acc is None else table[acc, g]
+                keep &= acc == G.identity
+            kept.append(np.column_stack((np.repeat(parents, G.order, axis=0), top))[keep])
             visit(len(kept[-1]))
         level = np.concatenate(kept)
     count = len(level)

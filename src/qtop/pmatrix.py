@@ -3,10 +3,16 @@
 A PMatrix is a square matrix of CycElem entries, flagged projective when
 equality should only be tested up to one global invertible scalar (the
 situation for quantum representations, whose anomaly phases we never
-normalize away silently).  Products and matrix-vector products bring each
-operand over one p-power denominator and pack every entry into one Python
-integer by Kronecker substitution, so a dot product is a sum of integer
-products, unpacked and canonicalized once per output entry.
+normalize away silently).
+
+A factor that is diagonal with every diagonal entry a root of unity
++-zeta^E (the diagonal twists, and the D of Q D^k Q^-1) multiplies by
+rotating the coefficients of each entry of the other factor
+(CycElem.mul_root); its exponents E are found once per matrix.  Every
+other product and matrix-vector product brings each operand over one
+p-power denominator and packs every entry into one Python integer by
+Kronecker substitution, so a dot product is a sum of integer products,
+unpacked and canonicalized once per output entry.
 """
 
 from __future__ import annotations
@@ -93,27 +99,58 @@ class PMatrix:
     def _bound(self) -> tuple[int, int]:
         return _common_bound(self.p, [x for row in self.entries for x in row])
 
+    @cached_property
+    def _root_diagonal(self) -> tuple[int, ...] | None:
+        """The exponents E_i with entry (i, i) = zeta^(E_i) when the matrix
+        is diagonal and every diagonal entry is a root of unity, else None.
+        Decided from the coefficient tuples alone."""
+        exponent = ring(self.p).root_exponent
+        out = []
+        for i, row in enumerate(self.entries):
+            d = row[i]
+            E = None if d.e else exponent.get(d.coeffs)
+            if E is None:
+                return None
+            out.append(E)
+        for i, row in enumerate(self.entries):
+            if any(any(x.coeffs) for j, x in enumerate(row) if j != i):
+                return None
+        return tuple(out)
+
     def __mul__(self, other: "PMatrix") -> "PMatrix":
         if self.p != other.p or self.n != other.n:
             raise RingUsageError("incompatible matrices")
+        projective = self.projective or other.projective
+        left = self._root_diagonal
+        if left is not None:  # row i of other times zeta^(E_i)
+            out = [[x.mul_root(E) for x in row] for E, row in zip(left, other.entries)]
+            return PMatrix.from_rows(self.p, out, projective)
+        right = other._root_diagonal
+        if right is not None:  # column j of self times zeta^(E_j)
+            out = [[x.mul_root(E) for x, E in zip(row, right)] for row in self.entries]
+            return PMatrix.from_rows(self.p, out, projective)
         (ea, ma), (eb, mb) = self._bound, other._bound
         kron = _Kronecker(self.p, self.n, ma * mb)
         rows = [[kron.pack(x, ea) for x in row] for row in self.entries]
         cols = [[kron.pack(row[j], eb) for row in other.entries] for j in range(self.n)]
         out = [[kron.unpack(sum(map(mul, ra, cb)), ea + eb) for cb in cols] for ra in rows]
-        return PMatrix.from_rows(self.p, out, self.projective or other.projective)
+        return PMatrix.from_rows(self.p, out, projective)
 
     def __pow__(self, k: int) -> "PMatrix":
         if k < 0:
             raise RingUsageError("PMatrix powers need k >= 0")
-        result = PMatrix.identity(self.p, self.n)
-        base = self
-        while k:
+        if k == 0:
+            return PMatrix.identity(self.p, self.n)
+        # square-and-multiply from the low bit: no product by the identity,
+        # no squaring after the top bit
+        result, base = None, self
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def scale(self, c: CycElem) -> "PMatrix":
         return PMatrix.from_rows(
@@ -121,7 +158,11 @@ class PMatrix:
         )
 
     def apply(self, vec: list[CycElem]) -> list[CycElem]:
-        """The product M vec, by the packed dot product of __mul__."""
+        """The product M vec: rotations by a root-of-unity diagonal, else
+        the packed dot product of __mul__."""
+        diag = self._root_diagonal
+        if diag is not None:
+            return [x.mul_root(E) for x, E in zip(vec, diag)]
         (em, mm), (ev, mv) = self._bound, _common_bound(self.p, vec)
         kron = _Kronecker(self.p, self.n, mm * mv)
         col = [kron.pack(x, ev) for x in vec]

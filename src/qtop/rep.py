@@ -22,7 +22,10 @@ The S-move and bridge blocks and the conjugators are built over a scalar
 ring R chosen by the caller, as in skein: p for exact PMatrices, a
 ResidueSpec for residue matrices.  Each block comes with its inverse from
 an identity of the move (see _twist_conjugators), so nothing is inverted
-by a general method.  rho multiplies exact letters.  Over F_q there is
+by a general method.  rho multiplies exact letters left to right; a
+diagonal letter (c2, c4, s) enters each product as a rotation of the
+other factor's entries by roots of unity, as does the diagonal D of
+Q D^k Q^-1 in twist_power_matrix (see pmatrix).  Over F_q there is
 one matrix type, the read-only numpy array of a ResidueSpec, from the
 block assembly on: each letter is built in F_q (equal to the reduction
 of the exact letter) and cached once, by _letter_matrix_mod, and

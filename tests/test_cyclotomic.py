@@ -56,6 +56,32 @@ def test_a_times_a_is_u():
     assert elem_A(5) * elem_A(5) == elem_u(5)
 
 
+def test_mul_root_equals_the_general_product():
+    """Rotation by zeta^E against x * zeta^E for every E in [0, 4p),
+    on zero, units, small and huge coefficients and p-denominators."""
+    rng = random.Random(5)
+    for p in (5, 7, 11):
+        deg = ring(p).degree
+        elems = [CycElem.zero(p), CycElem.one(p), eta(p), CycElem.make(p, [p] * deg, 3)]
+        elems += [rand_elem(p, rng, size) for size in (1, 9, 2**70) for _ in range(3)]
+        assert any(x.e for x in elems)
+        for E in range(4 * p):
+            root = CycElem.root_power(p, E)
+            assert ring(p).root_exponent[root.coeffs] == E
+            for x in elems:
+                assert x.mul_root(E) == x * root
+
+
+def test_pow_equals_repeated_product():
+    for p in (5, 7):
+        x = CycElem.make(p, [1, 1] + [0] * (ring(p).degree - 2), 1)  # (1 + zeta)/p, a unit
+        power = CycElem.one(p)
+        for n in range(10):
+            assert x ** n == power
+            assert x ** -n == power.inv()
+            power = power * x
+
+
 def test_additive_identity():
     x = CycElem.make(5, [1, 2, 0, -1, 0, 0, 3, 0], 1)
     assert x + CycElem.zero(5) == x

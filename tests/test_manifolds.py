@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtop.cyclotomic import CycElem, elem_A, elem_u, eta
 from qtop.groups import FiniteGroupTable, GroupTableError, builtin_group
@@ -181,15 +181,26 @@ def dfs_hom_count(pres: GroupPresentation, G: FiniteGroupTable) -> tuple[int, in
 
 
 @st.composite
+def relators(draw, n: int):
+    """Up to 12 letters; often with extra copies of the top generator, so
+    that runs of lower letters sit between repeated letters +-x_s."""
+    letter = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    rel = draw(st.lists(letter, min_size=1, max_size=12))
+    top = max(abs(x) for x in rel)
+    for _ in range(draw(st.integers(0, 2))):
+        rel.insert(draw(st.integers(0, len(rel))), draw(st.sampled_from((top, -top))))
+    return tuple(rel)
+
+
+@st.composite
 def presentations(draw):
     n = draw(st.integers(2, 5))
-    letter = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
-    relators = draw(st.lists(st.lists(letter, min_size=1, max_size=6), max_size=n + 1))
-    return GroupPresentation(n, tuple(tuple(r) for r in relators))
+    return GroupPresentation(n, tuple(draw(st.lists(relators(n), max_size=n + 1))))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(presentations(), st.sampled_from(("Z/2", "Z/3", "Z/5", "S3", "Q8")))
+@example(GroupPresentation(3, ((1, 2, 3, 1, 3, 2),)), "S3")  # runs of non-commuting letters
 def test_hom_count_equals_depth_first_search(pres, group):
     G = builtin_group(group)
     count, nodes = dfs_hom_count(pres, G)
@@ -199,8 +210,13 @@ def test_hom_count_equals_depth_first_search(pres, group):
 
 
 def test_hom_count_budget_at_the_search_node_count():
+    # each catalogue curve twice, none twice in a row: relators of up to
+    # 128 letters in which the fibre generators sit between letters +-t
+    balanced = MappingTorus(2, parse_word(2, "c2*s*c2*c5*c1*c3^-1*c4*s*c4^-1*c1*c5^-1*c3^-1"))
     for desc, group in (
         (MappingTorus(2, parse_word(2, "c1*c3*s^-1*c2*c5")), "Q8"),
+        (balanced, "Q8"),
+        (balanced, "Z/4"),
         (HeegaardGluing(2, parse_word(2, "c1*c3")), "S3"),
         (LensSurgery(5), "Z/5"),
     ):

@@ -73,6 +73,59 @@ def test_packed_product_equals_schoolbook(pair):
         assert A.apply(column(B, j)) == column(AB, j)
 
 
+@st.composite
+def root_diagonals(draw, p: int, n: int):
+    """diag(zeta^E_1, ..., zeta^E_n), any exponents in [0, 4p), either flag."""
+    D = PMatrix.diagonal(p, [CycElem.root_power(p, draw(st.integers(0, 4 * p - 1))) for _ in range(n)])
+    return PMatrix(p, D.entries, draw(st.booleans()))
+
+
+@st.composite
+def products_with_root_diagonals(draw):
+    p = draw(st.sampled_from((5, 7)))
+    n = draw(st.integers(1, 4))
+    M = draw(matrices(p, n))
+    M = PMatrix(p, M.entries, draw(st.booleans()))
+    return M, draw(root_diagonals(p, n)), draw(root_diagonals(p, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(products_with_root_diagonals())
+def test_root_diagonal_products_equal_schoolbook(ops):
+    """A root-of-unity diagonal multiplies by rotation on either side, and
+    by another one; apply by it rotates the vector's entries."""
+    M, D, D2 = ops
+    assert D._root_diagonal is not None
+    for A, B in ((D, M), (M, D), (D, D2), (D, M * D2)):
+        AB, oracle = A * B, schoolbook_mul(A, B)
+        assert AB.entries == oracle.entries
+        assert AB.projective == oracle.projective == (A.projective or B.projective)
+    for j in range(M.n):
+        assert D.apply(column(M, j)) == column(schoolbook_mul(D, M), j)
+
+
+def test_non_root_diagonals_take_the_packed_product():
+    """2, zeta/p, 0 and an off-diagonal entry each rule the rotation out;
+    the products still equal the schoolbook product."""
+    p, n = 7, 3
+    z = CycElem.root_power(p, 1)
+    two, z_over_p = CycElem.from_int(p, 2), CycElem.make(p, list(z.coeffs), 1)
+    M = PMatrix.from_rows(
+        p, [[CycElem.make(p, [i - j + k for k in range(12)], j) for j in range(n)] for i in range(n)]
+    )
+    near_misses = [
+        PMatrix.diagonal(p, [z, two, z]),
+        PMatrix.diagonal(p, [z_over_p, z, z]),
+        PMatrix.diagonal(p, [z, z, CycElem.zero(p)]),
+        PMatrix.from_rows(p, [[z, z, CycElem.zero(p)], [CycElem.zero(p), z, CycElem.zero(p)], [CycElem.zero(p)] * 2 + [z]]),
+    ]
+    for N in near_misses:
+        assert N._root_diagonal is None
+        for A, B in ((N, M), (M, N)):
+            assert (A * B).entries == schoolbook_mul(A, B).entries
+        assert N.apply(column(M, 0)) == column(schoolbook_mul(N, M), 0)
+
+
 def test_extreme_digits():
     """Equal coefficients of equal sign put the middle digit of an entry at
     its bound n deg max|a| max|b|; the packing width must still hold it."""
@@ -107,7 +160,10 @@ def test_pow_by_square_and_multiply_and_negative_exponent_raises():
     p = 5
     A = PMatrix.from_rows(p, [[CycElem.one(p), CycElem.root_power(p, 3)], [CycElem.zero(p), CycElem.one(p)]])
     assert (A ** 0).entries == PMatrix.identity(p, 2).entries
-    assert (A ** 5).entries == (A * A * A * A * A).entries
+    power = A
+    for k in range(1, 9):
+        assert (A ** k).entries == power.entries
+        power = power * A
     with pytest.raises(RingUsageError):
         A ** -1
 
