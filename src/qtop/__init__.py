@@ -42,11 +42,10 @@ from .obstruct import (  # noqa: F401
     obstruct_embedding,
     twist_search,
     vanishes_mod,
-    very_good_probe,
 )
-from .pmatrix import PMatrix, proj_equal  # noqa: F401
+from .pmatrix import PMatrix  # noqa: F401
 from .rep import algebra_span_dim, hermitian_check, rep_dim, rho, rho_mod  # noqa: F401
-from .skein import s_matrix, t_eigenvalue, t_matrix  # noqa: F401
+from .skein import s_matrix, t_matrix  # noqa: F401
 from .walks import (  # noqa: F401
     WalkSpec,
     enumerate_group,

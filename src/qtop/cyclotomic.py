@@ -25,8 +25,9 @@ a unit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -349,31 +350,22 @@ class CycElem:
         """Whether the element lies in Z[1/p, zeta_{2p}] = Z[1/p, A]."""
         return self.galois(2 * self.p + 1) == self
 
-    def _norm_int(self) -> int:
-        """Field norm of the integer part (denominator ignored)."""
-        spec = self.spec
-        acc = CycElem(self.p, self.coeffs, 0)
-        for t in range(2, spec.m):
-            if t % 2 and t % self.p:
-                acc = acc * CycElem(self.p, self.coeffs, 0).galois(t)
-        if any(acc.coeffs[1:]):
-            raise AssertionError("norm did not land in Z")
-        return acc.coeffs[0]
-
-    def _cofactor(self) -> "CycElem":
-        """Product of all nontrivial Galois conjugates of the integer part."""
-        spec = self.spec
-        acc = CycElem.one(self.p)
+    def _norm_cofactor(self) -> tuple[int, "CycElem"]:
+        """(N, c) for the integer part x (denominator ignored): c is the
+        product of the nontrivial Galois conjugates of x, and N = x * c is
+        the field norm."""
         base = CycElem(self.p, self.coeffs, 0)
-        for t in range(2, spec.m):
-            if t % 2 and t % self.p:
-                acc = acc * base.galois(t)
-        return acc
+        conjugates = (base.galois(t) for t in range(3, self.spec.m, 2) if t % self.p)
+        cof = reduce(operator.mul, conjugates)
+        norm = base * cof
+        if any(norm.coeffs[1:]):
+            raise AssertionError("norm did not land in Z")
+        return norm.coeffs[0], cof
 
     def is_unit(self) -> bool:
         if self.is_zero():
             return False
-        n = abs(self._norm_int())
+        n = abs(self._norm_cofactor()[0])
         while n % self.p == 0:
             n //= self.p
         return n == 1
@@ -382,7 +374,7 @@ class CycElem:
         """Inverse in Z[zeta, 1/p]; raises NotAUnitError otherwise."""
         if self.is_zero():
             raise NotAUnitError("zero is not invertible")
-        n = self._norm_int()
+        n, cof = self._norm_cofactor()
         sign = 1 if n > 0 else -1
         n = abs(n)
         k = 0
@@ -391,7 +383,6 @@ class CycElem:
             k += 1
         if n != 1:
             raise NotAUnitError(f"norm has non-p part {sign * n}")
-        cof = self._cofactor()
         if sign < 0:
             cof = -cof
         # x = int_part / p^e  =>  x^{-1} = p^e * cofactor / (sign p^k)
@@ -405,8 +396,8 @@ class CycElem:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError
-        n = other._norm_int()
-        num = self * other._cofactor()
+        n, cof = other._norm_cofactor()
+        num = self * cof
         sign = 1 if n > 0 else -1
         n = abs(n)
         k = 0
@@ -707,34 +698,21 @@ class CycIdeal:
 
 
 def _saturate_at_p(basis: list[list[int]], p: int, dim: int) -> list[list[int]]:
-    """Close the lattice under division by p inside Z^dim (localization at p)."""
+    """Close the lattice under division by p inside Z^dim (localization at p).
+
+    Each round eliminates [basis mod p | I] over F_p.  A result row whose
+    left half is zero carries in its right half a combination y of basis
+    rows with y = 0 mod p; y is nonzero because HNF rows are independent,
+    and y/p joins the lattice.  Without such a row the rows stay
+    independent mod p and the lattice is saturated.
+    """
     while basis:
-        # a combination y of basis rows with y = 0 mod p yields a new row y/p
-        reduced = linalg.fq_rref([list(r) for r in basis], p)
-        if len(reduced) == len(basis):
+        n = len(basis)
+        aug = [[c % p for c in row] + [int(k == i) for k in range(n)]
+               for i, row in enumerate(basis)]
+        combo = next((r[dim:] for r in linalg.fq_rref(aug, p) if not any(r[:dim])), None)
+        if combo is None:
             break
-        # kernel vector over F_p: find it by eliminating with tracking
-        found = _p_kernel_combination(basis, p)
-        if found is None:
-            break
-        basis = linalg.hnf(basis + [[c // p for c in found]])
+        y = [sum(c * row[j] for c, row in zip(combo, basis)) for j in range(dim)]
+        basis = linalg.hnf(basis + [[v // p for v in y]])
     return basis
-
-
-def _p_kernel_combination(basis: list[list[int]], p: int) -> list[int] | None:
-    """An integer combination of rows that is divisible by p, not p*lattice."""
-    n = len(basis)
-    aug = [[basis[i][j] % p for j in range(len(basis[i]))] + [1 if k == i else 0 for k in range(n)]
-           for i in range(n)]
-    width = len(basis[0])
-    reduced = linalg.fq_rref(aug, p)
-    for row in reduced:
-        if all(c == 0 for c in row[:width]) and any(row[width:]):
-            combo = row[width:]
-            vec = [0] * width
-            for c, r in zip(combo, basis):
-                if c:
-                    vec = [v + c * u for v, u in zip(vec, r)]
-            if all(v % p == 0 for v in vec) and any(vec):
-                return vec
-    return None

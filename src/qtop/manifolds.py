@@ -33,6 +33,7 @@ from .mcg import (
     TwistWord,
     empty_word,
     free_inverse,
+    free_reduce,
     h1_action,
     parse_word,
     pi1_action,
@@ -109,16 +110,6 @@ class GroupPresentation:
             for rel in self.relators
         ]
         return f"gens: {' '.join(names)}; " + "; ".join(f"rel: {r}" for r in rels)
-
-
-def _freely_reduce(rel):
-    out = []
-    for x in rel:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
 
 
 # -- manifold descriptions ---------------------------------------------------
@@ -318,7 +309,7 @@ def _rewrite_to_cores(word) -> tuple[int, ...]:
             out.append(1 if x > 0 else -1)
         elif abs(x) == 3:
             out.append(2 if x > 0 else -2)
-    return _freely_reduce(tuple(out))
+    return free_reduce(tuple(out))
 
 
 def presentation(desc: ManifoldDesc) -> GroupPresentation:
@@ -345,13 +336,13 @@ def presentation(desc: ManifoldDesc) -> GroupPresentation:
                 _gen_power(x, W[0][1]) + _gen_power(y, W[1][1]),
             ]
             for g, img in zip((x, y), images):
-                rels.append(_freely_reduce((t, g, -t) + free_inverse(img)))
+                rels.append(free_reduce((t, g, -t) + free_inverse(img)))
             return GroupPresentation(3, tuple(rels))
         phi = pi1_action(desc.word)
         t = 5
         rels = [SURFACE_RELATOR]
         for g in (1, 2, 3, 4):
-            rels.append(_freely_reduce((t, g, -t) + free_inverse(phi[g])))
+            rels.append(free_reduce((t, g, -t) + free_inverse(phi[g])))
         return GroupPresentation(5, tuple(rels))
     if isinstance(desc, ConnectedSum):
         lp = presentation(desc.left)
@@ -380,7 +371,7 @@ def _bounded_presentation(desc: BoundedHeegaard) -> GroupPresentation:
     is a sphere).  Generators a1, b1, a2, b2 -> 1..4.
     """
     phi = pi1_action(desc.word)
-    rels = [SURFACE_RELATOR, _freely_reduce(phi[2]), _freely_reduce(phi[4])]
+    rels = [SURFACE_RELATOR, phi[2], phi[4]]
     rels.append((4,))
     if desc.boundary_genus == 0:
         rels.append((2,))
@@ -396,8 +387,8 @@ def _double_presentation(half: BoundedHeegaard) -> GroupPresentation:
     rels = list(base.relators + mirrored)
     if half.boundary_genus == 1:
         # glue the boundary tori by the identity: a1 = a1', b1 = b1'
-        rels.append(_freely_reduce((1, -(1 + n))))
-        rels.append(_freely_reduce((2, -(2 + n))))
+        rels.append((1, -(1 + n)))
+        rels.append((2, -(2 + n)))
     return GroupPresentation(2 * n, tuple(rels))
 
 
@@ -612,10 +603,6 @@ class DwTorusTheory:
             if img[0] == G.identity:
                 total += 1
         return Fraction(total, G.order)
-
-
-def dw_rep_genus1(G: FiniteGroupTable) -> DwTorusTheory:
-    return DwTorusTheory(G)
 
 
 def dw_invariant_tqft(desc: ManifoldDesc, G: FiniteGroupTable) -> Fraction:

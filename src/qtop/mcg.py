@@ -17,8 +17,10 @@ genus 2:  Humphries chain c1, c2, c3, c4, c5 (consecutive curves meet
           the one-holed torus containing c1, c2.
 
 pi1(Sigma_2) = <a1 b1 a2 b2 | [a1,b1][a2,b2]>, a_i the cores, b_i the
-meridians.  The twist action on pi1 (below) preserves the relator and
-satisfies the chain braid/commutation relations up to inner
+meridians.  Each twist is tabled as one (L, R) pair per generator g it
+moves, g -> L g R, where L and R are words in generators the twist
+fixes; its inverse is then g -> L^-1 g R^-1.  This action preserves the
+relator and satisfies the chain braid/commutation relations up to inner
 automorphisms; (t_c1 t_c2)^6 agrees with t_s up to inner, the chain
 relation of the one-holed torus.
 """
@@ -29,6 +31,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 
 class WordError(ValueError):
@@ -49,16 +52,6 @@ CURVE_CLASSES = {
         "s": (0, 0, 0, 0),
     },
 }
-
-
-@dataclass(frozen=True)
-class SurfaceSpec:
-    genus: int
-    boundary: int = 0
-
-    def __post_init__(self):
-        if self.genus not in (1, 2) or self.boundary not in (0, 1):
-            raise WordError(f"unsupported surface (genus={self.genus}, boundary={self.boundary})")
 
 
 @dataclass(frozen=True)
@@ -307,77 +300,37 @@ def free_mul(*ws):
 
 _SIGMA = (1, 2, -1, -2)  # [a1, b1], the separating curve as a based loop
 
+# Each twist sends a generator g it moves to L.g.R, stored as g: (L, R);
+# the generators not listed are fixed.  Invariant: L and R use only
+# generators the twist fixes, so the inverse twist is g -> L^-1.g.R^-1.
 _PI1_TWISTS = {
-    "c1": {2: (2, 1)},
-    "c2": {1: (1, -2)},
-    "c3": {2: (3, 1, 2), 4: (1, 3, 4)},
-    "c4": {3: (3, -4)},
-    "c5": {4: (4, 3)},
-    "s": {
-        3: free_mul(_SIGMA, (3,), free_inverse(_SIGMA)),
-        4: free_mul(_SIGMA, (4,), free_inverse(_SIGMA)),
-    },
+    "c1": {2: ((), (1,))},
+    "c2": {1: ((), (-2,))},
+    "c3": {2: ((3, 1), ()), 4: ((1, 3), ())},
+    "c4": {3: ((), (-4,))},
+    "c5": {4: ((), (3,))},
+    "s": {3: (_SIGMA, free_inverse(_SIGMA)), 4: (_SIGMA, free_inverse(_SIGMA))},
 }
 
 
-def _twist_auto(curve: str, exp: int) -> dict[int, tuple[int, ...]]:
-    base = {g: (g,) for g in (1, 2, 3, 4)}
-    base.update(_PI1_TWISTS[curve])
-    auto = base
-    if exp < 0:
-        auto = _invert_auto(base)
+@lru_cache(maxsize=None)
+def _twist_auto(curve: str, exp: int) -> MappingProxyType:
+    """t_curve^exp on pi1(Sigma_2) as generator -> image word, read-only
+    because it is cached."""
+    step = {g: (g,) for g in (1, 2, 3, 4)}
+    for g, (left, right) in _PI1_TWISTS[curve].items():
+        if exp < 0:
+            left, right = free_inverse(left), free_inverse(right)
+        step[g] = free_mul(left, (g,), right)
     out = {g: (g,) for g in (1, 2, 3, 4)}
     for _ in range(abs(exp)):
-        out = _compose_auto(auto, out)
-    return out
+        out = _compose_auto(step, out)
+    return MappingProxyType(out)
 
 
 def _compose_auto(phi, psi):
     """phi after psi."""
     return {g: apply_auto(phi, psi[g]) for g in (1, 2, 3, 4)}
-
-
-def _invert_auto(phi):
-    # all catalogue twists have triangular single-generator form, so a
-    # fixed-point iteration on generators terminates immediately
-    inv = {}
-    for g in (1, 2, 3, 4):
-        img = phi[g]
-        if img == (g,):
-            inv[g] = (g,)
-    for g in (1, 2, 3, 4):
-        if g in inv:
-            continue
-        # solve phi(w) = (g,) for w of the form  x * g * y  built from fixed gens
-        img = phi[g]
-        left = []
-        right = []
-        for x in img:
-            if abs(x) == g:
-                break
-            left.append(x)
-        seen = False
-        for x in img:
-            if abs(x) == g:
-                seen = True
-                continue
-            if seen:
-                right.append(x)
-        lw = free_inverse(_pullback(tuple(left), phi, inv))
-        rw = free_inverse(_pullback(tuple(right), phi, inv))
-        inv[g] = free_mul(lw, (g,), rw)
-        # correctness is asserted below
-    for g in (1, 2, 3, 4):
-        assert apply_auto(phi, inv[g]) == (g,), "twist inversion failed"
-    return inv
-
-
-def _pullback(w, phi, partial_inv):
-    out = []
-    for x in w:
-        pre = partial_inv.get(abs(x), (abs(x),))
-        out.extend(pre if x > 0 else free_inverse(pre))
-    return free_reduce(tuple(out))
 
 
 def apply_auto(phi, w):

@@ -117,11 +117,6 @@ def vanishes_mod(v: BoundaryVector, r: ResidueSpec) -> bool:
     return all(r.reduce(x) == 0 for x in v.coords)
 
 
-def very_good_probe(desc: ManifoldDesc, p: int) -> str:
-    """Exact zero test of the closed invariant: 'nonzero' or 'zero'."""
-    return "zero" if rt_closed(desc, p).is_zero() else "nonzero"
-
-
 def fkb_ideal_closed(desc: ManifoldDesc, p: int) -> CycIdeal:
     """Ideal generated by the closed invariant (unit phases are harmless)."""
     return CycIdeal.from_generators([rt_closed(desc, p)])

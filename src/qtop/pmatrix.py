@@ -230,7 +230,3 @@ class PMatrix:
             "projective": self.projective,
             "entries": [[x.to_json() for x in row] for row in self.entries],
         }
-
-
-def proj_equal(m1: PMatrix, m2: PMatrix) -> bool:
-    return m1.proj_equal(m2)

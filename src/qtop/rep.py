@@ -155,20 +155,12 @@ def _bridge_f_block(R, a: int, b: int) -> tuple[tuple[tuple, ...], tuple[tuple, 
     return block, inverse
 
 
-def _block_indices_left(p: int):
-    """Group dumbbell indices by (c, b); values are (a-list, positions)."""
-    basis = genus2_basis(p)
+def _dumbbell_groups(p: int, key) -> dict[tuple[int, int], list[int]]:
+    """Positions in genus2_basis(p) grouped by key(a, c, b), each group in
+    basis order."""
     groups: dict[tuple[int, int], list[int]] = {}
-    for pos, (a, c, b) in enumerate(basis):
-        groups.setdefault((c, b), []).append(pos)
-    return groups
-
-
-def _block_indices_right(p: int):
-    basis = genus2_basis(p)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for pos, (a, c, b) in enumerate(basis):
-        groups.setdefault((a, c), []).append(pos)
+    for pos, label in enumerate(genus2_basis(p)):
+        groups.setdefault(key(*label), []).append(pos)
     return groups
 
 
@@ -191,16 +183,14 @@ def _embed_blocks(R, groups, block_of):
 
 @lru_cache(maxsize=None)
 def _left_s_operator(R):
-    return _embed_blocks(
-        R, _block_indices_left(scalar_ring(R).p), lambda key: _holed_torus_s(R, key[0])
-    )
+    groups = _dumbbell_groups(scalar_ring(R).p, lambda a, c, b: (c, b))
+    return _embed_blocks(R, groups, lambda key: _holed_torus_s(R, key[0]))
 
 
 @lru_cache(maxsize=None)
 def _right_s_operator(R):
-    return _embed_blocks(
-        R, _block_indices_right(scalar_ring(R).p), lambda key: _holed_torus_s(R, key[1])
-    )
+    groups = _dumbbell_groups(scalar_ring(R).p, lambda a, c, b: (a, c))
+    return _embed_blocks(R, groups, lambda key: _holed_torus_s(R, key[1]))
 
 
 @lru_cache(maxsize=None)
@@ -210,22 +200,15 @@ def _bridge_f_matrix(R):
 
     Theta-basis labels (a, f, b) are ordered per block by f ascending.
     """
-    basis = genus2_basis(scalar_ring(R).p)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for pos, (a, c, b) in enumerate(basis):
-        groups.setdefault((a, b), []).append(pos)
+    groups = _dumbbell_groups(scalar_ring(R).p, lambda a, c, b: (a, b))
     return _embed_blocks(R, groups, lambda key: _bridge_f_block(R, *key))
 
 
 @lru_cache(maxsize=None)
 def _theta_labels(p: int) -> tuple[tuple[int, int, int], ...]:
     """Label (a, f, b) occupying each coordinate slot after the bridge move."""
-    basis = genus2_basis(p)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for pos, (a, c, b) in enumerate(basis):
-        groups.setdefault((a, b), []).append(pos)
-    labels: list[tuple[int, int, int] | None] = [None] * len(basis)
-    for (a, b), positions in groups.items():
+    labels: list[tuple[int, int, int] | None] = [None] * len(genus2_basis(p))
+    for (a, b), positions in _dumbbell_groups(p, lambda a, c, b: (a, b)).items():
         fs = [f for f in colors(p) if admissible(p, a, b, f)]
         for bi, f in enumerate(fs):
             labels[positions[bi]] = (a, f, b)

@@ -105,11 +105,6 @@ def twist(R, n: int):
     return -val if n % 2 else val
 
 
-def t_eigenvalue(p: int, n: int) -> CycElem:
-    """Twist eigenvalue of color n; equals (-A)^{(n+1)^2 - 1} on even colors."""
-    return twist(p, n)
-
-
 @lru_cache(maxsize=None)
 def theta(R, a: int, b: int, c: int):
     """Value of the theta network, signed convention: theta(n,n,0) = Delta_n."""

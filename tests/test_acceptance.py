@@ -14,13 +14,13 @@ from qtop.cyclotomic import CycElem, ResidueSpec, elem_A, elem_u, eta
 from qtop.groups import builtin_group
 from qtop.manifolds import (
     BoundedHeegaard,
+    DwTorusTheory,
     HeegaardGluing,
     LensSurgery,
     MappingTorus,
     S3,
     dw_invariant,
     dw_invariant_tqft,
-    dw_rep_genus1,
     murakami_check,
     rt_closed,
 )
@@ -143,7 +143,7 @@ def test_criterion_06_tn_kernel_lemma():
     ok = True
     for name in ("Z2", "Z3", "S3", "Q8"):
         G = builtin_group(name)
-        theory = dw_rep_genus1(G)
+        theory = DwTorusTheory(G)
         ident = tuple(range(theory.dim()))
         n = G.exponent
         ok &= theory.permutation(letter(1, "a", n)) == ident

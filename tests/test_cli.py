@@ -161,8 +161,10 @@ def test_output_file(tmp_path, capsys):
 
 # Exit code and sha256 of stdout for the README examples, five p = 7
 # commands over letters, RT, the walk, the search and the sampled
-# projective orders, the sampled hyperplane walk, and a certificate whose
-# two-entry nVector comes from boundary_vector_mod.  A change that keeps
+# projective orders, the sampled hyperplane walk, a certificate whose
+# two-entry nVector comes from boundary_vector_mod, and two genus-2
+# fundamental groups whose words hold inverse twist letters (a mapping
+# torus's DW count and a double's homology).  A change that keeps
 # results must keep these bytes; one that means to change them updates the
 # digests and says which output moved and why.
 CLI_DIGESTS = {
@@ -198,6 +200,10 @@ CLI_DIGESTS = {
         (0, "a9d55eb6d563ba5f5e6544efd08b00ea00ea33bacab8e5749dc55d78a33495d1"),
     "obstruct --candidate bounded:2:1:c1*c3 --target s3 --p 5 --q 41":
         (1, "c9b3695755c9c9d6266d659529ccfb8e1580f8cfabb9defcd11732d990de6b89"),
+    "--format text invariant dw --desc mtorus:2:c2^-1*c3*c4 --group S3":
+        (0, "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d"),
+    "--format text homology --desc double:(bounded:2:1:c3^-1*c1)":
+        (0, "ec39b67830c0c34d71b0b6bf1d1c424eb7caab9222eb401fdaef044cf2145e9b"),
 }
 
 

@@ -12,6 +12,7 @@ from qtop.manifolds import (
     ConnectedSum,
     DescError,
     Double,
+    DwTorusTheory,
     GroupPresentation,
     HeegaardGluing,
     LensSurgery,
@@ -22,7 +23,6 @@ from qtop.manifolds import (
     desc_to_json,
     dw_invariant,
     dw_invariant_tqft,
-    dw_rep_genus1,
     format_homology,
     hom_count,
     homology_h1,
@@ -293,7 +293,7 @@ def test_dw_three_torus():
     t3 = MappingTorus(1, empty_word(1))
     G = builtin_group("Z2")
     assert dw_invariant(t3, G) == 4
-    theory = dw_rep_genus1(G)
+    theory = DwTorusTheory(G)
     assert theory.trace(empty_word(1)) == theory.dim() == 4
 
 
@@ -308,14 +308,14 @@ def test_dw_connected_sum_identity():
 def test_tn_kernel_lemma_genus1():
     # t^n acts as the identity permutation once n is a multiple of e(G)
     for G in GROUPS:
-        theory = dw_rep_genus1(G)
+        theory = DwTorusTheory(G)
         n = G.exponent
         ident = tuple(range(theory.dim()))
         for c in ("a", "b"):
             for k in (1, 2):
                 assert theory.permutation(letter(1, c, n * k)) == ident
         # and a smaller power is generically nontrivial
-    theory = dw_rep_genus1(builtin_group("Z3"))
+    theory = DwTorusTheory(builtin_group("Z3"))
     assert theory.permutation(letter(1, "a", 1)) != tuple(range(theory.dim()))
 
 

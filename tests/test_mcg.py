@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 from qtop.mcg import (
     GENUS_CURVES,
     SURFACE_RELATOR,
-    SurfaceSpec,
     TwistWord,
     WordError,
+    _PI1_TWISTS,
+    _compose_auto,
+    _twist_auto,
     apply_auto,
     empty_word,
     free_inverse,
@@ -60,12 +62,6 @@ def test_parse_errors():
         parse_word(2, "[c1, ")
     with pytest.raises(WordError):
         letter(2, "c1", 0)
-
-
-def test_surface_spec_validation():
-    SurfaceSpec(2, 0)
-    with pytest.raises(WordError):
-        SurfaceSpec(3, 0)
 
 
 def test_word_algebra():
@@ -169,6 +165,24 @@ def test_pi1_abelianization_matches_h1():
     for c in GENUS_CURVES[2]:
         for e in (1, -1, 3):
             assert abelianize(pi1_action(letter(2, c, e))) == h1_action(letter(2, c, e))
+
+
+def test_twist_table_inverse_powers_compose_to_the_identity():
+    # the inverse of g -> L g R is g -> L^-1 g R^-1 only while the twist
+    # fixes every letter of L and R
+    identity = {g: (g,) for g in (1, 2, 3, 4)}
+    for c, moved in _PI1_TWISTS.items():
+        for left, right in moved.values():
+            for x in left + right:
+                assert _twist_auto(c, 1)[abs(x)] == (abs(x),), (c, x)
+        for e in (1, -1, 2, -2, 3, -3):
+            assert _compose_auto(_twist_auto(c, e), _twist_auto(c, -e)) == identity, (c, e)
+            assert _compose_auto(_twist_auto(c, -e), _twist_auto(c, e)) == identity, (c, e)
+
+
+def test_cached_twist_automorphisms_are_read_only():
+    with pytest.raises(TypeError):
+        _twist_auto("c3", 1)[2] = (2,)
 
 
 # -- constructive subgroup words ---------------------------------------------------

@@ -16,6 +16,7 @@ from qtop.manifolds import (
     LensSurgery,
     MappingTorus,
     S3,
+    rt_closed,
 )
 from qtop.linalg import fq_dtype, fq_mat_mul
 from qtop.mcg import empty_word, letter, parse_word, word_in_subgroup
@@ -33,7 +34,6 @@ from qtop.obstruct import (
     surviving_indices,
     twist_search,
     vanishes_mod,
-    very_good_probe,
 )
 from qtop.rep import genus1_basis, letter_matrix, vacuum_vector
 
@@ -44,18 +44,17 @@ R41 = ResidueSpec.for_primes(5, 41)
 
 
 def test_s3_is_very_good():
-    assert very_good_probe(S3, 5) == "nonzero"
+    assert not rt_closed(S3, 5).is_zero()
 
 
 def test_lens_spaces_are_very_good():
     # rational homology spheres are very good; all small lens spaces pass
     for n in range(1, 7):
-        assert very_good_probe(LensSurgery(n), 5) == "nonzero"
+        assert not rt_closed(LensSurgery(n), 5).is_zero()
 
 
 def test_positive_b1_probe_reports_either_way():
-    out = very_good_probe(MappingTorus(1, letter(1, "a")), 5)
-    assert out in ("zero", "nonzero")
+    assert rt_closed(MappingTorus(1, letter(1, "a")), 5).is_zero() in (True, False)
 
 
 # -- boundary vectors --------------------------------------------------------------

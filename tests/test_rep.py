@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qtop.cyclotomic import CycElem, ResidueSpec, elem_A, scalar_ring
 from qtop.linalg import fq_dtype, ring_inverse
 from qtop.mcg import GENUS_CURVES, empty_word, letter, parse_word, random_word
-from qtop.pmatrix import PMatrix, proj_equal
+from qtop.pmatrix import PMatrix
 from qtop.rep import (
     _bridge_f_block,
     _bridge_f_matrix,
@@ -328,8 +328,8 @@ def test_proj_equal_scalar_insensitivity():
     rng = random.Random(0)
     M = rho(random_word(2, 5, 3), p)
     c = elem_A(p) ** rng.randint(1, 9)
-    assert proj_equal(M, M.scale(c))
-    assert not proj_equal(PMatrix.identity(p, 2), __import__("qtop.skein", fromlist=["s_matrix"]).s_matrix(p))
+    assert M.proj_equal(M.scale(c))
+    assert not PMatrix.identity(p, 2).proj_equal(s_matrix(p))
 
 
 def test_hermitian_form_preserved():

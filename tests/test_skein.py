@@ -16,7 +16,6 @@ from qtop.skein import (
     quantum_integer,
     s_matrix,
     sixj,
-    t_eigenvalue,
     t_matrix,
     tet,
     theta,
@@ -123,7 +122,7 @@ def test_twist_spectrum_matches_quadratic_exponents():
 
 
 def test_t_eigenvalue_color_zero_is_one():
-    assert t_eigenvalue(5, 0) == CycElem.one(5)
+    assert twist(5, 0) == CycElem.one(5)
 
 
 def test_t_matrix_diagonal_p5():
