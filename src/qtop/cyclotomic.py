@@ -44,6 +44,15 @@ class InexactDivisionError(ArithmeticError):
     """An exact ring division failed (quotient not in Z[zeta, 1/p])."""
 
 
+def split_p_part(n: int, p: int) -> tuple[int, int]:
+    """(k, n / p^k) for the largest k with p^k dividing the nonzero n."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k, n
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -365,27 +374,19 @@ class CycElem:
     def is_unit(self) -> bool:
         if self.is_zero():
             return False
-        n = abs(self._norm_cofactor()[0])
-        while n % self.p == 0:
-            n //= self.p
-        return n == 1
+        return abs(split_p_part(self._norm_cofactor()[0], self.p)[1]) == 1
 
     def inv(self) -> "CycElem":
         """Inverse in Z[zeta, 1/p]; raises NotAUnitError otherwise."""
         if self.is_zero():
             raise NotAUnitError("zero is not invertible")
         n, cof = self._norm_cofactor()
-        sign = 1 if n > 0 else -1
-        n = abs(n)
-        k = 0
-        while n % self.p == 0:
-            n //= self.p
-            k += 1
-        if n != 1:
-            raise NotAUnitError(f"norm has non-p part {sign * n}")
-        if sign < 0:
+        k, rest = split_p_part(n, self.p)
+        if abs(rest) != 1:
+            raise NotAUnitError(f"norm has non-p part {rest}")
+        if rest < 0:
             cof = -cof
-        # x = int_part / p^e  =>  x^{-1} = p^e * cofactor / (sign p^k)
+        # x = int_part / p^e  =>  x^{-1} = p^e * cofactor / (rest p^k), rest = +-1
         scaled = [c * self.p ** self.e for c in cof.coeffs]
         return CycElem.make(self.p, scaled, cof.e + k)
 
@@ -398,19 +399,12 @@ class CycElem:
             raise ZeroDivisionError
         n, cof = other._norm_cofactor()
         num = self * cof
-        sign = 1 if n > 0 else -1
-        n = abs(n)
-        k = 0
-        while n % self.p == 0:
-            n //= self.p
-            k += 1
-        # quotient = sign * num * p^{other.e} / (p^k * n)
-        vec = [sign * c * self.p ** other.e for c in num.coeffs]
-        if n > 1:
-            if any(c % n for c in vec):
-                raise InexactDivisionError("quotient is not in Z[zeta, 1/p]")
-            vec = [c // n for c in vec]
-        return CycElem.make(self.p, vec, num.e + k)
+        k, rest = split_p_part(n, self.p)
+        # quotient = num * p^{other.e} / (p^k * rest)
+        vec = [c * self.p ** other.e for c in num.coeffs]
+        if any(c % rest for c in vec):
+            raise InexactDivisionError("quotient is not in Z[zeta, 1/p]")
+        return CycElem.make(self.p, [c // rest for c in vec], num.e + k)
 
     # -- misc ----------------------------------------------------------
 
@@ -618,11 +612,14 @@ from . import linalg  # noqa: E402
 
 @dataclass(frozen=True)
 class CycIdeal:
-    """A p-saturated integer lattice presenting an ideal of Z[zeta, 1/p].
+    """An ideal I of Z[zeta, 1/p], held as the integer lattice I ∩ Z[zeta].
 
-    Rows are the Hermite normal form of the Z-module generated by
-    g * zeta^k over all generators g; p-saturation makes membership of
-    localized elements a plain integer lattice question.
+    Rows are its Hermite normal form.  from_generators spans g * zeta^k
+    over the generators g with their denominators dropped (p is a unit);
+    for a nonzero g these deg rows are independent, so the span has full
+    rank, and _saturate_at_p closes it under division by p in one HNF.
+    Membership of a localized element is then a plain lattice question on
+    its numerator.  The zero ideal has no rows.
     """
 
     p: int
@@ -637,17 +634,14 @@ class CycIdeal:
         if not gens:
             raise RingUsageError("need at least one generator")
         p = gens[0].p
-        spec = ring(p)
+        deg = ring(p).degree
         rows = []
         for g in gens:
             if g.p != p:
                 raise RingUsageError("generators over different primes")
             base = CycElem(p, g.coeffs, 0)  # p-powers are units: drop denominator
-            for k in range(spec.degree):
-                shifted = base * CycElem.root_power(p, k)
-                rows.append(list(shifted.coeffs))
-        basis = linalg.hnf(rows)
-        basis = _saturate_at_p(basis, p, spec.degree)
+            rows += [list(base.mul_root(k).coeffs) for k in range(deg)]
+        basis = _saturate_at_p(linalg.hnf(rows), p, deg)
         return CycIdeal(p, tuple(tuple(r) for r in basis))
 
     def contains(self, x: CycElem) -> bool:
@@ -698,21 +692,17 @@ class CycIdeal:
 
 
 def _saturate_at_p(basis: list[list[int]], p: int, dim: int) -> list[list[int]]:
-    """Close the lattice under division by p inside Z^dim (localization at p).
+    """Close the full-rank HNF lattice L under division by p inside Z^dim
+    (localization at p).
 
-    Each round eliminates [basis mod p | I] over F_p.  A result row whose
-    left half is zero carries in its right half a combination y of basis
-    rows with y = 0 mod p; y is nonzero because HNF rows are independent,
-    and y/p joins the lattice.  Without such a row the rows stay
-    independent mod p and the lattice is saturated.
+    With [Z^dim : L] = p^a m and p prime to m, Z^dim / L splits into a
+    p-part and an m-part, and multiplication by m is invertible on the
+    first and kills the second.  So the saturation, the preimage of the
+    p-part, is L + m Z^dim: one HNF, no elimination.  An empty basis (the
+    zero ideal) is returned unchanged.
     """
-    while basis:
-        n = len(basis)
-        aug = [[c % p for c in row] + [int(k == i) for k in range(n)]
-               for i, row in enumerate(basis)]
-        combo = next((r[dim:] for r in linalg.fq_rref(aug, p) if not any(r[:dim])), None)
-        if combo is None:
-            break
-        y = [sum(c * row[j] for c, row in zip(combo, basis)) for j in range(dim)]
-        basis = linalg.hnf(basis + [[v // p for v in y]])
-    return basis
+    if not basis:
+        return basis
+    assert len(basis) == dim, "saturation needs a full-rank lattice"
+    m = split_p_part(math.prod(next(c for c in row if c) for row in basis), p)[1]
+    return linalg.hnf(basis + [[m * (j == i) for j in range(dim)] for i in range(dim)])

@@ -1,13 +1,12 @@
 """Exact integer and finite-field linear algebra helpers.
 
-The exact and lattice helpers (HNF, Smith form, Bareiss, the F_q
-echelon fq_rref and FqSpan) work on plain Python ints (arbitrary
-precision) or on ring elements supplied by the caller, so results are
-exact; their matrices are lists of lists, rows first.  F_q matrices
-elsewhere are numpy arrays of residues in fq_dtype, and fq_matmul and
-fq_walk are the one F_q product and walk kernel, computing in a dtype
-chosen from n and q so that every product sum is exact (the tiers are
-listed in _product_dtype).
+The exact and lattice helpers (HNF, Smith form, Bareiss) work on plain
+Python ints (arbitrary precision) or on ring elements supplied by the
+caller, so results are exact; their matrices are lists of lists, rows
+first.  F_q matrices are numpy arrays of residues in fq_dtype: fq_matmul
+and fq_walk are the one F_q product and walk kernel, computing in a
+dtype chosen from n and q so that every product sum is exact (the tiers
+are listed in _product_dtype), and fq_rref is the one F_q echelon.
 """
 
 from __future__ import annotations
@@ -33,35 +32,33 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
 
     Returns the canonical basis: pivots positive, entries above each pivot
     reduced into [0, pivot), zero rows dropped, rows ordered by pivot column.
+    Each column is cleared by Euclidean steps: the row with the smallest
+    nonzero entry there reduces the others by division, until one row is
+    left.  Entries stay near the size of the input's, where combining row
+    pairs by their xgcd coefficients can grow them exponentially in the
+    number of columns.
     """
     if not rows:
         return []
-    n = len(rows[0])
     work = [list(r) for r in rows if any(r)]
     basis: list[list[int]] = []
-    for col in range(n):
-        carrier = None
-        rest = []
-        for r in work:
-            if r[col] != 0:
-                if carrier is None:
-                    carrier = r
-                else:
-                    g, x, y = _xgcd(carrier[col], r[col])
-                    a_div = carrier[col] // g
-                    b_div = r[col] // g
-                    new_carrier = [x * u + y * v for u, v in zip(carrier, r)]
-                    new_rest = [b_div * u - a_div * v for u, v in zip(carrier, r)]
-                    carrier = new_carrier
-                    if any(new_rest):
-                        rest.append(new_rest)
-            else:
-                rest.append(r)
-        if carrier is not None:
-            if carrier[col] < 0:
-                carrier = [-u for u in carrier]
-            basis.append(carrier)
-        work = rest
+    for col in range(len(rows[0])):
+        live = [r for r in work if r[col]]
+        work = [r for r in work if not r[col]]
+        while len(live) > 1:
+            piv = min(live, key=lambda r: abs(r[col]))
+            nxt = [piv]
+            for r in live:
+                if r is not piv:
+                    q = r[col] // piv[col]
+                    r = [u - q * v for u, v in zip(r, piv)]
+                    if r[col]:
+                        nxt.append(r)
+                    elif any(r):
+                        work.append(r)
+            live = nxt
+        if live:
+            basis.append(live[0] if live[0][col] > 0 else [-u for u in live[0]])
     # reduce entries above pivots; ascending order keeps earlier pivot
     # columns untouched (row i has zeros left of its pivot)
     for i in range(len(basis)):
@@ -180,32 +177,6 @@ def snf_diagonal(rows: list[list[int]]) -> list[int]:
     return diag
 
 
-def fq_rref(rows: list[list[int]], q: int) -> list[list[int]]:
-    """Reduced row echelon form over F_q; returns the nonzero rows."""
-    mat = [[u % q for u in r] for r in rows]
-    n = len(mat[0]) if mat else 0
-    rank = 0
-    for col in range(n):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], q - 2, q)
-        mat[rank] = [(u * inv) % q for u in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [(u - c * v) % q for u, v in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return [r for r in mat[:rank]]
-
-
 def fq_mat_mul(A, B, q: int):
     """Schoolbook product of two square matrices over F_q, as a tuple of
     rows.  No code here calls it: it is the oracle the tests compare
@@ -287,37 +258,32 @@ def fq_walk(mats, picks, vec, q: int):
     return np.asarray(vectors, dtype=fq_dtype(n, q))
 
 
-def fq_rank(rows: list[list[int]], q: int) -> int:
-    return len(fq_rref(rows, q))
+def fq_rref(rows, q: int):
+    """Reduced row echelon form over F_q of the rows (lists or arrays of
+    integers that fq_dtype(1, q) holds); returns its nonzero rows as an
+    array in that dtype, with no rows for an input with none.
 
-
-class FqSpan:
-    """Incremental span of vectors over F_q (online Gaussian elimination)."""
-
-    def __init__(self, q: int):
-        self.q = q
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    def add(self, vec: list[int]) -> bool:
-        """Insert `vec`; returns True if it enlarged the span."""
-        q = self.q
-        v = [u % q for u in vec]
-        for r, pc in zip(self.rows, self.pivots):
-            if v[pc]:
-                c = v[pc]
-                v = [(u - c * w) % q for u, w in zip(v, r)]
-        piv = next((j for j, u in enumerate(v) if u), None)
-        if piv is None:
-            return False
-        inv = pow(v[piv], q - 2, q)
-        self.rows.append([(u * inv) % q for u in v])
-        self.pivots.append(piv)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    Each update entry is one product of residues reduced mod q, so int64
+    is exact while (q - 1)^2 < 2^63, and Python ints (object) cover
+    larger q.  The pivot row is zero left of its column, so each
+    elimination touches only the columns from it on.
+    """
+    mat = np.atleast_2d(np.array(rows, dtype=fq_dtype(1, q))) % q
+    rank = 0
+    for col in range(mat.shape[1]):
+        below = np.flatnonzero(mat[rank:, col])
+        if not len(below):
+            continue
+        piv = rank + below[0]
+        mat[[rank, piv]] = mat[[piv, rank]]
+        mat[rank, col:] = mat[rank, col:] * pow(int(mat[rank, col]), -1, q) % q
+        hit = np.flatnonzero(mat[:, col])
+        hit = hit[hit != rank]
+        mat[hit, col:] = (mat[hit, col:] - mat[hit, col:col + 1] * mat[rank, col:]) % q
+        rank += 1
+        if rank == len(mat):
+            break
+    return mat[:rank]
 
 
 def bareiss_det(mat: list[list], ring) -> object:

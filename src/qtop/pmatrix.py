@@ -1,9 +1,9 @@
 """Projective matrices over the cyclotomic ring.
 
-A PMatrix is a square matrix of CycElem entries, flagged projective when
-equality should only be tested up to one global invertible scalar (the
-situation for quantum representations, whose anomaly phases we never
-normalize away silently).
+A PMatrix is a square matrix of CycElem entries.  Quantum
+representations are projective, and their anomaly phases are never
+normalized away silently: proj_equal compares two matrices up to one
+global scalar, equal_exact entry by entry.
 
 A factor that is diagonal with every diagonal entry a root of unity
 +-zeta^E (the diagonal twists, and the D of Q D^k Q^-1) multiplies by
@@ -70,15 +70,14 @@ class _Kronecker:
 class PMatrix:
     p: int
     entries: tuple[tuple[CycElem, ...], ...]
-    projective: bool = True
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
     @staticmethod
-    def from_rows(p: int, rows, projective: bool = True) -> "PMatrix":
-        return PMatrix(p, tuple(tuple(r) for r in rows), projective)
+    def from_rows(p: int, rows) -> "PMatrix":
+        return PMatrix(p, tuple(tuple(r) for r in rows))
 
     @staticmethod
     def identity(p: int, n: int) -> "PMatrix":
@@ -120,21 +119,20 @@ class PMatrix:
     def __mul__(self, other: "PMatrix") -> "PMatrix":
         if self.p != other.p or self.n != other.n:
             raise RingUsageError("incompatible matrices")
-        projective = self.projective or other.projective
         left = self._root_diagonal
         if left is not None:  # row i of other times zeta^(E_i)
             out = [[x.mul_root(E) for x in row] for E, row in zip(left, other.entries)]
-            return PMatrix.from_rows(self.p, out, projective)
+            return PMatrix.from_rows(self.p, out)
         right = other._root_diagonal
         if right is not None:  # column j of self times zeta^(E_j)
             out = [[x.mul_root(E) for x, E in zip(row, right)] for row in self.entries]
-            return PMatrix.from_rows(self.p, out, projective)
+            return PMatrix.from_rows(self.p, out)
         (ea, ma), (eb, mb) = self._bound, other._bound
         kron = _Kronecker(self.p, self.n, ma * mb)
         rows = [[kron.pack(x, ea) for x in row] for row in self.entries]
         cols = [[kron.pack(row[j], eb) for row in other.entries] for j in range(self.n)]
         out = [[kron.unpack(sum(map(mul, ra, cb)), ea + eb) for cb in cols] for ra in rows]
-        return PMatrix.from_rows(self.p, out, projective)
+        return PMatrix.from_rows(self.p, out)
 
     def __pow__(self, k: int) -> "PMatrix":
         if k < 0:
@@ -153,9 +151,7 @@ class PMatrix:
             base = base * base
 
     def scale(self, c: CycElem) -> "PMatrix":
-        return PMatrix.from_rows(
-            self.p, [[c * x for x in row] for row in self.entries], self.projective
-        )
+        return PMatrix.from_rows(self.p, [[c * x for x in row] for row in self.entries])
 
     def apply(self, vec: list[CycElem]) -> list[CycElem]:
         """The product M vec: rotations by a root-of-unity diagonal, else
@@ -181,7 +177,6 @@ class PMatrix:
         return PMatrix.from_rows(
             self.p,
             [[self.entries[j][i].conjugate() for j in range(self.n)] for i in range(self.n)],
-            self.projective,
         )
 
     def equal_exact(self, other: "PMatrix") -> bool:
@@ -223,10 +218,3 @@ class PMatrix:
 
     def reduce(self, r: ResidueSpec) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(r.reduce(x) for x in row) for row in self.entries)
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "projective": self.projective,
-            "entries": [[x.to_json() for x in row] for row in self.entries],
-        }

@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclotomic import ResidueSpec, RingUsageError, eta, scalar_ring
-from .linalg import FqSpan, fq_dtype, fq_mat_mul, fq_matmul  # noqa: F401  (fq_mat_mul: kept for bench/tracing.py)
+from .linalg import fq_dtype, fq_mat_mul, fq_matmul, fq_rref  # noqa: F401  (fq_mat_mul: kept for bench/tracing.py)
 from .mcg import TwistWord, WordError
 from .pmatrix import PMatrix
 from .skein import (
@@ -400,10 +400,7 @@ def algebra_span_dim(words, genus: int, p: int, r: ResidueSpec) -> int:
     """
     if r.p != p:
         raise RingUsageError("word and residue spec use different p")
-    span = FqSpan(r.q)
-    for w in words:
-        span.add(rho_array(w, r).ravel().tolist())
-    return span.dim
+    return len(fq_rref([rho_array(w, r).ravel() for w in words], r.q))
 
 
 def fq_projective_order(M, q: int, cap: int = 10000) -> int | None:

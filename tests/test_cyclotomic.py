@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fq_oracles import fq_rref as list_fq_rref
 from qtop import linalg
 from qtop.cyclotomic import (
     CycElem,
@@ -242,6 +243,41 @@ def test_u_minus_one_saturates_to_full():
         index *= next(c for c in r if c)
     assert index > 1 and 5 ** 10 % index == 0  # a nontrivial power of 5
     assert CycIdeal.from_generators([g]).is_full()
+
+
+def saturate_by_elimination(basis, p, dim):
+    """The oracle for _saturate_at_p: while some combination y of the basis
+    rows is 0 mod p (found by eliminating [basis mod p | I] over F_p), add
+    y / p and take the HNF again."""
+    while basis:
+        n = len(basis)
+        aug = [[c % p for c in row] + [int(k == i) for k in range(n)]
+               for i, row in enumerate(basis)]
+        combo = next((r[dim:] for r in list_fq_rref(aug, p) if not any(r[:dim])), None)
+        if combo is None:
+            break
+        y = [sum(c * row[j] for c, row in zip(combo, basis)) for j in range(dim)]
+        basis = linalg.hnf(basis + [[v // p for v in y]])
+    return basis
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_saturation_in_one_hnf_matches_elimination(p):
+    """from_generators saturates with one HNF by the prime-to-p index; its
+    rows equal the elimination loop's on random one- and two-generator
+    ideals, some multiplied by p^k or by (u - 1)^k, whose norm is a p-power."""
+    rng = random.Random(p)
+    deg, u = ring(p).degree, elem_u(p)
+    for trial in range(102):
+        gens = [rand_elem(p, rng) for _ in range(1 + trial % 2)]
+        if trial % 3 == 1:
+            gens[0] = gens[0] * CycElem.from_int(p, p ** rng.randint(1, 2))
+        elif trial % 3 == 2:
+            gens[0] = gens[0] * (u - 1) ** rng.randint(1, 3)
+        rows = [list((CycElem(p, g.coeffs, 0) * CycElem.root_power(p, k)).coeffs)
+                for g in gens for k in range(deg)]
+        expected = saturate_by_elimination(linalg.hnf(rows), p, deg)
+        assert CycIdeal.from_generators(gens).rows == tuple(map(tuple, expected)), trial
 
 
 def test_ideal_contains_zero_and_reflexive_leq():

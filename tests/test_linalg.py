@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fq_oracles import fq_mat_vec
+from fq_oracles import fq_mat_vec, fq_rref as list_fq_rref
 from qtop import linalg
 from qtop.cyclotomic import is_prime
 
@@ -82,6 +82,46 @@ def test_hnf_is_canonical_and_spans():
         assert linalg.hnf(basis) == basis
 
 
+def xgcd_hnf(rows):
+    """HNF by xgcd combinations of row pairs, the oracle for linalg.hnf."""
+    work, basis = [list(r) for r in rows if any(r)], []
+    for col in range(len(rows[0]) if rows else 0):
+        carrier, rest = None, []
+        for r in work:
+            if not r[col]:
+                rest.append(r)
+            elif carrier is None:
+                carrier = r
+            else:
+                g, x, y = linalg._xgcd(carrier[col], r[col])
+                a, b = carrier[col] // g, r[col] // g
+                new_rest = [b * u - a * v for u, v in zip(carrier, r)]
+                carrier = [x * u + y * v for u, v in zip(carrier, r)]
+                if any(new_rest):
+                    rest.append(new_rest)
+        if carrier is not None:
+            basis.append(carrier if carrier[col] > 0 else [-u for u in carrier])
+        work = rest
+    for i, row in enumerate(basis):
+        pc = next(j for j, u in enumerate(row) if u)
+        for k in range(i):
+            q = basis[k][pc] // row[pc]
+            basis[k] = [u - q * v for u, v in zip(basis[k], row)]
+    return basis
+
+
+def test_hnf_matches_xgcd_oracle():
+    """The HNF is unique, so Euclidean column clearing gives the oracle's
+    rows, on full-rank, rank-deficient and tall inputs."""
+    rng = random.Random(3)
+    for _ in range(60):
+        n, m, size = rng.randint(1, 6), rng.randint(1, 9), rng.choice((2, 9, 10 ** 6))
+        rows = [[rng.randint(-size, size) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:  # a row that depends on the others
+            rows.append([sum(r[j] * rng.randint(-3, 3) for r in rows) for j in range(n)])
+        assert linalg.hnf(rows) == xgcd_hnf(rows)
+
+
 def test_hnf_solve_roundtrip():
     rng = random.Random(2)
     for _ in range(30):
@@ -98,13 +138,34 @@ def test_hnf_solve_roundtrip():
 
 
 def test_fq_rank_and_span():
-    assert linalg.fq_rank([[1, 2], [2, 4]], 5) == 1
-    assert linalg.fq_rank([[1, 0], [0, 1]], 5) == 2
-    span = linalg.FqSpan(5)
-    assert span.add([1, 2, 3])
-    assert not span.add([2, 4, 6])
-    assert span.add([0, 1, 0])
-    assert span.dim == 2
+    assert len(linalg.fq_rref([[1, 2], [2, 4]], 5)) == 1
+    assert len(linalg.fq_rref([[1, 0], [0, 1]], 5)) == 2
+    # [2, 4, 6] is twice [1, 2, 3]; [0, 1, 0] enlarges the span
+    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 0]]
+    assert linalg.fq_rref(rows, 5).tolist() == [[1, 0, 3], [0, 1, 0]]
+    assert len(linalg.fq_rref([], 5)) == 0
+
+
+@pytest.mark.parametrize("q", [2, 5, 41, 3037000493, 4294967311])
+def test_fq_rref_matches_list_echelon(q):
+    """Random products A B with A m x r and B r x n have rank at most r;
+    the numpy echelon equals the list oracle's rows, on the int64 tier
+    (3037000493 is the largest prime with (q - 1)^2 < 2^63) and on the
+    object tier (4294967311)."""
+    assert is_prime(q)
+    assert linalg.fq_dtype(1, q) is (np.int64 if q < 4294967311 else object)
+    rng = random.Random(q)
+    for _ in range(40):
+        m, n = rng.randint(1, 12), rng.randint(1, 24)
+        r = rng.randint(0, min(m, n))
+        A = [[rng.randrange(q) for _ in range(r)] for _ in range(m)]
+        B = [[rng.randrange(q) for _ in range(n)] for _ in range(r)]
+        rows = [[sum(a * b[j] for a, b in zip(row, B)) % q for j in range(n)] for row in A]
+        echelon = linalg.fq_rref(rows, q)
+        assert echelon.dtype == linalg.fq_dtype(1, q)
+        assert echelon.tolist() == list_fq_rref(rows, q)
+        assert len(echelon) <= r
+        assert linalg.fq_rref(np.array(rows, dtype=object), q).tolist() == echelon.tolist()
 
 
 def test_bareiss_det_over_integers():

@@ -36,6 +36,7 @@ from qtop.obstruct import (
     vanishes_mod,
 )
 from qtop.rep import genus1_basis, letter_matrix, vacuum_vector
+from qtop.skein import colors, twist
 
 R41 = ResidueSpec.for_primes(5, 41)
 
@@ -53,8 +54,13 @@ def test_lens_spaces_are_very_good():
         assert not rt_closed(LensSurgery(n), 5).is_zero()
 
 
-def test_positive_b1_probe_reports_either_way():
-    assert rt_closed(MappingTorus(1, letter(1, "a")), 5).is_zero() in (True, False)
+def test_positive_b1_mapping_torus_is_the_twist_trace():
+    # the genus-1 letter a acts diagonally, by the twist eigenvalues, so
+    # its mapping torus is their sum over the colors: 1 - zeta^6 at p = 5
+    value = rt_closed(MappingTorus(1, letter(1, "a")), 5)
+    assert not value.is_zero()
+    assert value == sum(twist(5, n) for n in colors(5))
+    assert value == CycElem.one(5) - CycElem.root_power(5, 6)
 
 
 # -- boundary vectors --------------------------------------------------------------
