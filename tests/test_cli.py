@@ -164,9 +164,12 @@ def test_output_file(tmp_path, capsys):
 # projective orders, the sampled hyperplane walk, a certificate whose
 # two-entry nVector comes from boundary_vector_mod, and two genus-2
 # fundamental groups whose words hold inverse twist letters (a mapping
-# torus's DW count and a double's homology).  A change that keeps
-# results must keep these bytes; one that means to change them updates the
-# digests and says which output moved and why.
+# torus's DW count and a double's homology), three homology groups whose
+# invariant factors need the Smith form's gcd/lcm order (a mapping torus
+# with Z^3 + Z/10, a double with Z/6 + Z/6, a connected sum with
+# Z + Z/12), and the JSON DW report of lens:3 that carries tqftValue.
+# A change that keeps results must keep these bytes; one that means to
+# change them updates the digests and says which output moved and why.
 CLI_DIGESTS = {
     "--format text homology --desc lens:5":
         (0, "076304e1afb07bf5ebb64dc1c97fc7909792e2a387a855bf3baa0f8613f966c7"),
@@ -204,6 +207,14 @@ CLI_DIGESTS = {
         (0, "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d"),
     "--format text homology --desc double:(bounded:2:1:c3^-1*c1)":
         (0, "ec39b67830c0c34d71b0b6bf1d1c424eb7caab9222eb401fdaef044cf2145e9b"),
+    "--format text homology --desc mtorus:2:c1^2*c3*c5^-4":
+        (0, "6ef075141e7b360e2a8202f52cf40017861f153dbf073eda8638a9faae091a79"),
+    "--format text homology --desc double:(bounded:2:0:c1^3*c3^2)":
+        (0, "5135d39cb6df4b79bd7b16fb4550d8c4d9219af94e13843169909c1ddabce9fe"),
+    "--format text homology --desc sum:(lens:4),(heegaard:2:c2^2*c3^3*c4^5)":
+        (0, "ec534fecf20062f5a6df483fd7696410a135c2800c997d066f990c7f4a991b21"),
+    "invariant dw --desc lens:3 --group S3":
+        (0, "6ed102043a1fba3634aa0c96e6a933fc8a1cd3909f25c3e0e9ac9f417a235b01"),
 }
 
 
