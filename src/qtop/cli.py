@@ -24,6 +24,7 @@ from .cyclotomic import ResidueSpec, residue_primes
 from .groups import FiniteGroupTable, builtin_group
 from .manifolds import (
     BoundedHeegaard,
+    DescError,
     GroupPresentation,
     desc_from_json,
     dw_invariant,
@@ -157,7 +158,7 @@ def _cmd_invariant_dw(args, config: RunConfig) -> int:
     }
     try:
         doc["tqftValue"] = str(dw_invariant_tqft(desc, G))
-    except Exception:
+    except DescError:  # the TQFT route covers genus-1 descriptions only
         pass
     _emit(config, doc)
     return 0

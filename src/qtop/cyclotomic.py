@@ -651,7 +651,7 @@ class CycIdeal:
             return True
         if self.is_zero:
             return False
-        return linalg.lattice_contains([list(r) for r in self.rows], list(x.coeffs))
+        return linalg.lattice_contains(self.rows, x.coeffs)
 
     def leq(self, other: "CycIdeal") -> bool:
         """Containment self <= other (every basis row of self in other)."""
@@ -661,8 +661,7 @@ class CycIdeal:
             return True
         if other.is_zero:
             return False
-        obasis = [list(r) for r in other.rows]
-        return all(linalg.lattice_contains(obasis, list(r)) for r in self.rows)
+        return all(linalg.lattice_contains(other.rows, r) for r in self.rows)
 
     def __eq__(self, other):
         return (

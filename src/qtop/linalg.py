@@ -1,30 +1,20 @@
 """Exact integer and finite-field linear algebra helpers.
 
-The exact and lattice helpers (HNF, Smith form, Bareiss) work on plain
-Python ints (arbitrary precision) or on ring elements supplied by the
-caller, so results are exact; their matrices are lists of lists, rows
-first.  F_q matrices are numpy arrays of residues in fq_dtype: fq_matmul
-and fq_walk are the one F_q product and walk kernel, computing in a
-dtype chosen from n and q so that every product sum is exact (the tiers
-are listed in _product_dtype), and fq_rref is the one F_q echelon.
+The exact and lattice helpers (HNF, Smith form from alternating HNFs,
+Bareiss) work on plain Python ints (arbitrary precision) or on ring
+elements supplied by the caller, so results are exact; their matrices
+are lists of lists, rows first.  F_q matrices are numpy arrays of
+residues in fq_dtype: fq_matmul and fq_walk are the one F_q product and
+walk kernel, computing in a dtype chosen from n and q so that every
+product sum is exact (the tiers are listed in _product_dtype), and
+fq_rref is the one F_q echelon.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) = a*x + b*y, g >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -71,109 +61,44 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
     return basis
 
 
-def hnf_solve(basis: list[list[int]], target: list[int]) -> list[int] | None:
-    """Express `target` as an integer combination of HNF `basis` rows.
+def lattice_contains(basis: list[list[int]], target) -> bool:
+    """Whether `target` is an integer combination of the HNF `basis` rows.
 
-    Returns the coefficient vector, or None if target is not in the lattice.
+    Back-substitution: each basis row in turn takes its pivot's multiple
+    off target's entry in the pivot column.  Later rows are zero in that
+    column, so target is in the lattice exactly when nothing is left.
     """
-    coeffs = []
     t = list(target)
-    pivots = [next(j for j, u in enumerate(r) if u != 0) for r in basis]
-    for r, pc in zip(basis, pivots):
-        if t[pc] % r[pc] != 0:
-            return None
+    for r in basis:
+        pc = next(j for j, u in enumerate(r) if u)
         q = t[pc] // r[pc]
-        coeffs.append(q)
         if q:
             t = [u - q * v for u, v in zip(t, r)]
-    if any(t):
-        return None
-    return coeffs
-
-
-def lattice_contains(basis: list[list[int]], target: list[int]) -> bool:
-    return hnf_solve(basis, target) is not None
+    return not any(t)
 
 
 def snf_diagonal(rows: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors d1 | d2 | ... of the matrix (Smith form)."""
-    mat = [list(r) for r in rows]
-    if not mat or not mat[0]:
-        return []
-    m, n = len(mat), len(mat[0])
-    diag: list[int] = []
-    top = 0
-    while top < min(m, n):
-        # find a nonzero pivot
-        piv = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if mat[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        mat[top], mat[i0] = mat[i0], mat[top]
-        for r in mat:
-            r[top], r[j0] = r[j0], r[top]
-        while True:
-            # clear column `top`; plain subtraction when the pivot divides,
-            # an xgcd combine otherwise (strictly shrinking the pivot)
-            changed = False
-            for i in range(top + 1, m):
-                v = mat[i][top]
-                if v == 0:
-                    continue
-                piv_val = mat[top][top]
-                if v % piv_val == 0:
-                    qq = v // piv_val
-                    mat[i] = [u - qq * w for u, w in zip(mat[i], mat[top])]
-                else:
-                    g, x, y = _xgcd(piv_val, v)
-                    a_div, b_div = piv_val // g, v // g
-                    r_top, r_i = mat[top], mat[i]
-                    mat[top] = [x * u + y * w for u, w in zip(r_top, r_i)]
-                    mat[i] = [b_div * u - a_div * w for u, w in zip(r_top, r_i)]
-                    changed = True
-            # clear row `top`
-            for j in range(top + 1, n):
-                v = mat[top][j]
-                if v == 0:
-                    continue
-                piv_val = mat[top][top]
-                if v % piv_val == 0:
-                    qq = v // piv_val
-                    for r in mat:
-                        r[j] -= qq * r[top]
-                else:
-                    g, x, y = _xgcd(piv_val, v)
-                    a_div, b_div = piv_val // g, v // g
-                    for r in mat:
-                        u, w = r[top], r[j]
-                        r[top] = x * u + y * w
-                        r[j] = b_div * u - a_div * w
-                    changed = True
-            if not changed and all(mat[i][top] == 0 for i in range(top + 1, m)):
-                break
-        # enforce divisibility d_top | all remaining entries
-        bad = None
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if mat[i][j] % mat[top][top] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            mat[top] = [u + v for u, v in zip(mat[top], mat[bad])]
-            continue
-        d = abs(mat[top][top])
-        if d != 0:
-            diag.append(d)
-        top += 1
+    """Nonzero invariant factors d1 | d2 | ... of the matrix (Smith form).
+
+    Alternates row HNFs of the matrix and of its transpose (Cohen, A Course
+    in Computational Algebraic Number Theory, 2.4) until every row has one
+    nonzero entry: each is a unimodular equivalence, and hnf drops zero
+    rows.  It terminates because the top-left pivot never grows.  After an
+    HNF the first column is (a, 0, ..., 0); the next pivot is the gcd of
+    the first row, so it divides a, and is a itself only when a divides
+    the whole first row.  Then (a, 0, ..., 0) lies in the transpose's row
+    lattice, so by uniqueness it is that HNF's first row: the first row
+    and column split off, and the rest follows by induction.  The diagonal
+    is then put in divisibility order by (d_i, d_j) <- (gcd, lcm), i < j.
+    """
+    mat = hnf(rows)
+    while any(len(r) - r.count(0) > 1 for r in mat):
+        mat = hnf(list(zip(*mat)))
+    diag = [next(u for u in r if u) for r in mat]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
     return diag
 
 

@@ -61,6 +61,8 @@ def enumerate_group(generators, q: int, cap: int = 200_000) -> GroupClosure:
     """
     if cap < 1:
         raise WalkUsageError("cap must be >= 1")
+    if not is_prime(q):
+        raise WalkUsageError("q must be prime")
     gens = [projective_canon(g, q) for g in generators]
     ident = projective_canon(np.eye(len(gens[0]), dtype=np.int64), q)
     seen = {ident}
@@ -164,6 +166,8 @@ def tv_to_uniform(
     """
     if not group.complete:
         raise WalkUsageError("group must be fully enumerated")
+    if not is_prime(q):
+        raise WalkUsageError("q must be prime")
     elements = group.elements
     index = {g: i for i, g in enumerate(elements)}
     N = len(elements)

@@ -40,6 +40,33 @@ def test_invariant_dw_lens_s3(capsys):
     assert code == 0 and out.strip() == "1/2"
 
 
+def test_invariant_dw_tqft_cross_check(capsys, monkeypatch):
+    code, out, _ = run(capsys, "invariant", "dw", "--desc", "lens:3", "--group", "S3")
+    doc = json.loads(out)
+    assert code == 0 and doc["tqftValue"] == doc["value"]
+    # the TQFT route covers genus 1 only: a genus-2 description has no tqftValue
+    code, out, _ = run(
+        capsys, "invariant", "dw", "--desc", "mtorus:2:c2^-1*c3*c4", "--group", "S3"
+    )
+    assert code == 0 and "tqftValue" not in json.loads(out)
+
+    def broken(desc, G):
+        raise RuntimeError("broken TQFT route")
+
+    # any other failure of the cross-check is an error, not a missing field
+    monkeypatch.setattr("qtop.cli.dw_invariant_tqft", broken)
+    code, out, err = run(capsys, "invariant", "dw", "--desc", "lens:3", "--group", "S3")
+    assert code == 2 and out == "" and "error[RuntimeError]" in err
+
+
+def test_walk_mix_refuses_non_prime_q(capsys):
+    for q in ("6", "-5", "4"):
+        code, _, err = run(
+            capsys, "--format", "text", "walk", "mix", "--group", f"psl2:{q}", "--steps", "5"
+        )
+        assert code == 2 and "error[WalkUsageError]" in err
+
+
 def test_invariant_rt_json_roundtrip(capsys):
     code, out, _ = run(capsys, "invariant", "rt", "--desc", "s3", "--p", "5", "--q", "41")
     assert code == 0

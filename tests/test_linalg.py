@@ -38,18 +38,47 @@ def _minors_gcd(mat, k):
     return g
 
 
+def _snf_inputs():
+    # random shapes up to 5 x 6, some with a zero row or column, and two
+    # matrices whose Smith forms need four and five alternating HNFs
+    rng = random.Random(0)
+    for _ in range(80):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        size = rng.choice((5, 60, 10 ** 6))
+        mat = [[rng.randint(-size, size) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:
+            mat[rng.randrange(m)] = [0] * n
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for r in mat:
+                r[j] = 0
+        yield mat
+    yield [[4, 2], [4, -3]]
+    yield [[-2, 2, -1, -4], [3, 3, 4, 0], [4, -4, 0, 4], [-1, -5, 3, 3]]
+
+
 def test_snf_matches_determinantal_divisors():
     # d_1 ... d_k equals the gcd of all k x k minors
-    rng = random.Random(0)
-    for _ in range(60):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+    for mat in _snf_inputs():
+        m, n = len(mat), len(mat[0])
         diag = linalg.snf_diagonal(mat)
         prod = 1
         for k, d in enumerate(diag, start=1):
             prod *= d
             assert prod == _minors_gcd(mat, k)
+        if len(diag) < min(m, n):  # the number of factors is the rank
+            assert _minors_gcd(mat, len(diag) + 1) == 0
         assert all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1))
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[0, 0], [0, 0]]])
+def test_snf_of_no_entries_or_zeros_is_empty(rows):
+    assert linalg.snf_diagonal(rows) == []
+
+
+def test_snf_orders_factors_by_gcd_and_lcm():
+    # the diagonal HNFs leave 4, 6, 10 in place; the Smith form is 2 | 2 | 60
+    assert linalg.snf_diagonal([[4, 0, 0], [0, 6, 0], [0, 0, 10]]) == [2, 2, 60]
 
 
 def test_snf_regression_double_presentation_matrix():
@@ -82,6 +111,19 @@ def test_hnf_is_canonical_and_spans():
         assert linalg.hnf(basis) == basis
 
 
+def _xgcd(a, b):
+    """Return (g, x, y) with g = gcd(a, b) = a*x + b*y, g >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
 def xgcd_hnf(rows):
     """HNF by xgcd combinations of row pairs, the oracle for linalg.hnf."""
     work, basis = [list(r) for r in rows if any(r)], []
@@ -93,7 +135,7 @@ def xgcd_hnf(rows):
             elif carrier is None:
                 carrier = r
             else:
-                g, x, y = linalg._xgcd(carrier[col], r[col])
+                g, x, y = _xgcd(carrier[col], r[col])
                 a, b = carrier[col] // g, r[col] // g
                 new_rest = [b * u - a * v for u, v in zip(carrier, r)]
                 carrier = [x * u + y * v for u, v in zip(carrier, r)]
@@ -122,19 +164,30 @@ def test_hnf_matches_xgcd_oracle():
         assert linalg.hnf(rows) == xgcd_hnf(rows)
 
 
-def test_hnf_solve_roundtrip():
+def test_lattice_contains_combinations_and_not_off_lattice_vectors():
     rng = random.Random(2)
-    for _ in range(30):
-        rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+    shifted = 0
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(1, 5))]
         basis = linalg.hnf(rows)
-        if not basis:
-            continue
         coeffs = [rng.randint(-3, 3) for _ in basis]
-        target = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(3)]
-        sol = linalg.hnf_solve(basis, target)
-        assert sol is not None
-        rebuilt = [sum(c * b[j] for c, b in zip(sol, basis)) for j in range(3)]
-        assert rebuilt == target
+        target = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)]
+        assert linalg.lattice_contains(basis, target)
+        assert linalg.lattice_contains(basis, tuple(target))
+        # s times a unit vector at a pivot column lies in the lattice only
+        # if the pivot divides s, so a shift there by 0 < s < pivot leaves it
+        for b in basis:
+            pc = next(j for j, u in enumerate(b) if u)
+            if b[pc] > 1:
+                off = list(target)
+                off[pc] += rng.randint(1, b[pc] - 1)
+                assert not linalg.lattice_contains(basis, off)
+                shifted += 1
+    assert shifted > 10
+    # a vector outside the span is rejected too
+    assert not linalg.lattice_contains([[1, 0, 0]], [1, 0, 1])
+    assert linalg.lattice_contains([], [0, 0]) and not linalg.lattice_contains([], [0, 1])
 
 
 def test_fq_rank_and_span():

@@ -42,6 +42,16 @@ def test_psl2_f11_order():
     assert closure.complete and closure.count == 660 == psl_order(2, 11)
 
 
+def test_non_prime_q_is_refused():
+    # projective_canon inverts by a Fermat power, which is an inverse only mod a prime
+    for q in (6, 4, -5):
+        with pytest.raises(WalkUsageError, match="q must be prime"):
+            enumerate_group(PSL2_GENS[:2], q)
+    spec = WalkSpec.uniform(PSL2_GENS[:2], 3, 0)
+    with pytest.raises(WalkUsageError, match="q must be prime"):
+        tv_to_uniform(spec, enumerate_group(PSL2_GENS[:2], 5), 6, 3)
+
+
 def test_cap_exceeded_is_typed_outcome():
     out = enumerate_group(PSL2_GENS[:2], 11, cap=10)
     assert out.cap_exceeded and not out.complete
