@@ -3,8 +3,9 @@
 Subcommands: invariant rt | invariant dw | homology | obstruct | fkb |
 walk mix | walk prob | walk montecarlo | rep check.
 
-All reports are JSON (schemaVersion 1) by default; exact rationals and
-cyclotomic coefficients are serialized as strings.  Every random choice
+All reports are JSON by default, each stamped with schemaVersion 1 and
+its command; exact rationals and cyclotomic coefficients are serialized
+as strings.  Every random choice
 flows from an explicit --seed.  The obstruct subcommand exits 0 when
 OBSTRUCTED, 1 when NO_OBSTRUCTION_FOUND, 2 on error.
 """
@@ -13,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,7 @@ from .rep import (
     fq_projective_order,
     hermitian_check,
     rep_dim,
-    rho_array,
+    rho,
     twist_power_matrix,
 )
 from .pmatrix import PMatrix
@@ -61,17 +60,6 @@ class CliError(Exception):
     def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    output: str | None
-    fmt: str
-
-    def __post_init__(self):
-        if self.fmt not in ("json", "csv", "text"):
-            raise CliError("config", f"unknown format {self.fmt!r}")
 
 
 def _load_desc(spec: str):
@@ -104,30 +92,27 @@ def _load_group(spec: str) -> FiniteGroupTable:
         raise CliError("parse", f"bad group {spec!r}: {exc}") from exc
 
 
-def _emit(config: RunConfig, doc: dict, csv_text: str | None = None) -> None:
-    if config.fmt == "csv":
+def _emit(args, doc: dict, csv_text: str | None = None) -> None:
+    """Write a report, stamped with the envelope every JSON report carries."""
+    doc = {**doc, "schemaVersion": 1, "command": args.name}
+    if args.format == "csv":
         if csv_text is None:
             raise CliError("config", "this command has no CSV rendering")
         text = csv_text
-    elif config.fmt == "text":
+    elif args.format == "text":
         text = doc.get("text", json.dumps(doc, sort_keys=True))
     else:
         text = json.dumps(doc, sort_keys=True, indent=2)
-    out = config.output
-    if out is None and "QTOP_OUTPUT_DIR" in os.environ:
-        out = str(Path(os.environ["QTOP_OUTPUT_DIR"]) / f"{config.command.replace(' ', '_')}.out")
-    if out:
-        Path(out).write_text(text + "\n")
+    if args.output:
+        Path(args.output).write_text(text + "\n")
     else:
         print(text)
 
 
-def _cmd_invariant_rt(args, config: RunConfig) -> int:
+def _cmd_invariant_rt(args) -> int:
     desc = _load_desc(args.desc)
     val = rt_closed(desc, args.p)
     doc = {
-        "schemaVersion": 1,
-        "command": "invariant rt",
         "desc": str(desc),
         "p": args.p,
         "value": val.to_json(),
@@ -138,17 +123,15 @@ def _cmd_invariant_rt(args, config: RunConfig) -> int:
     if args.q:
         r = ResidueSpec.for_primes(args.p, args.q)
         doc["qResidue"] = {"q": args.q, "root": r.root, "value": r.reduce(val)}
-    _emit(config, doc)
+    _emit(args, doc)
     return 0
 
 
-def _cmd_invariant_dw(args, config: RunConfig) -> int:
+def _cmd_invariant_dw(args) -> int:
     desc = _load_desc(args.desc)
     G = _load_group(args.group)
     val = dw_invariant(desc, G, budget=args.budget)
     doc = {
-        "schemaVersion": 1,
-        "command": "invariant dw",
         "desc": str(desc),
         "group": G.name,
         "groupOrder": G.order,
@@ -160,12 +143,12 @@ def _cmd_invariant_dw(args, config: RunConfig) -> int:
         doc["tqftValue"] = str(dw_invariant_tqft(desc, G))
     except DescError:  # the TQFT route covers genus-1 descriptions only
         pass
-    _emit(config, doc)
+    _emit(args, doc)
     return 0
 
 
-def _cmd_homology(args, config: RunConfig) -> int:
-    if args.pres:
+def _cmd_homology(args) -> int:
+    if args.pres is not None:
         pres = GroupPresentation.parse(args.pres)
         rank, torsion = homology_h1(pres)
         name = str(pres)
@@ -174,18 +157,16 @@ def _cmd_homology(args, config: RunConfig) -> int:
         rank, torsion = homology_of(desc)
         name = str(desc)
     doc = {
-        "schemaVersion": 1,
-        "command": "homology",
         "input": name,
         "rank": rank,
         "torsion": list(torsion),
         "text": format_homology(rank, torsion),
     }
-    _emit(config, doc)
+    _emit(args, doc)
     return 0
 
 
-def _cmd_obstruct(args, config: RunConfig) -> int:
+def _cmd_obstruct(args) -> int:
     candidate = _load_desc(args.candidate)
     target = _load_desc(args.target)
     qs = [int(tok) for tok in args.q.split(",")] if args.q else None
@@ -201,47 +182,38 @@ def _cmd_obstruct(args, config: RunConfig) -> int:
         candidate = BoundedHeegaard(candidate.genus, candidate.boundary_genus, found.full_word)
     report = obstruct_embedding(candidate, target, args.p, qs)
     doc = report.to_json()
-    doc["command"] = "obstruct"
     doc["text"] = report.verdict
-    _emit(config, doc)
+    _emit(args, doc)
     return 0 if report.verdict == "OBSTRUCTED" else 1
 
 
-def _cmd_fkb(args, config: RunConfig) -> int:
+def _cmd_fkb(args) -> int:
     desc = _load_desc(args.desc)
     if isinstance(desc, BoundedHeegaard):
         rep = fkb_ideal_inner(desc, args.p, args.budget)
         ideal = rep.ideal
         doc = {
-            "schemaVersion": 1,
-            "command": "fkb",
-            "desc": str(desc),
-            "p": args.p,
             "kind": "inner-approximation",
             "budget": rep.budget,
             "stabilized": rep.stabilized,
-            "isFull": ideal.is_full(),
-            "isZero": ideal.is_zero,
-            "latticeIndex": str(ideal.index()),
-            "rows": ideal.to_json()["rows"],
             "text": f"inner FKB ideal at budget {rep.budget}: "
             + ("full" if ideal.is_full() else f"index {ideal.index()}"),
         }
     else:
         ideal = fkb_ideal_closed(desc, args.p)
         doc = {
-            "schemaVersion": 1,
-            "command": "fkb",
-            "desc": str(desc),
-            "p": args.p,
             "kind": "closed",
-            "isFull": ideal.is_full(),
-            "isZero": ideal.is_zero,
-            "latticeIndex": str(ideal.index()),
-            "rows": ideal.to_json()["rows"],
             "text": "full ideal" if ideal.is_full() else f"proper ideal, index {ideal.index()}",
         }
-    _emit(config, doc)
+    doc.update(
+        desc=str(desc),
+        p=args.p,
+        isFull=ideal.is_full(),
+        isZero=ideal.is_zero,
+        latticeIndex=str(ideal.index()),
+        rows=ideal.to_json()["rows"],
+    )
+    _emit(args, doc)
     return 0
 
 
@@ -250,7 +222,7 @@ def _psl2_generators(q: int):
     return tuple(np.array(g) for g in rows)
 
 
-def _cmd_walk_mix(args, config: RunConfig) -> int:
+def _cmd_walk_mix(args) -> int:
     if not args.group.startswith("psl2:"):
         raise CliError("usage", "supported groups: psl2:<q>")
     q = int(args.group.split(":")[1])
@@ -261,20 +233,17 @@ def _cmd_walk_mix(args, config: RunConfig) -> int:
     spec = WalkSpec.uniform(gens, args.steps, args.seed)
     report = tv_to_uniform(spec, closure, q, args.steps, lazy=not args.raw)
     doc = report.to_json()
-    doc["command"] = "walk mix"
     doc["text"] = f"|G| = {report.group_order}, TV({args.steps}) = {float(report.final_tv()):.3e}"
-    _emit(config, doc, csv_text=report.to_csv())
+    _emit(args, doc, csv_text=report.to_csv())
     return 0
 
 
-def _cmd_walk_prob(args, config: RunConfig) -> int:
+def _cmd_walk_prob(args) -> int:
     result = hyperplane_prob(
         args.q, args.n, args.m, args.mode, trials=args.trials, seed=args.seed
     )
     if isinstance(result, dict):
         doc = {
-            "schemaVersion": 1,
-            "command": "walk prob",
             "mode": args.mode,
             "frequency": str(result["frequency"]),
             "radius3sigma": result["radius3sigma"],
@@ -283,18 +252,16 @@ def _cmd_walk_prob(args, config: RunConfig) -> int:
         }
     else:
         doc = {
-            "schemaVersion": 1,
-            "command": "walk prob",
             "mode": args.mode,
             "value": str(result),
             "valueFloat": float(result),
             "text": str(result),
         }
-    _emit(config, doc)
+    _emit(args, doc)
     return 0
 
 
-def _cmd_walk_montecarlo(args, config: RunConfig) -> int:
+def _cmd_walk_montecarlo(args) -> int:
     desc = _load_desc(args.desc)
     if not isinstance(desc, BoundedHeegaard):
         raise CliError("usage", "montecarlo needs a bounded (compression) description")
@@ -304,18 +271,17 @@ def _cmd_walk_montecarlo(args, config: RunConfig) -> int:
     )
     report = montecarlo_vanishing(desc, args.p, r, spec, args.trials)
     doc = report.to_json()
-    doc["command"] = "walk montecarlo"
     doc["text"] = (
         f"frequency {report.frequency} vs exact {report.exact_probability} "
         f"(kernel dim {report.kernel_dim})"
         if report.frequency is not None
         else "no trials"
     )
-    _emit(config, doc)
+    _emit(args, doc)
     return 0
 
 
-def _cmd_rep_check(args, config: RunConfig) -> int:
+def _cmd_rep_check(args) -> int:
     p, genus = args.p, args.genus
     curves = ("a", "b") if genus == 1 else ("c1", "c2", "c3", "c4", "c5", "s")
     mats = {c: twist_power_matrix(genus, p, c, 1) for c in curves}
@@ -348,8 +314,6 @@ def _cmd_rep_check(args, config: RunConfig) -> int:
         hermitian_check(random_word(genus, 6, seed), p) for seed in range(args.words)
     )
     doc = {
-        "schemaVersion": 1,
-        "command": "rep check",
         "genus": genus,
         "p": p,
         "dimension": rep_dim(genus, p),
@@ -364,9 +328,9 @@ def _cmd_rep_check(args, config: RunConfig) -> int:
         span = algebra_span_dim(words, genus, p, r)
         orders = []
         for seed in range(5):
-            M = rho_array(random_word(genus, 10, 1000 + seed), r)
+            M = rho(random_word(genus, 10, 1000 + seed), r)
             orders.append(fq_projective_order(M, args.q, cap=5000))
-        ts = rho_array(parse_word(genus, "s" if genus == 2 else "a"), r)
+        ts = rho(parse_word(genus, "s" if genus == 2 else "a"), r)
         doc["modQ"] = {
             "q": args.q,
             "algebraSpanDim": span,
@@ -376,7 +340,7 @@ def _cmd_rep_check(args, config: RunConfig) -> int:
         }
     ok = braid_ok and commute_ok and torder_ok and herm_ok
     doc["text"] = "all relations hold" if ok else "RELATION FAILURE"
-    _emit(config, doc)
+    _emit(args, doc)
     return 0 if ok else 2
 
 
@@ -403,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     dw.set_defaults(func=_cmd_invariant_dw, name="invariant dw")
 
     hom = sub.add_parser("homology", help="first homology from a presentation")
-    hom.add_argument("--desc")
-    hom.add_argument("--pres", help='e.g. "gens: a b; rel: a b a B A"')
+    hom_input = hom.add_mutually_exclusive_group(required=True)
+    hom_input.add_argument("--desc")
+    hom_input.add_argument("--pres", help='e.g. "gens: a b; rel: a b a B A"')
     hom.set_defaults(func=_cmd_homology, name="homology")
 
     ob = sub.add_parser("obstruct", help="embedding obstruction report")
@@ -466,13 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    config = RunConfig(
-        command=getattr(args, "name", args.command),
-        output=args.output,
-        fmt=args.format,
-    )
     try:
-        return args.func(args, config)
+        return args.func(args)
     except CliError as exc:
         print(f"error[{exc.kind}]: {exc}", file=sys.stderr)
         return 2

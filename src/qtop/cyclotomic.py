@@ -69,11 +69,11 @@ def is_prime(n: int) -> bool:
 class ScalarRing:
     """A ring of scalars for the skein constants and the twist conjugators.
 
-    Subclasses provide p, zero, one, root_power(k) = zeta^k, matrix(rows)
-    and vector(xs) (their dense matrix and vector types: PMatrix and lists
-    of CycElems exactly, read-only numpy arrays over F_q), mat_mul(A, B)
-    and mat_vec(A, v).  The methods below expose element arithmetic to the
-    generic helpers in linalg.
+    Subclasses provide p, zero, one, root_power(k) = zeta^k, matrix(rows),
+    diagonal(xs) and vector(xs) (their dense matrix and vector types:
+    PMatrix and lists of CycElems exactly, read-only numpy arrays over
+    F_q), mat_mul(A, B) and mat_vec(A, v).  The methods below expose
+    element arithmetic to the generic helpers in linalg.
     """
 
     @staticmethod
@@ -159,6 +159,11 @@ class RingSpec(ScalarRing):
         from .pmatrix import PMatrix  # pmatrix imports this module
 
         return PMatrix.from_rows(self.p, rows)
+
+    def diagonal(self, xs):
+        from .pmatrix import PMatrix
+
+        return PMatrix.diagonal(self.p, list(xs))
 
     @staticmethod
     def vector(xs):
@@ -576,6 +581,9 @@ class ResidueSpec(ScalarRing):
 
     def vector(self, xs):
         return _read_only(np.array([x.v for x in xs], dtype=linalg.fq_dtype(len(xs), self.q)))
+
+    def diagonal(self, xs):
+        return _read_only(np.diag(self.vector(xs)))
 
     def mat_mul(self, A, B):
         return _read_only(linalg.fq_matmul(A, B, self.q))

@@ -34,8 +34,8 @@ from .mcg import TwistWord, empty_word, word_in_subgroup, word_product
 from .rep import (
     genus1_basis,
     genus2_basis,
+    rho,
     rho_apply,
-    rho_array,
     vacuum_index,
     vacuum_vector,
 )
@@ -328,10 +328,10 @@ def twist_search(
         certs.append(cw.certificate)
     words = gens + [g.inverse() for g in gens]
     cert_terms = certs + [f"({c})^-1" for c in certs]
-    gen_mats = np.array([rho_array(w, r) for w in words])
+    gen_mats = np.array([rho(w, r) for w in words])
     gen_index = list(range(len(words)))
     e_vac = vacuum_vector(2, r)
-    base_mat = rho_array(base, r)
+    base_mat = rho(base, r)
 
     # empty word first: degenerate setups succeed immediately
     if vanishes(base_mat[:, vacuum_index(2, p)]):

@@ -18,22 +18,21 @@ bridge-connected Hopf pairing into twist eigenvalues and tetrahedral
 coefficients; correctness of the whole assembly is enforced by the braid
 / commutation / Hermitian relation suite rather than by construction.
 
-The S-move and bridge blocks and the conjugators are built over a scalar
-ring R chosen by the caller, as in skein: p for exact PMatrices, a
-ResidueSpec for residue matrices.  Each block comes with its inverse from
-an identity of the move (see _twist_conjugators), so nothing is inverted
-by a general method.  rho multiplies exact letters left to right; a
-diagonal letter (c2, c4, s) enters each product as a rotation of the
-other factor's entries by roots of unity, as does the diagonal D of
-Q D^k Q^-1 in twist_power_matrix (see pmatrix).  Over F_q there is
-one matrix type, the read-only numpy array of a ResidueSpec, from the
-block assembly on: each letter is built in F_q (equal to the reduction
-of the exact letter) and cached once, by _letter_matrix_mod, and
-rho_array multiplies letters by linalg.fq_matmul.  rho_mod is the list
-edge for output, the same product as a tuple of rows of ints.  rho_apply
-carries a vector right to left through the letters over either ring, one
-matrix-vector product per letter, for callers that read a single column
-such as the vacuum column.
+The S-move and bridge blocks, the conjugators and the representation
+itself are built over a scalar ring R chosen by the caller, as in skein:
+p for exact PMatrices, a ResidueSpec for read-only numpy arrays of
+residues.  Each block comes with its inverse from an identity of the move
+(see _twist_conjugators), so nothing is inverted by a general method.
+twist_power_matrix is the one letter formula, Q D^k Q^-1, and rho(word, R)
+the one product of the cached letters, left to right, over either ring.
+Exactly, a diagonal letter (c2, c4, s) and the diagonal D enter each
+product as a rotation of the other factor's entries by roots of unity
+(see pmatrix); over F_q the letters (equal to the reductions of the exact
+ones) multiply by linalg.fq_matmul.  rho_mod is the list edge for output,
+rho(word, r) as a tuple of rows of ints.  rho_apply carries a vector
+right to left through the letters over either ring, one matrix-vector
+product per letter, for callers that read a single column such as the
+vacuum column.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclotomic import ResidueSpec, RingUsageError, eta, scalar_ring
-from .linalg import fq_dtype, fq_mat_mul, fq_matmul, fq_rref  # noqa: F401  (fq_mat_mul: kept for bench/tracing.py)
+from .linalg import fq_mat_mul, fq_matmul, fq_rref  # noqa: F401  (fq_mat_mul: kept for bench/tracing.py)
 from .mcg import TwistWord, WordError
 from .pmatrix import PMatrix
 from .skein import (
@@ -259,14 +258,15 @@ def _twist_conjugators(genus: int, R, curve: str):
     raise WordError(f"unknown genus-2 curve {curve!r}")
 
 
-def twist_power_matrix(genus: int, p: int, curve: str, k: int) -> PMatrix:
-    """Exact matrix of t_curve^k; t^p is the exact identity."""
-    Q, Qinv, diag = _twist_conjugators(genus, p, curve)
-    d = [x ** k for x in diag] if k >= 0 else [x.inv() ** (-k) for x in diag]
-    D = PMatrix.diagonal(p, d)
+def twist_power_matrix(genus: int, R, curve: str, k: int):
+    """Matrix of t_curve^k over R, Q D^k Q^{-1} from the conjugators, or
+    D^k for a diagonal twist; t^p is the exact identity."""
+    S = scalar_ring(R)
+    Q, Qinv, diag = _twist_conjugators(genus, R, curve)
+    D = S.diagonal([x ** k for x in diag])
     if Q is None:
         return D
-    return Q * D * Qinv
+    return S.mat_mul(S.mat_mul(Q, D), Qinv)
 
 
 @lru_cache(maxsize=None)
@@ -274,14 +274,29 @@ def _letter_matrix(genus: int, p: int, curve: str, k: int) -> PMatrix:
     return twist_power_matrix(genus, p, curve, k)
 
 
-def rho(word: TwistWord, p: int) -> PMatrix:
-    """The quantum representation: product of twist-power matrices."""
+@lru_cache(maxsize=None)
+def _letter_matrix_mod(genus: int, curve: str, k: int, r: ResidueSpec) -> np.ndarray:
+    return twist_power_matrix(genus, r, curve, k)
+
+
+def letter_matrix(genus: int, R, curve: str, k: int):
+    """The cached matrix of t_curve^k over R: exact for R = p, in F_q for a
+    ResidueSpec."""
+    if isinstance(R, ResidueSpec):
+        return _letter_matrix_mod(genus, curve, k, R)
+    return _letter_matrix(genus, R, curve, k)
+
+
+def rho(word: TwistWord, R):
+    """The quantum representation over R: the product of the cached
+    twist-power letters, left to right."""
+    S = scalar_ring(R)
     if not word.letters:
-        return PMatrix.identity(p, rep_dim(word.genus, p))
+        return S.diagonal([S.one] * rep_dim(word.genus, S.p))
     (curve, exp), *rest = word.letters
-    out = _letter_matrix(word.genus, p, curve, exp)
+    out = letter_matrix(word.genus, R, curve, exp)
     for curve, exp in rest:
-        out = out * _letter_matrix(word.genus, p, curve, exp)
+        out = S.mat_mul(out, letter_matrix(word.genus, R, curve, exp))
     return out
 
 
@@ -295,53 +310,16 @@ def fq_is_scalar(M, q: int) -> bool:
     return bool(d % q) and np.array_equal(M, d * np.eye(len(M), dtype=M.dtype))
 
 
-@lru_cache(maxsize=None)
-def _letter_matrix_mod(genus: int, p: int, curve: str, k: int, r: ResidueSpec) -> np.ndarray:
-    """Mod-J matrix of t_curve^k, a read-only array in linalg.fq_dtype:
-    (Q D^k) Q^{-1} from the conjugators over F_q, or D^k for a diagonal
-    twist."""
-    if r.p != p:
-        raise RingUsageError("word and residue spec use different p")
-    Q, Qinv, diag = _twist_conjugators(genus, r, curve)
-    dk = r.vector([d ** k for d in diag])
-    if Q is not None:
-        return r.mat_mul(Q * dk % r.q, Qinv)  # dk scales the columns of Q
-    out = np.diag(dk)
-    out.setflags(write=False)
-    return out
-
-
-def rho_array(word: TwistWord, r: ResidueSpec) -> np.ndarray:
-    """rho(word) mod J as a numpy array: the product of the cached F_q
-    letters by linalg.fq_matmul, in the dtype of linalg.fq_dtype."""
-    if not word.letters:
-        n = rep_dim(word.genus, r.p)
-        return np.eye(n, dtype=fq_dtype(n, r.q))
-    (curve, exp), *rest = word.letters
-    out = _letter_matrix_mod(word.genus, r.p, curve, exp, r)
-    for curve, exp in rest:
-        out = fq_matmul(out, _letter_matrix_mod(word.genus, r.p, curve, exp, r), r.q)
-    return out
-
-
 def rho_mod(word: TwistWord, p: int, r: ResidueSpec):
-    """rho(word) mod J, computed in F_q, as a tuple of rows of ints: the
-    list edge of rho_array for output.  Equal to the entrywise reduction
-    of rho(word) and functorial on the nose."""
+    """rho(word, r) as a tuple of rows of ints: the list edge for output.
+    Equal to the entrywise reduction of rho(word, p) and functorial on the
+    nose."""
     if r.p != p:
         raise RingUsageError("word and residue spec use different p")
-    return tuple(map(tuple, rho_array(word, r).tolist()))
+    return tuple(map(tuple, rho(word, r).tolist()))
 
 
 # -- one column: vectors carried through the letters ------------------------
-
-
-def letter_matrix(genus: int, R, curve: str, k: int):
-    """The cached matrix of t_curve^k over R: exact for R = p, in F_q for a
-    ResidueSpec."""
-    if isinstance(R, ResidueSpec):
-        return _letter_matrix_mod(genus, R.p, curve, k, R)
-    return _letter_matrix(genus, R, curve, k)
 
 
 def vacuum_vector(genus: int, R):
@@ -393,14 +371,14 @@ def hermitian_check(word: TwistWord, p: int) -> bool:
 
 
 def algebra_span_dim(words, genus: int, p: int, r: ResidueSpec) -> int:
-    """Dimension over F_q of the matrix algebra spanned by rho_array(words).
+    """Dimension over F_q of the matrix algebra spanned by rho(words, r).
 
     d^2 certifies irreducibility of the generated subgroup (Burnside);
     reported as surjectivity evidence, never as proof.
     """
     if r.p != p:
         raise RingUsageError("word and residue spec use different p")
-    return len(fq_rref([rho_array(w, r).ravel() for w in words], r.q))
+    return len(fq_rref([rho(w, r).ravel() for w in words], r.q))
 
 
 def fq_projective_order(M, q: int, cap: int = 10000) -> int | None:

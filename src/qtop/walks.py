@@ -21,7 +21,7 @@ from .linalg import fq_dtype, fq_matmul, fq_walk
 from .manifolds import BoundedHeegaard
 from .mcg import word_in_subgroup
 from .obstruct import surviving_indices
-from .rep import rep_dim, rho_array, vacuum_index, vacuum_vector
+from .rep import rep_dim, rho, vacuum_index, vacuum_vector
 
 
 class WalkUsageError(ValueError):
@@ -120,6 +120,8 @@ class WalkSpec:
             raise WalkUsageError("weights must be positive")
         if sum(self.weights, Fraction(0)) != 1:
             raise WalkUsageError("weights must sum to 1")
+        if self.length < 0:
+            raise WalkUsageError("walk length must be >= 0")
 
     @staticmethod
     def uniform(generators, length: int, seed: int) -> "WalkSpec":
@@ -168,6 +170,8 @@ def tv_to_uniform(
         raise WalkUsageError("group must be fully enumerated")
     if not is_prime(q):
         raise WalkUsageError("q must be prime")
+    if steps < 0:
+        raise WalkUsageError("steps must be >= 0")
     elements = group.elements
     index = {g: i for i, g in enumerate(elements)}
     N = len(elements)
@@ -335,6 +339,8 @@ def montecarlo_vanishing(
     linalg.fq_matmul applies the base word's matrix.  Both compute exactly
     in the dtype linalg._product_dtype picks from dim and q.
     """
+    if trials < 0:
+        raise WalkUsageError("trials must be >= 0")
     q = r.q
     keep = surviving_indices(p, desc.boundary_genus)
     dim = rep_dim(2, p)
@@ -343,7 +349,7 @@ def montecarlo_vanishing(
     bound = Fraction(q ** (dim - (1 if desc.boundary_genus == 0 else rep_dim(1, p))) - 1, q ** dim - 1)
 
     vac = vacuum_index(2, p)
-    base = rho_array(desc.word, r)
+    base = rho(desc.word, r)
     if np.all(base[:, vac] % q == 0):
         raise WalkUsageError("handlebody vector is zero mod J: degenerate setup")
 
@@ -352,7 +358,7 @@ def montecarlo_vanishing(
             0, 0, None, None, None, kdim, dim, exact, bound, walkspec.length, walkspec.seed
         )
 
-    gen_mats = np.array([rho_array(w, r) for w in walkspec.generators])
+    gen_mats = np.array([rho(w, r) for w in walkspec.generators])
     weights = np.array([float(w) for w in walkspec.weights])
     weights = weights / weights.sum()
     rng = np.random.default_rng(walkspec.seed)

@@ -25,6 +25,28 @@ def test_homology_presentation_input(capsys):
     assert code == 0 and out.strip() == "Z/3"
 
 
+def test_homology_needs_exactly_one_input(capsys):
+    for argv in (
+        ("homology", "--desc", "lens:3", "--pres", "gens: a; rel: a a a a a"),
+        ("homology",),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "text", *argv])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert "--desc" in out.err and "--pres" in out.err
+
+
+def test_walk_lab_refuses_negative_sizes(capsys):
+    for argv in (
+        ("walk", "mix", "--group", "psl2:5", "--steps", "-3"),
+        ("walk", "montecarlo", "--desc", "bounded:2:0:1", "--p", "5", "--q", "41", "--d", "-1"),
+        ("walk", "montecarlo", "--desc", "bounded:2:0:1", "--p", "5", "--q", "41", "--trials", "-3"),
+    ):
+        code, out, err = run(capsys, "--format", "text", *argv)
+        assert code == 2 and out == "" and err.startswith("error[WalkUsageError]"), argv
+
+
 def test_walk_prob_enumerate(capsys):
     code, out, _ = run(
         capsys, "--format", "text", "walk", "prob", "--q", "3", "--n", "2", "--m", "1",
@@ -194,7 +216,10 @@ def test_output_file(tmp_path, capsys):
 # torus's DW count and a double's homology), three homology groups whose
 # invariant factors need the Smith form's gcd/lcm order (a mapping torus
 # with Z^3 + Z/10, a double with Z/6 + Z/6, a connected sum with
-# Z + Z/12), and the JSON DW report of lens:3 that carries tqftValue.
+# Z + Z/12), the JSON DW report of lens:3 that carries tqftValue, and
+# the JSON reports of homology (lens:5), the closed FKB ideal (s3), walk
+# prob in enumerate and sample mode and walk mix, whose schemaVersion
+# and command fields are stamped by one report envelope.
 # A change that keeps results must keep these bytes; one that means to
 # change them updates the digests and says which output moved and why.
 CLI_DIGESTS = {
@@ -242,6 +267,16 @@ CLI_DIGESTS = {
         (0, "ec534fecf20062f5a6df483fd7696410a135c2800c997d066f990c7f4a991b21"),
     "invariant dw --desc lens:3 --group S3":
         (0, "6ed102043a1fba3634aa0c96e6a933fc8a1cd3909f25c3e0e9ac9f417a235b01"),
+    "homology --desc lens:5":
+        (0, "265136b0797e264677c7cb91227ae6bf9f0275e3f933d3e68de17f209f4859a4"),
+    "fkb --desc s3 --p 5":
+        (0, "dadd43a8646081c3c675a36a9c4a6620332ffbc6ff8884a8f1087a1929cdd79c"),
+    "walk prob --q 3 --n 2 --m 1 --mode enumerate":
+        (0, "b22d8c85b1b4c5284525108c9d4ee53530c453cd9d620b0386c344129c587e31"),
+    "walk prob --q 3 --n 3 --m 1 --mode sample --trials 500 --seed 3":
+        (0, "52e19db5a29d446262125483c8267ee588468b390a53c4f8d89c39f90891f6f1"),
+    "walk mix --group psl2:5 --steps 20":
+        (0, "11572a3820b2d97c27b8f12b758ba55a8a05ac6ace6a2e05664497b14d343411"),
 }
 
 

@@ -27,7 +27,6 @@ from qtop.rep import (
     rep_dim,
     rho,
     rho_apply,
-    rho_array,
     rho_mod,
     twist_power_matrix,
     vacuum_index,
@@ -173,7 +172,7 @@ def test_reduction_compatibility():
                 for c in names:
                     for k in (1, -1, 2, -3):
                         exact = twist_power_matrix(genus, p, c, k).reduce(r)
-                        assert np.array_equal(_letter_matrix_mod(genus, p, c, k, r), exact), (p, r, c, k)
+                        assert np.array_equal(_letter_matrix_mod(genus, c, k, r), exact), (p, r, c, k)
             for seed in range(3):
                 w = random_word(2, 6, seed)
                 assert rho(w, p).reduce(r) == rho_mod(w, p, r)
@@ -276,15 +275,17 @@ def test_rho_apply_is_a_column_of_rho(p, genus, data):
 
 
 @pytest.mark.parametrize("r, dtype", [(R41, np.int64), (ResidueSpec(5, 3000000361, 2562159243), object)])
-def test_rho_array_letters_are_cached_read_only(r, dtype):
+def test_rho_over_fq_is_read_only_with_cached_letters(r, dtype):
     word = parse_word(2, "c1*c3^-1*s^2")
-    M = rho_array(word, r)
+    M = rho(word, r)
     assert M.dtype == dtype and M.tolist() == [list(row) for row in rho_mod(word, 5, r)]
-    single = rho_array(letter(2, "c3", -1), r)
-    assert single is rho_array(letter(2, "c3", -1), r)  # the cached letter itself
-    with pytest.raises(ValueError):
-        single[0, 0] = 1
-    assert rho_array(empty_word(2), r).tolist() == [[int(i == j) for j in range(5)] for i in range(5)]
+    single = rho(letter(2, "c3", -1), r)
+    assert single is rho(letter(2, "c3", -1), r)  # the cached letter itself
+    identity = rho(empty_word(2), r)
+    assert identity.dtype == dtype and identity.tolist() == [[int(i == j) for j in range(5)] for i in range(5)]
+    for A in (M, single, identity, twist_power_matrix(2, r, "s", 2)):
+        with pytest.raises(ValueError):
+            A[0, 0] = 1
 
 
 @pytest.mark.parametrize(
@@ -292,7 +293,7 @@ def test_rho_array_letters_are_cached_read_only(r, dtype):
 )
 def test_fq_kernel_inputs_are_residues(r):
     # linalg._product_dtype's float tiers are exact only for inputs in [0, q):
-    # the conjugators and their factors, the letters and rho_array products
+    # the conjugators and their factors, the letters and rho products
     q = r.q
 
     def residues(M):
@@ -303,13 +304,13 @@ def test_fq_kernel_inputs_are_residues(r):
             Q, Qinv, _diag = _twist_conjugators(genus, r, curve)
             assert Q is None or residues(Q) and residues(Qinv)
             for k in (-2, -1, 1, 2):
-                M = _letter_matrix_mod(genus, r.p, curve, k, r)
+                M = _letter_matrix_mod(genus, curve, k, r)
                 assert residues(M)
-                assert residues(rho_array(letter(genus, curve, k), r))
+                assert residues(rho(letter(genus, curve, k), r))
     for factor in (_left_s_operator, _right_s_operator, _bridge_f_matrix):
         assert all(residues(M) for M in factor(r))
     for word in default_subgroup_walk(r.p, 1, 42).generators + (parse_word(2, "c1*c3^-1*s^2"),):
-        assert residues(rho_array(word, r))
+        assert residues(rho(word, r))
 
 
 def test_rho_mod_empty_word():

@@ -9,7 +9,7 @@ from qtop.manifolds import BoundedHeegaard
 from qtop.mcg import empty_word, parse_word
 from qtop.obstruct import surviving_indices
 from qtop.linalg import fq_walk
-from qtop.rep import fq_mat_mul, rho_array, rho_mod, vacuum_index, vacuum_vector
+from qtop.rep import fq_mat_mul, rho, rho_mod, vacuum_index, vacuum_vector
 from qtop.walks import (
     WalkSpec,
     WalkUsageError,
@@ -91,6 +91,22 @@ def test_walkspec_validation():
         WalkSpec((), (), 5, 0)
     with pytest.raises(WalkUsageError):
         WalkSpec(PSL2_GENS[:2], (Fraction(1, 2), Fraction(1, 3)), 5, 0)
+    with pytest.raises(WalkUsageError, match="walk length must be >= 0"):
+        WalkSpec.uniform(PSL2_GENS, -1, 0)
+
+
+def test_negative_walk_sizes_are_refused():
+    closure = enumerate_group(PSL2_GENS[:2], 5)
+    with pytest.raises(WalkUsageError, match="steps must be >= 0"):
+        tv_to_uniform(WalkSpec.uniform(PSL2_GENS, 3, 0), closure, 5, -3)
+    with pytest.raises(WalkUsageError, match="walk length must be >= 0"):
+        default_subgroup_walk(5, -4, 1)
+    desc = BoundedHeegaard(2, 0, empty_word(2))
+    with pytest.raises(WalkUsageError, match="trials must be >= 0"):
+        montecarlo_vanishing(desc, 5, R41, default_subgroup_walk(5, 10, 1), -3)
+    # length 0 and zero trials stay valid
+    assert tv_to_uniform(WalkSpec.uniform(PSL2_GENS, 0, 0), closure, 5, 0).tv == (Fraction(59, 60),)
+    assert montecarlo_vanishing(desc, 5, R41, default_subgroup_walk(5, 0, 1), 0).trials == 0
 
 
 def test_mixing_csv_export():
@@ -256,13 +272,13 @@ def test_montecarlo_p11_matches_the_gather_einsum_walk():
     p, r, trials = 11, ResidueSpec.for_primes(11, 89), 64
     desc = BoundedHeegaard(2, 0, parse_word(2, "c1*c3"))
     spec = default_subgroup_walk(p, 100, 1)
-    gen_mats = np.array([rho_array(w, r) for w in spec.generators])
+    gen_mats = np.array([rho(w, r) for w in spec.generators])
     weights = [float(w) for w in spec.weights]
     picks = np.random.default_rng(spec.seed).choice(len(gen_mats), size=(trials, spec.length), p=weights)
     e_vac = vacuum_vector(2, r)
     rows = _gather_einsum_walk(gen_mats, picks, e_vac, r.q)
     assert np.array_equal(fq_walk(gen_mats, picks, e_vac, r.q), rows)
-    columns = rows @ rho_array(desc.word, r).T % r.q
+    columns = rows @ rho(desc.word, r).T % r.q
     hits = int(np.all(columns[:, list(surviving_indices(p, 0))] == 0, axis=1).sum())
     assert montecarlo_vanishing(desc, p, r, spec, trials).hits == hits == 3
 
