@@ -283,6 +283,8 @@ def _cmd_walk_montecarlo(args) -> int:
 
 def _cmd_rep_check(args) -> int:
     p, genus = args.p, args.genus
+    if args.words < 1:
+        raise CliError("usage", "--words must be >= 1")
     curves = ("a", "b") if genus == 1 else ("c1", "c2", "c3", "c4", "c5", "s")
     mats = {c: twist_power_matrix(genus, p, c, 1) for c in curves}
     braid_pairs = (

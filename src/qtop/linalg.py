@@ -148,8 +148,8 @@ def _residues(x, q: int):
 
 
 def fq_matmul(a, b, q: int):
-    """a @ b mod q for a 2-D a and a 2-D or 1-D b, arrays (or nested
-    sequences) of residues in [0, q).
+    """a @ b mod q for a 2-D a, or a stack of matrices, and a 2-D or 1-D
+    b, arrays (or nested sequences) of residues in [0, q).
 
     The product runs in _product_dtype(n, q) (n = len(b), the inner
     dimension); the result is a numpy array in fq_dtype(n, q).

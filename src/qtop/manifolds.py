@@ -184,6 +184,10 @@ class BoundedHeegaard:
 class Double:
     half: BoundedHeegaard
 
+    def __post_init__(self):
+        if not isinstance(self.half, BoundedHeegaard):
+            raise DescError("double requires a bounded piece")
+
     def __str__(self):
         return f"double:({self.half})"
 
@@ -217,10 +221,7 @@ def parse_desc(text: str) -> ManifoldDesc:
         parts = _split_parenthesized(text[7:])
         if len(parts) != 1:
             raise DescError(f"double needs one parenthesized piece: {text!r}")
-        half = parse_desc(parts[0])
-        if not isinstance(half, BoundedHeegaard):
-            raise DescError("double requires a bounded piece")
-        return Double(half)
+        return Double(parse_desc(parts[0]))
     head, _, rest = text.partition(":")
     if head == "lens":
         return LensSurgery(int(rest))
@@ -290,8 +291,7 @@ def desc_from_json(doc: dict) -> ManifoldDesc:
     if kind == "sum":
         return ConnectedSum(desc_from_json(doc["left"]), desc_from_json(doc["right"]))
     if kind == "double":
-        half = desc_from_json(doc["half"])
-        return Double(half)
+        return Double(desc_from_json(doc["half"]))
     if kind == "bounded":
         g = int(doc["genus"])
         return BoundedHeegaard(g, int(doc["boundaryGenus"]), parse_word(g, doc["word"]))
@@ -563,9 +563,6 @@ class DwTorusTheory:
         self.canon = canon
         self.classes = classes
         self.class_index = {c: i for i, c in enumerate(classes)}
-        self.class_size = [0] * len(classes)
-        for pr in pairs:
-            self.class_size[self.class_index[canon[pr]]] += 1
 
     def dim(self) -> int:
         return len(self.classes)

@@ -390,15 +390,14 @@ def _base_letter(rng: random.Random, n: int, conj_len: int) -> tuple[TwistWord, 
     return base, cert
 
 
-def word_in_subgroup(n: int, k: int, seed: int, genus: int = 2) -> CertifiedWord:
-    """A word certified by construction to lie in Gamma_k I cap T_n.
+def word_in_subgroup(n: int, k: int, seed: int) -> CertifiedWord:
+    """A genus-2 word certified by construction to lie in Gamma_k I cap T_n
+    (the genus-1 Torelli group is trivial).
 
     Base letters are n-th powers of conjugated separating twists (members
     of I cap T_n); depth-k left-nested commutators of such letters land in
-    Gamma_k I cap T_n.  Genus 1 is rejected: its Torelli group is trivial.
+    Gamma_k I cap T_n.
     """
-    if genus != 2:
-        raise WordError("only genus 2 supported: the genus-1 Torelli group is trivial")
     if n < 1 or k < 1:
         raise WordError("need n >= 1 and k >= 1")
     rng = random.Random(seed)
@@ -413,10 +412,10 @@ def word_in_subgroup(n: int, k: int, seed: int, genus: int = 2) -> CertifiedWord
     return result
 
 
-def random_word(genus: int, length: int, seed: int, curves=None) -> TwistWord:
+def random_word(genus: int, length: int, seed: int) -> TwistWord:
     """Uniform random word of the given letter length (for sampling)."""
     rng = random.Random(seed)
-    pool = tuple(curves) if curves is not None else GENUS_CURVES[genus]
+    pool = GENUS_CURVES[genus]
     w = TwistWord(genus)
     for _ in range(length):
         w = w * letter(genus, rng.choice(pool), rng.choice((1, -1)))

@@ -271,6 +271,9 @@ def rederive_report(report: ObstructionReport) -> bool:
 
 # samples twist_search draws and walks together; results do not depend on it
 SEARCH_BATCH = 32
+# steps per twist_search sample; certified subgroup words drawn (each also inverted)
+SEARCH_WALK_LENGTH = 48
+SEARCH_GENERATORS = 6
 
 
 @dataclass(frozen=True)
@@ -295,13 +298,11 @@ def twist_search(
     seed: int = 0,
     n: int = 3,
     k: int = 1,
-    walk_length: int = 48,
-    generator_count: int = 6,
 ) -> TwistSearchResult:
     """Search Gamma_k I cap T_n for f with vanishing compressed vector mod J.
 
     Samples products of certified subgroup generators; each sample is a
-    fresh walk of `walk_length` steps whose picks come from one
+    fresh walk of SEARCH_WALK_LENGTH steps whose picks come from one
     random.Random(seed).  Only the vacuum column of rho(base f) is read,
     so the samples are drawn in batches of SEARCH_BATCH, and
     linalg.fq_walk (the walk kernel montecarlo_vanishing shares) carries
@@ -322,7 +323,7 @@ def twist_search(
 
     gens = []
     certs = []
-    for j in range(generator_count):
+    for j in range(SEARCH_GENERATORS):
         cw = word_in_subgroup(n, k, seed * 1009 + j + 1)
         gens.append(cw.word)
         certs.append(cw.certificate)
@@ -340,8 +341,8 @@ def twist_search(
     images = set()
     for start in range(0, budget, SEARCH_BATCH):
         size = min(SEARCH_BATCH, budget - start)
-        picks = [[rng.choice(gen_index) for _ in range(walk_length)] for _ in range(size)]
-        index = np.array(picks, dtype=np.intp).reshape(size, walk_length)
+        picks = [[rng.choice(gen_index) for _ in range(SEARCH_WALK_LENGTH)] for _ in range(size)]
+        index = np.array(picks, dtype=np.intp).reshape(size, SEARCH_WALK_LENGTH)
         rows = fq_matmul(fq_walk(gen_mats, index, e_vac, r.q), base_mat.T, r.q)
         for offset, vec in enumerate(rows.tolist()):
             images.add(tuple(vec))

@@ -1,8 +1,9 @@
 """Random walks, exact mixing, hyperplane hitting, and the Monte Carlo
 reproduction of the non-embedding probability bound.
 
-Exact distributions are vectors of Fractions over an enumerated finite
-matrix group; Monte Carlo trials carry a batch of vacuum vectors through
+A finite matrix group is one sorted array of canonical forms; its exact
+walk laws are integer numerators over one common denominator, indexed by
+its rows.  Monte Carlo trials carry a batch of vacuum vectors through
 mod-q generator matrices, with all randomness drawn up front from one
 seed, so results do not depend on how trials are scheduled.
 """
@@ -31,52 +32,54 @@ class WalkUsageError(ValueError):
 # -- finite matrix groups over F_q -------------------------------------------
 
 
-def projective_canon(mat, q: int):
-    """Scale a matrix over F_q so its first nonzero entry is 1 (PGL canon),
-    as a tuple of rows of ints: the hashable key of its projective class."""
-    rows = (np.asarray(mat, dtype=fq_dtype(len(mat), q)) % q).tolist()
-    lead = next((x for row in rows for x in row if x), None)
-    if lead is None:
+def projective_canon(mats, q: int):
+    """Scale each matrix of a (k, n, n) stack over F_q so its first nonzero
+    entry is 1 (the PGL canon), as int64 residues.
+
+    Computed in fq_dtype(1, q), so the scaling is exact for every q < 2^63;
+    one Fermat inverse per distinct leading entry, no table of size q.
+    """
+    dtype = fq_dtype(1, q)
+    mats = np.asarray(mats, dtype=dtype) % q
+    flat = mats.reshape(len(mats), -1)
+    lead = flat[np.arange(len(flat)), (flat != 0).argmax(axis=1)]  # 0 only for a zero matrix
+    if not lead.all():
         raise WalkUsageError("zero matrix is not a group element")
-    inv = pow(lead, q - 2, q)
-    return tuple(tuple(x * inv % q for x in row) for row in rows)
+    values, where = np.unique(lead, return_inverse=True)
+    inv = np.array([pow(int(x), q - 2, q) for x in values], dtype=dtype)
+    return (flat * inv[where.ravel(), None] % q).astype(np.int64).reshape(mats.shape)
 
 
 @dataclass(frozen=True)
 class GroupClosure:
-    elements: tuple
+    """elements: one lexicographically sorted (count, n, n) int64 array of canonical forms."""
+
+    elements: np.ndarray
     complete: bool
     count: int
 
-    @property
-    def cap_exceeded(self) -> bool:
-        return not self.complete
-
 
 def enumerate_group(generators, q: int, cap: int = 200_000) -> GroupClosure:
-    """Projective closure of matrix generators over F_q (BFS), capped.
+    """Projective closure of matrix generators over F_q, capped.
 
-    Returns the full element list when the closure fits under the cap;
-    otherwise a CAP_EXCEEDED outcome carrying the partial count.
+    Breadth first by rounds: each round multiplies the whole frontier by
+    each generator and merges the images into the known elements with one
+    sort, whose first occurrences past the known rows are the next
+    frontier.  Past the cap the outcome is incomplete, with count cap + 1.
     """
     if cap < 1:
         raise WalkUsageError("cap must be >= 1")
     if not is_prime(q):
         raise WalkUsageError("q must be prime")
-    gens = [projective_canon(g, q) for g in generators]
-    ident = projective_canon(np.eye(len(gens[0]), dtype=np.int64), q)
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        cur = queue.pop()
-        for g in gens:
-            nxt = projective_canon(fq_matmul(cur, g, q), q)
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    return GroupClosure(tuple(), False, len(seen) + 1)
-                seen.add(nxt)
-                queue.append(nxt)
-    return GroupClosure(tuple(sorted(seen)), True, len(seen))
+    gens = projective_canon(generators, q)
+    known = frontier = np.eye(gens.shape[1], dtype=np.int64)[None]  # already canonical
+    while len(frontier):
+        images = projective_canon(np.concatenate([fq_matmul(frontier, g, q) for g in gens]), q)
+        merged, first = np.unique(np.concatenate([known, images]), axis=0, return_index=True)
+        if len(merged) > cap:
+            return GroupClosure(known[:0], False, cap + 1)
+        known, frontier = merged, merged[first >= len(known)]
+    return GroupClosure(known, True, len(known))
 
 
 def psl_order(n: int, q: int) -> int:
@@ -133,7 +136,6 @@ class WalkSpec:
 class MixingReport:
     group_order: int
     tv: tuple[Fraction, ...]
-    method: str  # exact-transition | empirical
     lazy: bool
 
     def final_tv(self) -> Fraction:
@@ -146,7 +148,7 @@ class MixingReport:
         return {
             "schemaVersion": 1,
             "groupOrder": self.group_order,
-            "method": self.method,
+            "method": "exact-transition",
             "lazy": self.lazy,
             "tv": [str(t) for t in self.tv],
             "tvFloat": [float(t) for t in self.tv],
@@ -163,8 +165,12 @@ def tv_to_uniform(
 ) -> MixingReport:
     """Exact law of the walk at every step and its TV distance to uniform.
 
-    Lazy symmetric chains (hold 1/2) have nonincreasing TV; the raw
-    product chain is also supported but monotonicity is not claimed.
+    h -> h g permutes the group, so one sort of the images h g gives each
+    generator's transition map, an index array into group.elements.  The
+    law is num / den, Python-int numerators over one denominator; with the
+    weights a_i / L (L the lcm of their denominators) a step is one
+    scatter-add per generator.  Lazy symmetric chains (hold 1/2) have
+    nonincreasing TV; the raw chain is supported, monotonicity not claimed.
     """
     if not group.complete:
         raise WalkUsageError("group must be fully enumerated")
@@ -173,36 +179,33 @@ def tv_to_uniform(
     if steps < 0:
         raise WalkUsageError("steps must be >= 0")
     elements = group.elements
-    index = {g: i for i, g in enumerate(elements)}
     N = len(elements)
-    gen_maps = []
-    for g in spec.generators:
-        gq = projective_canon(g, q)
-        if gq not in index:
+    perms = []
+    for g in projective_canon(spec.generators, q):
+        # G g is G itself exactly when g lies in G, and is disjoint from G otherwise
+        images = projective_canon(fq_matmul(elements, g, q), q)
+        images, where = np.unique(images, axis=0, return_inverse=True)
+        if not np.array_equal(images, elements):
             raise WalkUsageError("generator outside the enumerated group")
-        gen_maps.append([index[projective_canon(fq_matmul(h, gq, q), q)] for h in elements])
-    uniform = Fraction(1, N)
-    dist = [Fraction(0)] * N
-    ident = projective_canon(np.eye(len(spec.generators[0]), dtype=np.int64), q)
-    dist[index[ident]] = Fraction(1)
+        perms.append(where.ravel())
+    L = math.lcm(*(w.denominator for w in spec.weights))
+    a = [w.numerator * (L // w.denominator) for w in spec.weights]
+    num = np.zeros(N, dtype=object)
+    num[np.all(elements == np.eye(elements.shape[1], dtype=np.int64), axis=(1, 2))] = 1
+    den = 1
 
-    def tv(d):
-        return sum(abs(x - uniform) for x in d) / 2
+    def tv():
+        return Fraction(int(np.abs(N * num - den).sum()), 2 * N * den)
 
-    curve = [tv(dist)]
+    curve = [tv()]
     for _ in range(steps):
-        nxt = [Fraction(0)] * N
-        for w, gmap in zip(spec.weights, gen_maps):
-            for i, mass in enumerate(dist):
-                if mass:
-                    nxt[gmap[i]] += w * mass
-        if lazy:
-            dist = [(a + b) / 2 for a, b in zip(dist, nxt)]
-        else:
-            dist = nxt
-        assert sum(dist) == 1
-        curve.append(tv(dist))
-    return MixingReport(N, tuple(curve), "exact-transition", lazy)
+        nxt = np.zeros(N, dtype=object)
+        for ai, perm in zip(a, perms):
+            nxt[perm] += ai * num
+        num, den = (num * L + nxt, 2 * den * L) if lazy else (nxt, den * L)
+        assert num.sum() == den
+        curve.append(tv())
+    return MixingReport(N, tuple(curve), lazy)
 
 
 # -- hyperplane hitting --------------------------------------------------------
@@ -247,11 +250,7 @@ def hyperplane_prob(
             )
         closure = enumerate_group(gens, q, cap=cap + 1)
         assert closure.complete and closure.count == psl_order(n, q)
-        hits = 0
-        for X in closure.elements:
-            col = [X[i][0] for i in range(n)]  # X e_1
-            if all(x % q == 0 for x in col[m:]):
-                hits += 1
+        hits = int(np.all(closure.elements[:, m:, 0] == 0, axis=1).sum())  # X e_1 in V
         return Fraction(hits, closure.count)
     if mode == "sample":
         if trials < 1:
@@ -308,12 +307,13 @@ class MonteCarloReport:
         }
 
 
-def default_subgroup_walk(
-    p: int, length: int, seed: int, n: int = 3, k: int = 1, count: int = 6
-) -> WalkSpec:
+SUBGROUP_WALK_WORDS = 6  # certified words default_subgroup_walk draws (each also inverted)
+
+
+def default_subgroup_walk(p: int, length: int, seed: int, n: int = 3, k: int = 1) -> WalkSpec:
     """Walk on certified Gamma_k I cap T_n words, closed under inverses."""
     words = []
-    for j in range(count):
+    for j in range(SUBGROUP_WALK_WORDS):
         cw = word_in_subgroup(n, k, seed * 977 + j + 1)
         words.append(cw.word)
         words.append(cw.word.inverse())

@@ -189,6 +189,30 @@ def test_rep_check(capsys):
     assert doc["braidRelations"] and doc["twistOrderP"] and doc["hermitian"]
 
 
+def test_rep_check_refuses_an_empty_word_sample(capsys):
+    # zero or negative --words used to check nothing and report success
+    for argv in (
+        ("--format", "text", "rep", "check", "--genus", "1", "--p", "5", "--words", "-2"),
+        ("rep", "check", "--genus", "1", "--p", "5", "--q", "41", "--words", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error[usage]"), argv
+
+
+def test_double_of_a_closed_piece_is_a_desc_error(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"kind": "double", "half": {"kind": "lens", "b": 3}}))
+    for desc in (f"@{path}", "double:(lens:3)"):
+        for argv in (
+            ("homology", "--desc", desc),
+            ("invariant", "rt", "--desc", desc, "--p", "5"),
+            ("invariant", "dw", "--desc", desc, "--group", "S3"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error[parse]") and "double requires a bounded piece" in err, argv
+
+
 def test_fixed_seed_runs_are_byte_identical(capsys):
     args = (
         "walk", "montecarlo", "--desc", "bounded:2:0:1", "--p", "5", "--q", "41",

@@ -215,11 +215,6 @@ def test_word_in_subgroup_outputs_always_torelli():
             assert is_torelli(word_in_subgroup(2, k, seed).word)
 
 
-def test_word_in_subgroup_genus1_rejected():
-    with pytest.raises(WordError):
-        word_in_subgroup(3, 1, 0, genus=1)
-
-
 def test_word_in_subgroup_deterministic():
     assert word_in_subgroup(3, 2, 11).word == word_in_subgroup(3, 2, 11).word
 

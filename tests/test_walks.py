@@ -4,6 +4,7 @@ import pytest
 
 import numpy as np
 
+from fq_oracles import enumerate_group as tuple_closure, tv_curve
 from qtop.cyclotomic import ResidueSpec
 from qtop.manifolds import BoundedHeegaard
 from qtop.mcg import empty_word, parse_word
@@ -18,6 +19,7 @@ from qtop.walks import (
     hyperplane_prob,
     montecarlo_vanishing,
     psl_order,
+    sl_transvection_generators,
     tv_to_uniform,
 )
 
@@ -54,8 +56,57 @@ def test_non_prime_q_is_refused():
 
 def test_cap_exceeded_is_typed_outcome():
     out = enumerate_group(PSL2_GENS[:2], 11, cap=10)
-    assert out.cap_exceeded and not out.complete
+    assert not out.complete
     assert out.count == 11
+    # the first round already brings five elements; the count is still cap + 1
+    out = enumerate_group(PSL2_GENS, 5, cap=2)
+    assert not out.complete and out.count == 3 and len(out.elements) == 0
+
+
+def _psl2_generators(q):
+    return (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, q - 1), (0, 1)), ((1, 0), (q - 1, 1)))
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_closure_matches_the_tuple_oracle(q):
+    closure = enumerate_group(_psl2_generators(q)[:2], q)
+    assert closure.elements.dtype == np.int64
+    assert [tuple(map(tuple, M)) for M in closure.elements.tolist()] == tuple_closure(
+        _psl2_generators(q)[:2], q
+    )
+
+
+def test_closure_of_psl3_f3():
+    closure = enumerate_group(sl_transvection_generators(3, 3), 3)
+    assert closure.complete and closure.count == 5616 == psl_order(3, 3)
+
+
+def test_canonical_form_is_exact_near_the_int64_limit():
+    # (q - 1)^2 > 2^63: the scaling runs on Python ints, and -I is the identity
+    q = 4294967311
+    closure = enumerate_group([((0, q - 1), (1, 0))], q, cap=10)
+    assert closure.complete and closure.count == 2
+    assert closure.elements.tolist() == [[[0, 1], [q - 1, 0]], [[1, 0], [0, 1]]]
+
+
+@pytest.mark.parametrize(
+    "q, steps, lazy, weights",
+    [
+        (5, 40, True, None),
+        (5, 40, False, None),
+        (7, 30, True, (Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))),
+        (7, 30, False, None),
+        (13, 12, True, None),
+        (13, 12, False, (Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))),
+    ],
+)
+def test_tv_curve_matches_the_fraction_oracle(q, steps, lazy, weights):
+    gens = _psl2_generators(q)
+    spec = WalkSpec.uniform(gens, steps, 0) if weights is None else WalkSpec(gens, weights, steps, 0)
+    closure = enumerate_group(gens[:2], q)
+    report = tv_to_uniform(spec, closure, q, steps, lazy=lazy)
+    expect = tv_curve(tuple_closure(gens[:2], q), gens, spec.weights, q, steps, lazy)
+    assert list(report.tv) == expect and all(isinstance(t, Fraction) for t in report.tv)
 
 
 # -- exact mixing --------------------------------------------------------------------
@@ -84,6 +135,11 @@ def test_mixing_requires_generators_in_group():
     bad = (((2, 0), (0, 1)),)  # determinant 2: not in PSL_2(F_5) as canonicalized... still may land outside
     with pytest.raises(WalkUsageError):
         tv_to_uniform(WalkSpec.uniform(bad, 5, 0), closure, 5, 5)
+    # a generator of the whole group is outside the closure of a subgroup
+    upper = enumerate_group(PSL2_GENS[:1], 5)
+    assert upper.count == 5
+    with pytest.raises(WalkUsageError, match="outside the enumerated group"):
+        tv_to_uniform(WalkSpec.uniform(PSL2_GENS[:2], 5, 0), upper, 5, 5)
 
 
 def test_walkspec_validation():
