@@ -243,7 +243,8 @@ def test_output_file(tmp_path, capsys):
 # Z + Z/12), the JSON DW report of lens:3 that carries tqftValue, and
 # the JSON reports of homology (lens:5), the closed FKB ideal (s3), walk
 # prob in enumerate and sample mode and walk mix, whose schemaVersion
-# and command fields are stamped by one report envelope.
+# and command fields are stamped by one report envelope, and the p = 11
+# RT report of a mapping torus whose exact products need several primes.
 # A change that keeps results must keep these bytes; one that means to
 # change them updates the digests and says which output moved and why.
 CLI_DIGESTS = {
@@ -301,6 +302,8 @@ CLI_DIGESTS = {
         (0, "52e19db5a29d446262125483c8267ee588468b390a53c4f8d89c39f90891f6f1"),
     "walk mix --group psl2:5 --steps 20":
         (0, "11572a3820b2d97c27b8f12b758ba55a8a05ac6ace6a2e05664497b14d343411"),
+    "invariant rt --desc mtorus:2:c1*c3^-1*c5 --p 11":
+        (0, "21d6e0e3b897d83aec51ace85f2f4ab2c36457b73d3ad029a8e7641881f7d129"),
 }
 
 

@@ -248,6 +248,14 @@ def test_mapping_torus_invariants_pinned():
         assert dw_invariant(desc, builtin_group("S3")) == Fraction(s3, 6)
 
 
+def test_mapping_torus_rt_pinned_at_p11():
+    """Its largest exact product bound is about 2^41, past one word-size
+    prime: the multi-modular product must recombine residues from several."""
+    desc = MappingTorus(2, parse_word(2, "c1*c3^-1*c5"))
+    want = (7, 0, 1, 0, 1, 0, -1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 4, 0, -1, 0)
+    assert rt_closed(desc, 11) == CycElem(11, want)
+
+
 def test_dw_trivial_group_baseline():
     for G in GROUPS:
         assert dw_invariant(S3, G) == Fraction(1, G.order)
