@@ -132,8 +132,6 @@ class RingSpec(ScalarRing):
                 vec = [sign * c for c in self._reduction[e]]
             mono.append(tuple(vec))
         self.monomial = tuple(mono)
-        # the exponent E in [0, 4p) of each root of unity +-zeta^k, by its coefficients
-        self.root_exponent = {vec: E for E, vec in enumerate(self.monomial)}
 
     def __eq__(self, other):
         return isinstance(other, RingSpec) and other.p == self.p

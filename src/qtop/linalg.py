@@ -141,21 +141,27 @@ def _product_dtype(n: int, q: int):
 
 
 def _residues(x, q: int):
-    """x mod q for exact products x, as int64 (or object) residues."""
+    """x mod q for exact products x, as int64 (or object) residues; x is
+    a fresh array, reduced in place."""
     if x.dtype.kind == "f":  # either float tier
         x = x.astype(np.int64)
-    return x % q
+    x %= q
+    return x
 
 
 def fq_matmul(a, b, q: int):
     """a @ b mod q for a 2-D a, or a stack of matrices, and a 2-D or 1-D
-    b, arrays (or nested sequences) of residues in [0, q).
+    b, or a stack matched to a's, arrays (or nested sequences) of residues
+    in [0, q).
 
-    The product runs in _product_dtype(n, q) (n = len(b), the inner
-    dimension); the result is a numpy array in fq_dtype(n, q).
+    The product runs in _product_dtype(n, q) (n the inner dimension, the
+    length of a 1-D b and b.shape[-2] otherwise); the result is a numpy
+    array in fq_dtype(n, q).
     """
-    dtype = _product_dtype(len(b), q)
-    return _residues(np.asarray(a, dtype=dtype) @ np.asarray(b, dtype=dtype), q)
+    b = np.asarray(b)
+    n = len(b) if b.ndim == 1 else b.shape[-2]
+    dtype = _product_dtype(n, q)
+    return _residues(np.asarray(a, dtype=dtype) @ b.astype(dtype, copy=False), q)
 
 
 def fq_walk(mats, picks, vec, q: int):

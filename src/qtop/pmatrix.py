@@ -1,90 +1,216 @@
 """Projective matrices over the cyclotomic ring.
 
-A PMatrix is a square matrix of CycElem entries.  Quantum
-representations are projective, and their anomaly phases are never
-normalized away silently: proj_equal compares two matrices up to one
-global scalar, equal_exact entry by entry.
+A PMatrix is a square matrix over Z[zeta_{4p}, 1/p], held as one
+exponent e and one (n, n, deg) integer tensor num of numerators over
+p^e: entry (i, j) is sum_k num[i, j, k] zeta^k / p^e.  e is the least
+exponent that makes every numerator integral, and the tensor is int64
+while every |c| < 2^62 and an object array of Python ints otherwise, so
+equal matrices have equal tensors.  The canonical CycElem entries are
+built only when read.  Quantum representations are projective, and
+their anomaly phases are never normalized away silently: proj_equal
+compares two matrices up to one global scalar, equal_exact entry by
+entry.
 
-A factor that is diagonal with every diagonal entry a root of unity
-+-zeta^E (the diagonal twists, and the D of Q D^k Q^-1) multiplies by
-rotating the coefficients of each entry of the other factor
-(CycElem.mul_root); its exponents E are found once per matrix.  Every
-other product and matrix-vector product brings each operand over one
-p-power denominator and packs every entry into one Python integer by
-Kronecker substitution, so a dot product is a sum of integer products,
-unpacked and canonicalized once per output entry.
+Products and matrix-vector products are multi-modular (von zur Gathen
+and Gerhard, Modern Computer Algebra, ch. 5).  Every numerator of a
+product is at most n max|a| max|b| c_p in absolute value (c_p is
+product_spread(p)), so it is fixed by its residues modulo enough primes
+q = 1 mod 4p of word size.  Modulo such a q, Phi_4p splits into deg
+linear factors: both tensors are evaluated at its deg roots (one product
+by the Vandermonde matrix), multiplied as deg independent n x n matrices
+over F_q, and interpolated back by the inverse Vandermonde matrix, which
+gives the product already reduced mod Phi_4p.  Every product runs on
+linalg.fq_matmul's float64 tier.  Garner's method recombines the
+residues into balanced mixed-radix digits, and each numerator is
+assembled in int64 from its low digits, in Python ints only where a
+higher digit is nonzero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from operator import mul
+import math
+from functools import cached_property, lru_cache
 
-from .cyclotomic import CycElem, ResidueSpec, RingUsageError, ring
+import numpy as np
 
+from .cyclotomic import CycElem, ResidueSpec, RingUsageError, is_prime, ring
+from .linalg import fq_dtype, fq_matmul, fq_rref
 
-def _common_bound(p: int, elems) -> tuple[int, int]:
-    """(E, M): the largest denominator exponent among elems, and the largest
-    |c| among their coefficients brought over the one denominator p^E."""
-    E = max(x.e for x in elems)
-    return E, max(p ** (E - x.e) * max(map(abs, x.coeffs)) for x in elems)
+# int64 tensors hold numerators below this bound, so a sum of two fits
+_INT64_BOUND = 2**62
 
 
-class _Kronecker:
-    """Kronecker substitution zeta -> 2^B for dot products of length n whose
-    coefficient products are bounded by m.
+@lru_cache(maxsize=None)
+def product_spread(p: int) -> int:
+    """c_p = max_c sum_{a, b < deg} |[x^c] (x^(a + b) mod Phi_4p)|: the
+    largest growth of one coefficient in the reduced product of two
+    elements, per unit of max|a| max|b|.  It equals 2 deg - 2 for every p
+    from 5 to 19."""
+    spec = ring(p)
+    deg = spec.degree
+    # s = a + b arises from min(s, 2 deg - 2 - s) + 1 pairs (a, b)
+    weights = [min(s, 2 * deg - 2 - s) + 1 for s in range(2 * deg - 1)]
+    return max(
+        sum(w * abs(spec.monomial[s][c]) for s, w in enumerate(weights)) for c in range(deg)
+    )
 
-    An element x over p^E packs into the integer sum c_k 2^(B k), where c is
-    the coefficient vector of x scaled by p^(E - e).  The product of two
-    packed entries packs the polynomial product, and a sum of n of them has
-    2 deg - 1 digits, each at most n deg m < 2^(B - 2) in absolute value, so
-    balanced base-2^B digits recover it exactly.
+
+@lru_cache(maxsize=None)
+def moduli(p: int, width: int, k: int) -> tuple[int, ...]:
+    """The k largest primes q = 1 mod 4p with width (q - 1)^2 < 2^53,
+    descending.  Every sum of `width` products of residues mod q is then
+    an exact float64 integer: the float64 tier of linalg._product_dtype."""
+    if not k:
+        return ()
+    head = moduli(p, width, k - 1)
+    m = 4 * p
+    q = head[-1] - m if head else math.isqrt((2**53 - 1) // width) // m * m + 1
+    while not is_prime(q):
+        q -= m
+    return head + (q,)
+
+
+def prime_count(p: int, width: int, bound: int) -> int:
+    """How many of moduli(p, width, .) it takes for their product Q to
+    exceed 2 bound, so that the symmetric residues mod Q, |x| <= (Q - 1)/2,
+    cover every |x| <= bound."""
+    k, Q = 0, 1
+    while Q <= 2 * bound:
+        k += 1
+        Q *= moduli(p, width, k)[-1]
+    return k
+
+
+@lru_cache(maxsize=None)
+def _vandermonde(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(V, V^-1) mod q, V[k, r] = w_r^k over the deg roots w_r of Phi_4p
+    in F_q (the primitive 4p-th roots of unity)."""
+    m, deg = 4 * p, ring(p).degree
+    root = ResidueSpec.for_primes(p, q).root
+    roots = [pow(root, t, q) for t in range(1, m) if math.gcd(t, m) == 1]
+    V = np.array([[pow(w, k, q) for w in roots] for k in range(deg)], dtype=np.int64)
+    augmented = np.hstack([V, np.eye(deg, dtype=np.int64)])
+    return V, fq_rref(augmented, q)[:, deg:]
+
+
+def _max_abs(num) -> int:
+    return int(np.abs(num).max())
+
+
+def _tensor(values):
+    """Nested integer lists (or an integer array) as a read-only tensor:
+    int64 while every |c| < 2^62, else object."""
+    try:
+        num = np.asarray(values, dtype=np.int64)
+        wide = num.max() >= _INT64_BOUND or num.min() <= -_INT64_BOUND
+    except OverflowError:
+        num = np.array(values, dtype=object)
+        wide = True
+    if wide:
+        num = num.astype(object)
+    num.setflags(write=False)
+    return num
+
+
+def _numerators(p: int, rows) -> tuple[int, np.ndarray]:
+    """(E, num): rows of CycElems over the one denominator p^E, E the
+    largest exponent among them.  Only the nonzero entries are converted,
+    so a sparse block matrix costs its nonzeros."""
+    E = max(x.e for row in rows for x in row)
+    where = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if any(x.coeffs)]
+    num = np.zeros((len(rows), len(rows[0]), ring(p).degree), dtype=np.int64)
+    if where:
+        xs = (rows[i][j] for i, j in where)
+        scaled = _tensor([x.coeffs if x.e == E else [c * p ** (E - x.e) for c in x.coeffs]
+                          for x in xs])
+        num = num.astype(scaled.dtype)
+        num[tuple(zip(*where))] = scaled
+    return E, num
+
+
+def _symmetric_lift(residues, primes):
+    """The x with |x| <= (Q - 1)/2, Q = prod(primes), from x mod each q
+    (residues may be a generator, read one prime at a time).
+
+    Garner's method gives x = sum_i d_i M_i, M_i = q_0 ... q_(i-1), with
+    balanced digits |d_i| <= (q_i - 1)/2 computed in int64; such a sum is
+    exactly the symmetric residue mod Q.  The low digits are summed in
+    int64 while M_i stays below 2^62; only the entries with a nonzero
+    higher digit take Python ints.
     """
-
-    def __init__(self, p: int, n: int, m: int):
-        self.p = p
-        deg = ring(p).degree
-        self.B = B = (n * deg * m).bit_length() + 2
-        self.half = 1 << (B - 1)
-        self.mask = (1 << B) - 1
-        self.shifts = range(0, B * (2 * deg - 1), B)
-        # adding half to every digit makes them all non-negative
-        self.offset = sum(self.half << s for s in self.shifts)
-
-    def pack(self, x: CycElem, E: int) -> int:
-        B, acc = self.B, 0
-        for c in reversed(x.coeffs):
-            acc = (acc << B) + c
-        return acc if x.e == E else acc * self.p ** (E - x.e)
-
-    def unpack(self, packed: int, e: int) -> CycElem:
-        """The element packed / p^e."""
-        if not packed:
-            return CycElem.zero(self.p)
-        t, mask, half = packed + self.offset, self.mask, self.half
-        return CycElem.make(self.p, [((t >> s) & mask) - half for s in self.shifts], e)
+    digits = []
+    for q, r in zip(primes, residues):
+        for qj, d in zip(primes, digits):
+            r = (r - d) * pow(qj, -1, q) % q
+        digits.append(np.where(r > q // 2, r - q, r))
+    value, radix, low = np.zeros_like(digits[0]), 1, 0
+    while low < len(digits) and radix * primes[low] < _INT64_BOUND:
+        value += digits[low] * radix
+        radix *= primes[low]
+        low += 1
+    high = digits[low:]
+    if high:
+        hit = np.any([d != 0 for d in high], axis=0)
+        if hit.any():
+            big = value[hit].astype(object)
+            for q, d in zip(primes[low:], high):
+                big = big + d[hit].astype(object) * radix
+                radix *= q
+            value = value.astype(object)
+            value[hit] = big
+    return value
 
 
-@dataclass(frozen=True)
+def _product(p: int, a, b):
+    """Numerators of a b reduced mod Phi_4p, for integer tensors a of
+    shape (n, n, deg) and b of shape (n, m, deg), by evaluation at the
+    roots of Phi_4p modulo prime_count primes."""
+    n, m, deg = b.shape
+    bound = n * _max_abs(a) * _max_abs(b) * product_spread(p)
+    if not bound:
+        return np.zeros((n, m, deg), dtype=np.int64)
+    width = max(n, deg)
+    primes = moduli(p, width, prime_count(p, width, bound))
+
+    def residue(q):
+        V, Vinv = _vandermonde(p, q)
+        # (deg, rows, cols): the tensor's values at each root
+        at, bt = (
+            fq_matmul((x % q).reshape(-1, deg), V, q).reshape(x.shape).transpose(2, 0, 1)
+            for x in (a, b)
+        )
+        values = fq_matmul(at, bt, q).transpose(1, 2, 0).reshape(-1, deg)
+        return fq_matmul(values, Vinv, q).reshape(n, m, deg)
+
+    return _symmetric_lift(map(residue, primes), primes)
+
+
 class PMatrix:
-    p: int
-    entries: tuple[tuple[CycElem, ...], ...]
+    """A square matrix over Z[zeta_{4p}, 1/p]: numerators num over p^e."""
+
+    def __init__(self, p: int, e: int, num):
+        while e and not (num % p).any():
+            num, e = num // p, e - 1
+        self.p, self.e, self.num = p, e, _tensor(num)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return self.num.shape[0]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[CycElem, ...], ...]:
+        p, e = self.p, self.e
+        return tuple(tuple(CycElem.make(p, c, e) for c in row) for row in self.num.tolist())
 
     @staticmethod
     def from_rows(p: int, rows) -> "PMatrix":
-        return PMatrix(p, tuple(tuple(r) for r in rows))
+        return PMatrix(p, *_numerators(p, rows))
 
     @staticmethod
     def identity(p: int, n: int) -> "PMatrix":
-        one, zero = CycElem.one(p), CycElem.zero(p)
-        return PMatrix.from_rows(
-            p, [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
+        num = np.zeros((n, n, ring(p).degree), dtype=np.int64)
+        num[range(n), range(n), 0] = 1
+        return PMatrix(p, 0, num)
 
     @staticmethod
     def diagonal(p: int, diag: list[CycElem]) -> "PMatrix":
@@ -94,45 +220,13 @@ class PMatrix:
             p, [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
         )
 
-    @cached_property
-    def _bound(self) -> tuple[int, int]:
-        return _common_bound(self.p, [x for row in self.entries for x in row])
-
-    @cached_property
-    def _root_diagonal(self) -> tuple[int, ...] | None:
-        """The exponents E_i with entry (i, i) = zeta^(E_i) when the matrix
-        is diagonal and every diagonal entry is a root of unity, else None.
-        Decided from the coefficient tuples alone."""
-        exponent = ring(self.p).root_exponent
-        out = []
-        for i, row in enumerate(self.entries):
-            d = row[i]
-            E = None if d.e else exponent.get(d.coeffs)
-            if E is None:
-                return None
-            out.append(E)
-        for i, row in enumerate(self.entries):
-            if any(any(x.coeffs) for j, x in enumerate(row) if j != i):
-                return None
-        return tuple(out)
+    def __eq__(self, other):
+        return isinstance(other, PMatrix) and self.equal_exact(other)
 
     def __mul__(self, other: "PMatrix") -> "PMatrix":
         if self.p != other.p or self.n != other.n:
             raise RingUsageError("incompatible matrices")
-        left = self._root_diagonal
-        if left is not None:  # row i of other times zeta^(E_i)
-            out = [[x.mul_root(E) for x in row] for E, row in zip(left, other.entries)]
-            return PMatrix.from_rows(self.p, out)
-        right = other._root_diagonal
-        if right is not None:  # column j of self times zeta^(E_j)
-            out = [[x.mul_root(E) for x, E in zip(row, right)] for row in self.entries]
-            return PMatrix.from_rows(self.p, out)
-        (ea, ma), (eb, mb) = self._bound, other._bound
-        kron = _Kronecker(self.p, self.n, ma * mb)
-        rows = [[kron.pack(x, ea) for x in row] for row in self.entries]
-        cols = [[kron.pack(row[j], eb) for row in other.entries] for j in range(self.n)]
-        out = [[kron.unpack(sum(map(mul, ra, cb)), ea + eb) for cb in cols] for ra in rows]
-        return PMatrix.from_rows(self.p, out)
+        return PMatrix(self.p, self.e + other.e, _product(self.p, self.num, other.num))
 
     def __pow__(self, k: int) -> "PMatrix":
         if k < 0:
@@ -154,67 +248,50 @@ class PMatrix:
         return PMatrix.from_rows(self.p, [[c * x for x in row] for row in self.entries])
 
     def apply(self, vec: list[CycElem]) -> list[CycElem]:
-        """The product M vec: rotations by a root-of-unity diagonal, else
-        the packed dot product of __mul__."""
-        diag = self._root_diagonal
-        if diag is not None:
-            return [x.mul_root(E) for x, E in zip(vec, diag)]
-        (em, mm), (ev, mv) = self._bound, _common_bound(self.p, vec)
-        kron = _Kronecker(self.p, self.n, mm * mv)
-        col = [kron.pack(x, ev) for x in vec]
-        return [
-            kron.unpack(sum(map(mul, (kron.pack(x, em) for x in row), col)), em + ev)
-            for row in self.entries
-        ]
+        """The product M vec, as __mul__ by vec taken as one column."""
+        if len(vec) != self.n:
+            raise RingUsageError("vector length differs from the matrix size")
+        e, col = _numerators(self.p, [[x] for x in vec])
+        out = _product(self.p, self.num, col)
+        return [CycElem.make(self.p, c, self.e + e) for c in out[:, 0].tolist()]
 
     def trace(self) -> CycElem:
-        acc = CycElem.zero(self.p)
-        for i in range(self.n):
-            acc = acc + self.entries[i][i]
-        return acc
+        return CycElem.make(self.p, [sum(c) for c in self.num.diagonal().tolist()], self.e)
 
     def conj_transpose(self) -> "PMatrix":
-        return PMatrix.from_rows(
-            self.p,
-            [[self.entries[j][i].conjugate() for j in range(self.n)] for i in range(self.n)],
-        )
+        rows = [[x.conjugate() for x in col] for col in zip(*self.entries)]
+        return PMatrix.from_rows(self.p, rows)
 
     def equal_exact(self, other: "PMatrix") -> bool:
-        return self.entries == other.entries
+        return (self.p, self.e) == (other.p, other.e) and np.array_equal(self.num, other.num)
 
     def is_scalar(self) -> bool:
-        n = self.n
         d = self.entries[0][0]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    if self.entries[i][j] != d:
-                        return False
-                elif not self.entries[i][j].is_zero():
-                    return False
-        return not d.is_zero()
+        return not d.is_zero() and self.equal_exact(PMatrix.diagonal(self.p, [d] * self.n))
 
     def proj_equal(self, other: "PMatrix") -> bool:
-        """Equality up to one global scalar, decided by cross-multiplication."""
+        """Equality up to one global scalar, decided by cross-multiplication:
+        with the same nonzero pattern, b0 self = a0 other for the first
+        nonzero entries a0 of self and b0 of other."""
         if self.p != other.p or self.n != other.n:
             return False
-        ref = None
-        for i in range(self.n):
-            for j in range(self.n):
-                a, b = self.entries[i][j], other.entries[i][j]
-                if a.is_zero() != b.is_zero():
-                    return False
-                if ref is None and not a.is_zero():
-                    ref = (i, j)
-        if ref is None:
+        support = self.num.any(axis=2)
+        if not np.array_equal(support, other.num.any(axis=2)):
+            return False
+        if not support.any():
             return True  # both zero
-        ri, rj = ref
-        a0, b0 = self.entries[ri][rj], other.entries[ri][rj]
-        for i in range(self.n):
-            for j in range(self.n):
-                if a0 * other.entries[i][j] != b0 * self.entries[i][j]:
-                    return False
-        return True
+        i, j = np.argwhere(support)[0]
+        return self.scale(other.entries[i][j]).equal_exact(other.scale(self.entries[i][j]))
 
     def reduce(self, r: ResidueSpec) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(r.reduce(x) for x in row) for row in self.entries)
+        """Every entry's image in F_q (zeta -> r.root): the numerators
+        evaluated by Horner's rule along the coefficient axis, times
+        p^-e mod q."""
+        if r.p != self.p:
+            raise RingUsageError("matrix and residue spec use different p")
+        q, dtype = r.q, fq_dtype(1, r.q)
+        num = (self.num.astype(object) if dtype is object else self.num) % q
+        acc = np.zeros(num.shape[:2], dtype=dtype)
+        for k in reversed(range(num.shape[2])):
+            acc = (acc * r.root % q + num[:, :, k]) % q
+        return tuple(map(tuple, (acc * pow(self.p, -self.e, q) % q).tolist()))

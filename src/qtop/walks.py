@@ -50,6 +50,24 @@ def projective_canon(mats, q: int):
     return (flat * inv[where.ravel(), None] % q).astype(np.int64).reshape(mats.shape)
 
 
+def _unique_rows(mats):
+    """(unique, first, inverse) as np.unique(mats, axis=0, return_index=True,
+    return_inverse=True) gives them for a (k, n, n) int64 stack: the
+    distinct matrices in lexicographic order, the index of each one's first
+    occurrence, and each matrix's position among them.  One lexsort of the
+    flattened matrices; np.unique(axis=0) sorts them field by field.
+    """
+    flat = mats.reshape(len(mats), -1)
+    order = np.lexsort(flat.T[::-1])  # stable: equal rows keep their order
+    ranked = flat[order]
+    new = np.ones(len(flat), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(flat), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    first = order[new]
+    return mats[first], first, inverse
+
+
 @dataclass(frozen=True)
 class GroupClosure:
     """elements: one lexicographically sorted (count, n, n) int64 array of canonical forms."""
@@ -75,7 +93,7 @@ def enumerate_group(generators, q: int, cap: int = 200_000) -> GroupClosure:
     known = frontier = np.eye(gens.shape[1], dtype=np.int64)[None]  # already canonical
     while len(frontier):
         images = projective_canon(np.concatenate([fq_matmul(frontier, g, q) for g in gens]), q)
-        merged, first = np.unique(np.concatenate([known, images]), axis=0, return_index=True)
+        merged, first, _ = _unique_rows(np.concatenate([known, images]))
         if len(merged) > cap:
             return GroupClosure(known[:0], False, cap + 1)
         known, frontier = merged, merged[first >= len(known)]
@@ -184,10 +202,10 @@ def tv_to_uniform(
     for g in projective_canon(spec.generators, q):
         # G g is G itself exactly when g lies in G, and is disjoint from G otherwise
         images = projective_canon(fq_matmul(elements, g, q), q)
-        images, where = np.unique(images, axis=0, return_inverse=True)
+        images, _, where = _unique_rows(images)
         if not np.array_equal(images, elements):
             raise WalkUsageError("generator outside the enumerated group")
-        perms.append(where.ravel())
+        perms.append(where)
     L = math.lcm(*(w.denominator for w in spec.weights))
     a = [w.numerator * (L // w.denominator) for w in spec.weights]
     num = np.zeros(N, dtype=object)

@@ -68,7 +68,6 @@ def test_mul_root_equals_the_general_product():
         assert any(x.e for x in elems)
         for E in range(4 * p):
             root = CycElem.root_power(p, E)
-            assert ring(p).root_exponent[root.coeffs] == E
             for x in elems:
                 assert x.mul_root(E) == x * root
 

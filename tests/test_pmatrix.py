@@ -1,11 +1,16 @@
-"""The packed exact matrix kernel against the schoolbook product and sympy."""
+"""The multi-modular exact matrix kernel against the schoolbook product,
+the packed Kronecker product and sympy."""
 
+from operator import mul
+
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from qtop.cyclotomic import CycElem, RingUsageError, ring
-from qtop.pmatrix import PMatrix
+from qtop import pmatrix
+from qtop.cyclotomic import CycElem, ResidueSpec, RingUsageError, residue_primes, ring
+from qtop.pmatrix import PMatrix, moduli, prime_count, product_spread
 
 
 def schoolbook_mul(A: PMatrix, B: PMatrix) -> PMatrix:
@@ -22,6 +27,60 @@ def schoolbook_mul(A: PMatrix, B: PMatrix) -> PMatrix:
             row.append(acc)
         rows.append(row)
     return PMatrix.from_rows(A.p, rows)
+
+
+class Kronecker:
+    """Kronecker substitution zeta -> 2^B for dot products of length n whose
+    coefficient products are bounded by m.
+
+    An element x over p^E packs into the integer sum c_k 2^(B k), where c is
+    the coefficient vector of x scaled by p^(E - e).  The product of two
+    packed entries packs the polynomial product, and a sum of n of them has
+    2 deg - 1 digits, each at most n deg m < 2^(B - 2) in absolute value, so
+    balanced base-2^B digits recover it exactly.
+    """
+
+    def __init__(self, p: int, n: int, m: int):
+        self.p = p
+        deg = ring(p).degree
+        self.B = B = (n * deg * m).bit_length() + 2
+        self.half = 1 << (B - 1)
+        self.mask = (1 << B) - 1
+        self.shifts = range(0, B * (2 * deg - 1), B)
+        # adding half to every digit makes them all non-negative
+        self.offset = sum(self.half << s for s in self.shifts)
+
+    def pack(self, x: CycElem, E: int) -> int:
+        B, acc = self.B, 0
+        for c in reversed(x.coeffs):
+            acc = (acc << B) + c
+        return acc if x.e == E else acc * self.p ** (E - x.e)
+
+    def unpack(self, packed: int, e: int) -> CycElem:
+        """The element packed / p^e."""
+        if not packed:
+            return CycElem.zero(self.p)
+        t, mask, half = packed + self.offset, self.mask, self.half
+        return CycElem.make(self.p, [((t >> s) & mask) - half for s in self.shifts], e)
+
+
+def _common_bound(p: int, elems) -> tuple[int, int]:
+    """(E, M): the largest denominator exponent among elems, and the largest
+    |c| among their coefficients brought over the one denominator p^E."""
+    E = max(x.e for x in elems)
+    return E, max(p ** (E - x.e) * max(map(abs, x.coeffs)) for x in elems)
+
+
+def kronecker_mul(A: PMatrix, B: PMatrix) -> PMatrix:
+    """The packed product: each entry one Python integer, each output entry
+    a sum of integer products unpacked once.  The second oracle."""
+    p, n = A.p, A.n
+    (ea, ma), (eb, mb) = (_common_bound(p, [x for row in M.entries for x in row]) for M in (A, B))
+    kron = Kronecker(p, n, ma * mb)
+    rows = [[kron.pack(x, ea) for x in row] for row in A.entries]
+    cols = [[kron.pack(row[j], eb) for row in B.entries] for j in range(n)]
+    out = [[kron.unpack(sum(map(mul, ra, cb)), ea + eb) for cb in cols] for ra in rows]
+    return PMatrix.from_rows(p, out)
 
 
 def column(M: PMatrix, j: int) -> list[CycElem]:
@@ -56,9 +115,12 @@ def matrices(draw, p: int, n: int):
     )
 
 
+PRIMES = (5, 7, 11, 13)
+
+
 @st.composite
 def matrix_pairs(draw):
-    p = draw(st.sampled_from((5, 7)))
+    p = draw(st.sampled_from(PRIMES))
     n = draw(st.integers(1, 4))
     return draw(matrices(p, n)), draw(matrices(p, n))
 
@@ -68,7 +130,7 @@ def matrix_pairs(draw):
 def test_packed_product_equals_schoolbook(pair):
     A, B = pair
     AB = A * B
-    assert AB.entries == schoolbook_mul(A, B).entries
+    assert AB.entries == schoolbook_mul(A, B).entries == kronecker_mul(A, B).entries
     for j in range(A.n):
         assert A.apply(column(B, j)) == column(AB, j)
 
@@ -81,7 +143,7 @@ def root_diagonals(draw, p: int, n: int):
 
 @st.composite
 def products_with_root_diagonals(draw):
-    p = draw(st.sampled_from((5, 7)))
+    p = draw(st.sampled_from(PRIMES))
     n = draw(st.integers(1, 4))
     M = draw(matrices(p, n))
     return M, draw(root_diagonals(p, n)), draw(root_diagonals(p, n))
@@ -90,10 +152,9 @@ def products_with_root_diagonals(draw):
 @settings(max_examples=40, deadline=None)
 @given(products_with_root_diagonals())
 def test_root_diagonal_products_equal_schoolbook(ops):
-    """A root-of-unity diagonal multiplies by rotation on either side, and
-    by another one; apply by it rotates the vector's entries."""
+    """A root-of-unity diagonal on either side, or two of them; apply by it
+    moves each entry of the vector by a root of unity."""
     M, D, D2 = ops
-    assert D._root_diagonal is not None
     for A, B in ((D, M), (M, D), (D, D2), (D, M * D2)):
         assert (A * B).entries == schoolbook_mul(A, B).entries
     for j in range(M.n):
@@ -101,8 +162,8 @@ def test_root_diagonal_products_equal_schoolbook(ops):
 
 
 def test_non_root_diagonals_take_the_packed_product():
-    """2, zeta/p, 0 and an off-diagonal entry each rule the rotation out;
-    the products still equal the schoolbook product."""
+    """Diagonals with 2, zeta/p or 0 on them and a near-diagonal matrix:
+    the products equal the schoolbook product."""
     p, n = 7, 3
     z = CycElem.root_power(p, 1)
     two, z_over_p = CycElem.from_int(p, 2), CycElem.make(p, list(z.coeffs), 1)
@@ -116,7 +177,6 @@ def test_non_root_diagonals_take_the_packed_product():
         PMatrix.from_rows(p, [[z, z, CycElem.zero(p)], [CycElem.zero(p), z, CycElem.zero(p)], [CycElem.zero(p)] * 2 + [z]]),
     ]
     for N in near_misses:
-        assert N._root_diagonal is None
         for A, B in ((N, M), (M, N)):
             assert (A * B).entries == schoolbook_mul(A, B).entries
         assert N.apply(column(M, 0)) == column(schoolbook_mul(N, M), 0)
@@ -169,7 +229,7 @@ def _poly(x: CycElem, z):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.sampled_from((5, 7)), st.data())
+@given(st.sampled_from(PRIMES), st.data())
 def test_product_matches_sympy_cyclotomic_remainder(p, data):
     """Each entry of A B is sum_k a_ik b_kj reduced mod Phi_4p, over the
     common denominator of the operands."""
@@ -188,5 +248,112 @@ def test_product_matches_sympy_cyclotomic_remainder(p, data):
             expected = total.rem(phi) * p ** (ea + eb)
             got = _poly(AB.entries[i][j], z) * p ** (ea + eb)
             assert got == expected
-            # the packed product's numerator over p^(ea + eb) is integral
+            # the product's numerator over p^(ea + eb) is integral
             assert all(c.q == 1 for c in got.all_coeffs())
+
+
+def test_product_spread_is_two_deg_minus_two():
+    """c_p, the growth of one coefficient of a reduced product, pinned for
+    p = 5 ... 19 against a direct count over every pair of monomials."""
+    for p in (5, 7, 11, 13, 17, 19):
+        spec = ring(p)
+        deg = spec.degree
+        direct = max(
+            sum(abs(spec.reduce_poly([0] * (a + b) + [1])[c]) for a in range(deg) for b in range(deg))
+            for c in range(deg)
+        )
+        assert product_spread(p) == direct == 2 * deg - 2
+
+
+def test_moduli_are_word_size_primes_of_the_float64_tier():
+    for p, width in ((5, 5), (7, 14), (13, 91), (17, 32)):
+        qs = moduli(p, width, 5)
+        assert list(qs) == sorted(qs, reverse=True) and len(set(qs)) == 5
+        for q in qs:
+            assert q % (4 * p) == 1 and sympy.isprime(q)
+            assert width * (q - 1) ** 2 < 2**53
+        # no prime q = 1 mod 4p between the largest and the bound is left out
+        q = qs[0] + 4 * p
+        while width * (q - 1) ** 2 < 2**53:
+            assert not sympy.isprime(q)
+            q += 4 * p
+
+
+def test_prime_count_edges():
+    """The primes' product Q must exceed twice the bound: a bound just
+    above Q_k / 2, or above Q_k, takes one prime more than one at (Q_k - 1) / 2."""
+    for p, width in ((5, 5), (7, 14), (13, 91)):
+        assert prime_count(p, width, 0) == 0
+        Q = 1
+        for k in range(1, 5):
+            Q *= moduli(p, width, k)[-1]
+            assert prime_count(p, width, (Q - 1) // 2) == k
+            assert prime_count(p, width, (Q - 1) // 2 + 1) == k + 1
+            assert prime_count(p, width, Q + 1) == k + 1
+
+
+def test_a_product_just_past_k_primes_takes_k_plus_one(monkeypatch):
+    """A 1 x 1 product whose bound max|a| max|b| c_p sits just above Q_k / 2
+    is recombined from k + 1 primes, and equals the schoolbook product."""
+    used = []
+    lift = pmatrix._symmetric_lift
+    monkeypatch.setattr(pmatrix, "_symmetric_lift", lambda res, qs: used.append(len(qs)) or lift(res, qs))
+    p = 7
+    deg, spread = ring(p).degree, product_spread(p)
+    Q = 1
+    for k in range(1, 4):
+        Q *= moduli(p, deg, k)[-1]
+        m = Q // 2 // spread + 1  # m c_p > Q_k / 2 >= (m - 1) c_p
+        A = PMatrix.from_rows(p, [[CycElem.make(p, [m] + [-m] * (deg - 1))]])
+        B = PMatrix.from_rows(p, [[CycElem.make(p, [1] * deg)]])
+        assert (A * B).entries == schoolbook_mul(A, B).entries
+        assert used[-1] == k + 1
+
+
+def test_int64_and_object_garner_paths_agree_at_the_int64_edge():
+    """Values around +-2^62 and +-2^63 lift exactly from their residues,
+    whether the low digits alone hold them (int64) or a higher digit is
+    nonzero (Python ints); the tensor is int64 exactly when every |c| < 2^62."""
+    edges = [0, 1, -1, 2**46, 2**53 + 3, 2**62 - 1, 2**62, 2**63 - 1, 2**63, 2**63 + 5]
+    edges += [-x for x in edges]
+    for p, width in ((5, 1), (7, 14), (13, 91), (13, 2048)):
+        qs = moduli(p, width, prime_count(p, width, 2**64))
+        for values in (edges, [x for x in edges if abs(x) < 2**62], [3, -2**40, 2**61]):
+            residues = [np.array([x % q for x in values], dtype=np.int64) for q in qs]
+            lifted = pmatrix._tensor(pmatrix._symmetric_lift(residues, qs))
+            assert lifted.tolist() == values
+            assert (lifted.dtype == object) == any(abs(x) >= 2**62 for x in values)
+
+
+def test_numerator_tensor_is_canonical():
+    """e is the least exponent over the whole matrix, and the dtype follows
+    the largest coefficient, so equal matrices have equal tensors."""
+    p = 7
+    x = CycElem.make(p, [p] * 12, 3)  # 1/p^2 times (1 + ... + zeta^11)
+    M = PMatrix.from_rows(p, [[x, CycElem.zero(p)], [CycElem.one(p), x]])
+    assert M.e == 2 and M.num.dtype == np.int64
+    assert (M * PMatrix.identity(p, 2)).equal_exact(M)
+    assert PMatrix.from_rows(p, [[CycElem.make(p, [p**2] * 12, 2)]]).e == 0
+    big = PMatrix.from_rows(p, [[CycElem.make(p, [2**62] + [0] * 11)]])
+    assert big.num.dtype == object
+    assert PMatrix.from_rows(p, [[CycElem.make(p, [2**62 - 1] + [0] * 11)]]).num.dtype == np.int64
+    assert (big * PMatrix.identity(p, 1)).equal_exact(big)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from((5, 7)), st.data())
+def test_reduce_is_the_entrywise_residue_map(p, data):
+    """One Horner evaluation of the tensor against ResidueSpec.reduce of
+    every entry, for a small q (int64) and a q past 2^40 (Python ints)."""
+    M = data.draw(matrices(p, data.draw(st.integers(1, 4))))
+    big_q = {5: 1099511628161, 7: 1099511627873}[p]
+    for q in (residue_primes(p, 2)[1], big_q):
+        r = ResidueSpec.for_primes(p, q)
+        assert M.reduce(r) == tuple(tuple(r.reduce(x) for x in row) for row in M.entries)
+
+
+def test_trace_sums_the_diagonal():
+    p = 5
+    xs = [CycElem.make(p, [k - 3, 1, 0, 2, 0, 0, 0, k], k % 3) for k in range(4)]
+    M = PMatrix.from_rows(p, [[xs[i] if i == j else xs[3] for j in range(3)] for i in range(3)])
+    assert M.trace() == xs[0] + xs[1] + xs[2]

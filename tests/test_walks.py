@@ -21,6 +21,7 @@ from qtop.walks import (
     psl_order,
     sl_transvection_generators,
     tv_to_uniform,
+    _unique_rows,
 )
 
 R41 = ResidueSpec.for_primes(5, 41)
@@ -28,6 +29,20 @@ PSL2_GENS = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, 4), (0, 1)), ((1, 0), (4, 
 
 
 # -- enumeration -------------------------------------------------------------------
+
+
+def test_unique_rows_matches_numpy_unique():
+    """Same sorted matrices, first indices and inverse as np.unique(axis=0),
+    on stacks with repeats, ties in leading entries and a single matrix."""
+    rng = np.random.default_rng(7)
+    for k, n, q in ((1, 2, 5), (50, 2, 3), (400, 2, 41), (300, 3, 2)):
+        mats = rng.integers(0, q, size=(k, n, n), dtype=np.int64)
+        mats = np.concatenate([mats, mats[rng.integers(0, k, size=k // 2)]])
+        want, first, inverse = np.unique(mats, axis=0, return_index=True, return_inverse=True)
+        got = _unique_rows(mats)
+        assert np.array_equal(got[0], want)
+        assert np.array_equal(got[1], first)
+        assert np.array_equal(got[2], inverse.ravel())
 
 
 def test_identity_closure():
