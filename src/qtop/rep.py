@@ -27,11 +27,11 @@ twist_power_matrix is the one letter formula, Q D^k Q^-1, and rho(word, R)
 the one product of the cached letters, left to right, over either ring.
 Exactly, every letter, diagonal (c2, c4, s) or not, multiplies by
 pmatrix's one multi-modular product; over F_q the letters (equal to the
-reductions of the exact ones) multiply by linalg.fq_matmul.  rho_mod is the list edge for output,
-rho(word, r) as a tuple of rows of ints.  rho_apply carries a vector
-right to left through the letters over either ring, one matrix-vector
-product per letter, for callers that read a single column such as the
-vacuum column.
+reductions of the exact ones) multiply by linalg.fq_matmul.  rho_mod is
+the list edge for output, rho(word, r) as a tuple of rows of ints.
+rho_apply carries a vector right to left through the letters over either
+ring, one matrix-vector product per letter, for callers that read a
+single column such as the vacuum column.
 """
 
 from __future__ import annotations
