@@ -230,7 +230,7 @@ def _cmd_walk_mix(args) -> int:
     closure = enumerate_group(gens, q, cap=args.cap)
     if not closure.complete:
         raise CliError("budget", f"group closure exceeded cap {args.cap}")
-    spec = WalkSpec.uniform(gens, args.steps, args.seed)
+    spec = WalkSpec.uniform(gens, args.steps, 0)  # the exact law draws nothing
     report = tv_to_uniform(spec, closure, q, args.steps, lazy=not args.raw)
     doc = report.to_json()
     doc["text"] = f"|G| = {report.group_order}, TV({args.steps}) = {float(report.final_tv()):.3e}"
@@ -397,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     mix.add_argument("--steps", type=int, default=200)
     mix.add_argument("--raw", action="store_true", help="raw products instead of lazy")
     mix.add_argument("--cap", type=int, default=200_000)
-    mix.add_argument("--seed", type=int, default=0)
     mix.set_defaults(func=_cmd_walk_mix, name="walk mix")
     prob = walksub.add_parser("prob", help="hyperplane hitting probability")
     prob.add_argument("--q", type=int, required=True)

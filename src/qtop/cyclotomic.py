@@ -53,6 +53,21 @@ def split_p_part(n: int, p: int) -> tuple[int, int]:
     return k, n
 
 
+def power(x, n: int):
+    """x^n for n >= 1 and any associative *, by square-and-multiply from
+    the low bit: no product by an identity, no squaring after the top bit."""
+    if n < 1:
+        raise ValueError(f"power needs n >= 1, got {n}")
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -70,10 +85,11 @@ class ScalarRing:
     """A ring of scalars for the skein constants and the twist conjugators.
 
     Subclasses provide p, zero, one, root_power(k) = zeta^k, matrix(rows),
-    diagonal(xs) and vector(xs) (their dense matrix and vector types:
-    PMatrix and lists of CycElems exactly, read-only numpy arrays over
-    F_q), mat_mul(A, B) and mat_vec(A, v).  The methods below expose
-    element arithmetic to the generic helpers in linalg.
+    diagonal(xs), vector(xs) (their dense matrix type, PMatrix exactly and
+    read-only numpy arrays over F_q; an exact vector is a one-column
+    PMatrix) and mat_mul(A, B), the one product of a matrix by a matrix or
+    a vector.  The methods below expose element arithmetic to the generic
+    helpers in linalg.
     """
 
     @staticmethod
@@ -108,30 +124,14 @@ class RingSpec(ScalarRing):
         self.m = 4 * p
         self.degree = 2 * (p - 1)
         # Phi_{4p}(x) = sum_{k=0}^{p-1} (-1)^k x^{2k}; hence
-        # x^{2p-2} = -sum_{k<p-1} (-1)^k x^{2k} and x^{2p} = -1.
+        # x^{2p-2} = -sum_{k<p-1} (-1)^k x^{2k}, x^{2p-1} is that times x,
+        # and x^{2p} = -1.
         deg = self.degree
-        red_even = [0] * deg
-        for k in range(p - 1):
-            red_even[2 * k] = -((-1) ** k)
-        red_odd = [0] * deg
-        for k in range(p - 1):
-            if 2 * k + 1 < deg:
-                red_odd[2 * k + 1] = -((-1) ** k)
-        self._reduction = {deg: red_even, deg + 1: red_odd}
+        even = [0] * deg
+        even[::2] = [(-1) ** (k + 1) for k in range(p - 1)]
+        self._reduction = {deg: even, deg + 1: [0] + even[:-1]}
         # canonical basis vector of zeta^E for any exponent E in [0, 4p)
-        mono = []
-        for E in range(self.m):
-            sign = 1
-            e = E
-            if e >= 2 * p:
-                sign, e = -1, e - 2 * p
-            if e < deg:
-                vec = [0] * deg
-                vec[e] = sign
-            else:
-                vec = [sign * c for c in self._reduction[e]]
-            mono.append(tuple(vec))
-        self.monomial = tuple(mono)
+        self.monomial = tuple(tuple(self.reduce_poly([0] * E + [1])) for E in range(self.m))
 
     def __eq__(self, other):
         return isinstance(other, RingSpec) and other.p == self.p
@@ -163,17 +163,12 @@ class RingSpec(ScalarRing):
 
         return PMatrix.diagonal(self.p, list(xs))
 
-    @staticmethod
-    def vector(xs):
-        return list(xs)
+    def vector(self, xs):
+        return self.matrix([[x] for x in xs])
 
     @staticmethod
     def mat_mul(A, B):
         return A * B
-
-    @staticmethod
-    def mat_vec(A, v):
-        return A.apply(v)
 
     def reduce_poly(self, raw: list[int]) -> list[int]:
         """Canonically reduce a polynomial in zeta of any degree."""
@@ -295,44 +290,10 @@ class CycElem:
 
     __rmul__ = __mul__
 
-    def mul_root(self, E: int) -> "CycElem":
-        """self * zeta^E for 0 <= E < 4p, without a general product.
-
-        zeta^E = +-x^k with k = E mod 2p, so the product is a signed
-        rotation of the coefficients in Z[x]/(x^2p + 1), after which the
-        two top coefficients (of x^(2p-2) and x^(2p-1)) are folded back by
-        the cyclotomic reduction.  zeta^E is a unit, so the result keeps
-        the denominator exponent e and is already canonical.
-        """
-        if not any(self.coeffs):
-            return self
-        spec = self.spec
-        deg, twop = spec.degree, 2 * self.p
-        v = self.coeffs + (0, 0)
-        cut = twop - E % twop
-        if E < twop:
-            out = [-c for c in v[cut:]] + list(v[:cut])
-        else:
-            out = list(v[cut:]) + [-c for c in v[:cut]]
-        even, odd, red = out[deg], out[deg + 1], spec._reduction
-        folded = [c + even * a + odd * b for c, a, b in zip(out, red[deg], red[deg + 1])]
-        return CycElem(self.p, tuple(folded), self.e)
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        if n == 0:
-            return CycElem.one(self.p)
-        # square-and-multiply from the low bit: no product by one, no
-        # squaring after the top bit
-        result, base = None, self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return power(self, n) if n else CycElem.one(self.p)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -341,18 +302,14 @@ class CycElem:
 
     def galois(self, t: int) -> "CycElem":
         """Apply zeta -> zeta^t; t must be invertible mod 4p."""
-        spec = self.spec
-        m = spec.m
+        m = self.spec.m
         if t % 2 == 0 or t % self.p == 0:
             raise RingUsageError(f"galois exponent {t} not coprime to {m}")
-        vec = [0] * spec.degree
+        # t is a unit mod m, so the exponents k t mod m are distinct
+        raw = [0] * m
         for k, c in enumerate(self.coeffs):
-            if c:
-                mono = spec.monomial[(k * t) % m]
-                for j in range(spec.degree):
-                    if mono[j]:
-                        vec[j] += c * mono[j]
-        return CycElem.make(self.p, vec, self.e)
+            raw[k * t % m] = c
+        return CycElem.make(self.p, raw, self.e)
 
     def conjugate(self) -> "CycElem":
         """Complex conjugation zeta -> zeta^{-1} (hence A -> A^{-1})."""
@@ -586,8 +543,6 @@ class ResidueSpec(ScalarRing):
     def mat_mul(self, A, B):
         return _read_only(linalg.fq_matmul(A, B, self.q))
 
-    mat_vec = mat_mul  # fq_matmul takes a vector as its right factor too
-
 
 def _read_only(a):
     a.setflags(write=False)
@@ -640,14 +595,16 @@ class CycIdeal:
         if not gens:
             raise RingUsageError("need at least one generator")
         p = gens[0].p
-        deg = ring(p).degree
+        spec = ring(p)
         rows = []
         for g in gens:
             if g.p != p:
                 raise RingUsageError("generators over different primes")
-            base = CycElem(p, g.coeffs, 0)  # p-powers are units: drop denominator
-            rows += [list(base.mul_root(k).coeffs) for k in range(deg)]
-        basis = _saturate_at_p(linalg.hnf(rows), p, deg)
+            row = list(g.coeffs)  # p-powers are units: drop the denominator
+            for _ in range(spec.degree):  # the rows g zeta^k, k < deg
+                rows.append(row)
+                row = spec.reduce_poly([0] + row)
+        basis = _saturate_at_p(linalg.hnf(rows), p, spec.degree)
         return CycIdeal(p, tuple(tuple(r) for r in basis))
 
     def contains(self, x: CycElem) -> bool:
@@ -668,14 +625,6 @@ class CycIdeal:
         if other.is_zero:
             return False
         return all(linalg.lattice_contains(other.rows, r) for r in self.rows)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CycIdeal) and self.p == other.p and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.rows))
 
     def is_full(self) -> bool:
         return self.contains(CycElem.one(self.p))

@@ -224,16 +224,26 @@ def parse_desc(text: str) -> ManifoldDesc:
         return Double(parse_desc(parts[0]))
     head, _, rest = text.partition(":")
     if head == "lens":
-        return LensSurgery(int(rest))
+        return LensSurgery(_desc_int(rest, text))
     if head in ("heegaard", "mtorus", "bounded"):
-        bits = rest.split(":", 2 if head == "bounded" else 1)
+        fields = 3 if head == "bounded" else 2
+        bits = rest.split(":", fields - 1)
+        if len(bits) != fields:
+            raise DescError(f"{head} needs {fields} ':'-separated fields: {text!r}")
+        genus = _desc_int(bits[0], text)
+        word = parse_word(genus, bits[-1])
         if head == "bounded":
-            genus, bg, word = int(bits[0]), int(bits[1]), bits[2]
-            return BoundedHeegaard(genus, bg, parse_word(genus, word))
-        genus, word = int(bits[0]), bits[1]
+            return BoundedHeegaard(genus, _desc_int(bits[1], text), word)
         cls = HeegaardGluing if head == "heegaard" else MappingTorus
-        return cls(genus, parse_word(genus, word))
+        return cls(genus, word)
     raise DescError(f"cannot parse manifold description {text!r}")
+
+
+def _desc_int(field: str, text: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise DescError(f"expected an integer, got {field!r}: {text!r}") from None
 
 
 def _split_parenthesized(s: str) -> list[str]:
@@ -644,7 +654,7 @@ def rt_closed(desc: ManifoldDesc, p: int) -> CycElem:
         return rho(desc.word, p).trace()
     if isinstance(desc, HeegaardGluing):
         v = vacuum_index(desc.genus, p)
-        val = rho_apply(desc.word, p, vacuum_vector(desc.genus, p))[v]
+        val = rho_apply(desc.word, p, vacuum_vector(desc.genus, p)).entries[v][0]
         if desc.genus == 2:
             val = val * eta(p).inv()
         return val

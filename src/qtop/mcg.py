@@ -33,6 +33,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
+from .cyclotomic import power
+
 
 class WordError(ValueError):
     """Unknown curve, malformed word syntax, or unsupported surface."""
@@ -82,11 +84,9 @@ class TwistWord:
     def __pow__(self, k: int) -> "TwistWord":
         if k == 0:
             return TwistWord(self.genus)
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        # _merge is a stack reduction, so products of powers of one word
+        # merge to the same word in any grouping
+        return power(self if k > 0 else self.inverse(), abs(k))
 
     def commutator(self, other: "TwistWord") -> "TwistWord":
         return self * other * self.inverse() * other.inverse()

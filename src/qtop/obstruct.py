@@ -91,10 +91,10 @@ def boundary_vector(desc: BoundedHeegaard, p: int) -> BoundaryVector:
     value exactly).  Boundary genus 1 coordinates are indexed by the
     genus-1 basis order.
     """
-    column = rho_apply(desc.word, p, vacuum_vector(2, p))
+    column = rho_apply(desc.word, p, vacuum_vector(2, p)).entries
     scale = eta(p).inv() ** (2 - desc.boundary_genus)
     coords = tuple(
-        scale * column[i] for i in surviving_indices(p, desc.boundary_genus)
+        scale * column[i][0] for i in surviving_indices(p, desc.boundary_genus)
     )
     return BoundaryVector(p, desc.boundary_genus, coords)
 
@@ -171,9 +171,9 @@ def _genus1_words_upto(length: int):
 
 def _filling_value(bv: BoundaryVector, w: TwistWord, p: int) -> CycElem:
     """Closed invariant of the filling glued by w: <bv, rho(w) e_vac>."""
-    col = rho_apply(w, p, vacuum_vector(1, p))
+    col = rho_apply(w, p, vacuum_vector(1, p)).entries
     acc = CycElem.zero(p)
-    for x, y in zip(bv.coords, col):
+    for x, (y,) in zip(bv.coords, col):
         acc = acc + x * y
     return acc
 

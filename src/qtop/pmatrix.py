@@ -1,29 +1,29 @@
 """Projective matrices over the cyclotomic ring.
 
-A PMatrix is a square matrix over Z[zeta_{4p}, 1/p], held as one
-exponent e and one (n, n, deg) integer tensor num of numerators over
-p^e: entry (i, j) is sum_k num[i, j, k] zeta^k / p^e.  e is the least
-exponent that makes every numerator integral, and the tensor is int64
-while every |c| < 2^62 and an object array of Python ints otherwise, so
-equal matrices have equal tensors.  The canonical CycElem entries are
-built only when read.  Quantum representations are projective, and
-their anomaly phases are never normalized away silently: proj_equal
-compares two matrices up to one global scalar, equal_exact entry by
-entry.
+A PMatrix is a matrix over Z[zeta_{4p}, 1/p], held as one exponent e
+and one (n, m, deg) integer tensor num of numerators over p^e: entry
+(i, j) is sum_k num[i, j, k] zeta^k / p^e.  Matrices are square, and an
+exact vector is one column, m = 1.  e is the least exponent that makes
+every numerator integral, and the tensor is int64 while every
+|c| < 2^62 and an object array of Python ints otherwise, so equal
+matrices have equal tensors.  The canonical CycElem entries are built
+only when read.  Quantum representations are projective, and their
+anomaly phases are never normalized away silently: proj_equal compares
+two matrices up to one global scalar, equal_exact entry by entry.
 
-Products and matrix-vector products are multi-modular (von zur Gathen
-and Gerhard, Modern Computer Algebra, ch. 5).  Every numerator of a
-product is at most n max|a| max|b| c_p in absolute value (c_p is
-product_spread(p)), so it is fixed by its residues modulo enough primes
-q = 1 mod 4p of word size.  Modulo such a q, Phi_4p splits into deg
-linear factors: both tensors are evaluated at its deg roots (one product
-by the Vandermonde matrix), multiplied as deg independent n x n matrices
-over F_q, and interpolated back by the inverse Vandermonde matrix, which
-gives the product already reduced mod Phi_4p.  Every product runs on
-linalg.fq_matmul's float64 tier.  Garner's method recombines the
-residues into balanced mixed-radix digits, and each numerator is
-assembled in int64 from its low digits, in Python ints only where a
-higher digit is nonzero.
+There is one product, of a square matrix by a matrix or a column, and it
+is multi-modular (von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 5).  Every numerator of a product is at most n max|a| max|b| c_p in
+absolute value (c_p is product_spread(p)), so it is fixed by its
+residues modulo enough primes q = 1 mod 4p of word size.  Modulo such a
+q, Phi_4p splits into deg linear factors: both tensors are evaluated at
+its deg roots (one product by the Vandermonde matrix), multiplied as deg
+independent matrix products over F_q, and interpolated back by the
+inverse Vandermonde matrix, which gives the product already reduced mod
+Phi_4p.  Every product runs on linalg.fq_matmul's float64 tier.
+Garner's method recombines the residues into balanced mixed-radix
+digits, and each numerator is assembled in int64 from its low digits, in
+Python ints only where a higher digit is nonzero.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cyclotomic import CycElem, ResidueSpec, RingUsageError, is_prime, ring
+from .cyclotomic import CycElem, ResidueSpec, RingUsageError, is_prime, power, ring
 from .linalg import fq_dtype, fq_matmul, fq_rref
 
 # int64 tensors hold numerators below this bound, so a sum of two fits
@@ -163,12 +163,12 @@ def _symmetric_lift(residues, primes):
 
 def _product(p: int, a, b):
     """Numerators of a b reduced mod Phi_4p, for integer tensors a of
-    shape (n, n, deg) and b of shape (n, m, deg), by evaluation at the
+    shape (rows, n, deg) and b of shape (n, m, deg), by evaluation at the
     roots of Phi_4p modulo prime_count primes."""
-    n, m, deg = b.shape
+    rows, (n, m, deg) = a.shape[0], b.shape
     bound = n * _max_abs(a) * _max_abs(b) * product_spread(p)
     if not bound:
-        return np.zeros((n, m, deg), dtype=np.int64)
+        return np.zeros((rows, m, deg), dtype=np.int64)
     width = max(n, deg)
     primes = moduli(p, width, prime_count(p, width, bound))
 
@@ -180,13 +180,13 @@ def _product(p: int, a, b):
             for x in (a, b)
         )
         values = fq_matmul(at, bt, q).transpose(1, 2, 0).reshape(-1, deg)
-        return fq_matmul(values, Vinv, q).reshape(n, m, deg)
+        return fq_matmul(values, Vinv, q).reshape(rows, m, deg)
 
     return _symmetric_lift(map(residue, primes), primes)
 
 
 class PMatrix:
-    """A square matrix over Z[zeta_{4p}, 1/p]: numerators num over p^e."""
+    """A matrix over Z[zeta_{4p}, 1/p]: numerators num over p^e."""
 
     def __init__(self, p: int, e: int, num):
         while e and not (num % p).any():
@@ -224,36 +224,17 @@ class PMatrix:
         return isinstance(other, PMatrix) and self.equal_exact(other)
 
     def __mul__(self, other: "PMatrix") -> "PMatrix":
-        if self.p != other.p or self.n != other.n:
+        if self.p != other.p or self.num.shape[1] != other.num.shape[0]:
             raise RingUsageError("incompatible matrices")
         return PMatrix(self.p, self.e + other.e, _product(self.p, self.num, other.num))
 
     def __pow__(self, k: int) -> "PMatrix":
         if k < 0:
             raise RingUsageError("PMatrix powers need k >= 0")
-        if k == 0:
-            return PMatrix.identity(self.p, self.n)
-        # square-and-multiply from the low bit: no product by the identity,
-        # no squaring after the top bit
-        result, base = None, self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        return power(self, k) if k else PMatrix.identity(self.p, self.n)
 
     def scale(self, c: CycElem) -> "PMatrix":
         return PMatrix.from_rows(self.p, [[c * x for x in row] for row in self.entries])
-
-    def apply(self, vec: list[CycElem]) -> list[CycElem]:
-        """The product M vec, as __mul__ by vec taken as one column."""
-        if len(vec) != self.n:
-            raise RingUsageError("vector length differs from the matrix size")
-        e, col = _numerators(self.p, [[x] for x in vec])
-        out = _product(self.p, self.num, col)
-        return [CycElem.make(self.p, c, self.e + e) for c in out[:, 0].tolist()]
 
     def trace(self) -> CycElem:
         return CycElem.make(self.p, [sum(c) for c in self.num.diagonal().tolist()], self.e)
@@ -265,15 +246,11 @@ class PMatrix:
     def equal_exact(self, other: "PMatrix") -> bool:
         return (self.p, self.e) == (other.p, other.e) and np.array_equal(self.num, other.num)
 
-    def is_scalar(self) -> bool:
-        d = self.entries[0][0]
-        return not d.is_zero() and self.equal_exact(PMatrix.diagonal(self.p, [d] * self.n))
-
     def proj_equal(self, other: "PMatrix") -> bool:
         """Equality up to one global scalar, decided by cross-multiplication:
         with the same nonzero pattern, b0 self = a0 other for the first
         nonzero entries a0 of self and b0 of other."""
-        if self.p != other.p or self.n != other.n:
+        if self.p != other.p or self.num.shape != other.num.shape:
             return False
         support = self.num.any(axis=2)
         if not np.array_equal(support, other.num.any(axis=2)):

@@ -30,8 +30,9 @@ pmatrix's one multi-modular product; over F_q the letters (equal to the
 reductions of the exact ones) multiply by linalg.fq_matmul.  rho_mod is
 the list edge for output, rho(word, r) as a tuple of rows of ints.
 rho_apply carries a vector right to left through the letters over either
-ring, one matrix-vector product per letter, for callers that read a
-single column such as the vacuum column.
+ring, for callers that read a single column such as the vacuum column.
+Each letter takes the ring's one product, mat_mul, with the vector as its
+right factor: exactly, a one-column PMatrix.
 """
 
 from __future__ import annotations
@@ -330,11 +331,11 @@ def vacuum_vector(genus: int, R):
 
 def rho_apply(word: TwistWord, R, vec):
     """rho(word) vec over R, carried right to left through the cached
-    letters: one matrix-vector product per letter instead of a dense
-    matrix product."""
+    letters: each letter multiplies one column instead of a dense
+    matrix."""
     S = scalar_ring(R)
     for curve, exp in reversed(word.letters):
-        vec = S.mat_vec(letter_matrix(word.genus, R, curve, exp), vec)
+        vec = S.mat_mul(letter_matrix(word.genus, R, curve, exp), vec)
     return vec
 
 

@@ -213,6 +213,12 @@ def test_double_of_a_closed_piece_is_a_desc_error(tmp_path, capsys):
             assert err.startswith("error[parse]") and "double requires a bounded piece" in err, argv
 
 
+def test_malformed_desc_fields_are_parse_errors(capsys):
+    for desc in ("bounded:2", "lens:abc", "heegaard:x:c1"):
+        code, out, err = run(capsys, "invariant", "rt", "--desc", desc, "--p", "5")
+        assert code == 2 and out == "" and err.startswith("error[parse]"), desc
+
+
 def test_fixed_seed_runs_are_byte_identical(capsys):
     args = (
         "walk", "montecarlo", "--desc", "bounded:2:0:1", "--p", "5", "--q", "41",

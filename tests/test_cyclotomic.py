@@ -57,19 +57,17 @@ def test_a_times_a_is_u():
     assert elem_A(5) * elem_A(5) == elem_u(5)
 
 
-def test_mul_root_equals_the_general_product():
-    """Rotation by zeta^E against x * zeta^E for every E in [0, 4p),
-    on zero, units, small and huge coefficients and p-denominators."""
-    rng = random.Random(5)
+def test_monomial_table_equals_powers_of_zeta():
+    """The table ring(p).monomial, built by reduce_poly, against the
+    general product zeta^(E - 1) * zeta for every E in [0, 4p)."""
     for p in (5, 7, 11):
-        deg = ring(p).degree
-        elems = [CycElem.zero(p), CycElem.one(p), eta(p), CycElem.make(p, [p] * deg, 3)]
-        elems += [rand_elem(p, rng, size) for size in (1, 9, 2**70) for _ in range(3)]
-        assert any(x.e for x in elems)
+        zeta = CycElem.make(p, [0, 1])
+        power = CycElem.one(p)
         for E in range(4 * p):
-            root = CycElem.root_power(p, E)
-            for x in elems:
-                assert x.mul_root(E) == x * root
+            assert ring(p).monomial[E] == power.coeffs
+            assert CycElem.root_power(p, E) == power
+            power = power * zeta
+        assert power == CycElem.one(p)
 
 
 def test_pow_equals_repeated_product():

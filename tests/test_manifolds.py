@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,20 @@ def test_desc_parsing_roundtrip():
                  "bounded:2:0:c3^2", "sum:(lens:3),(lens:5)", "double:(bounded:2:1:c1)"):
         desc = parse_desc(text)
         assert desc_from_json(json.loads(json.dumps(desc_to_json(desc)))) == desc
+
+
+@pytest.mark.parametrize(
+    "text", ["bounded:2", "heegaard:2", "lens:abc", "heegaard:x:c1", "mtorus", "bounded:2:z:c1"]
+)
+def test_malformed_desc_fields_raise_desc_error(text):
+    with pytest.raises(DescError, match=re.escape(repr(text))):
+        parse_desc(text)
+
+
+def test_huge_twist_power_is_the_identity_in_rt():
+    """t^p = 1 exactly and 10^12 = 0 mod 5, so c1^(10^12) drops out."""
+    big, plain = (parse_desc(f"heegaard:2:{w}") for w in ("c1^1000000000000*c3", "c3"))
+    assert rt_closed(big, 5) == rt_closed(plain, 5)
 
 
 def test_desc_errors():

@@ -71,6 +71,22 @@ def test_word_algebra():
     assert w ** -2 == (w.inverse()) ** 2
 
 
+def test_powers_equal_the_chain_of_products():
+    for text in ("c1", "c1*c2", "c1*c2^-1*c1", "[c1, c3]*s^2"):
+        w = parse_word(2, text)
+        for k in range(-5, 6):
+            base = w if k > 0 else w.inverse()
+            assert w ** k == word_product(2, [base] * abs(k)), (text, k)
+    w = parse_word(2, "c1*c2^-1*c1")
+    assert w ** 8000 == word_product(2, [w] * 8000)
+
+
+def test_a_huge_exponent_parses_to_one_letter():
+    """Square-and-multiply: 40 merges, not 10^12."""
+    assert parse_word(2, "c1^1000000000000").letters == (("c1", 10**12),)
+    assert parse_word(2, "(c3^-2)^1000000000000").letters == (("c3", -2 * 10**12),)
+
+
 # -- homology action -----------------------------------------------------------
 
 

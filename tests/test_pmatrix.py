@@ -15,13 +15,13 @@ from qtop.pmatrix import PMatrix, moduli, prime_count, product_spread
 
 def schoolbook_mul(A: PMatrix, B: PMatrix) -> PMatrix:
     """Entry by entry in CycElem arithmetic: the oracle for PMatrix.__mul__."""
-    n, a, b = A.n, A.entries, B.entries
+    a, b = A.entries, B.entries
     rows = []
-    for i in range(n):
+    for i in range(len(a)):
         row = []
-        for j in range(n):
+        for j in range(len(b[0])):
             acc = CycElem.zero(A.p)
-            for k in range(n):
+            for k in range(len(b)):
                 if not a[i][k].is_zero() and not b[k][j].is_zero():
                     acc = acc + a[i][k] * b[k][j]
             row.append(acc)
@@ -78,13 +78,14 @@ def kronecker_mul(A: PMatrix, B: PMatrix) -> PMatrix:
     (ea, ma), (eb, mb) = (_common_bound(p, [x for row in M.entries for x in row]) for M in (A, B))
     kron = Kronecker(p, n, ma * mb)
     rows = [[kron.pack(x, ea) for x in row] for row in A.entries]
-    cols = [[kron.pack(row[j], eb) for row in B.entries] for j in range(n)]
+    cols = [[kron.pack(x, eb) for x in col] for col in zip(*B.entries)]
     out = [[kron.unpack(sum(map(mul, ra, cb)), ea + eb) for cb in cols] for ra in rows]
     return PMatrix.from_rows(p, out)
 
 
-def column(M: PMatrix, j: int) -> list[CycElem]:
-    return [row[j] for row in M.entries]
+def column(M: PMatrix, j: int) -> PMatrix:
+    """Column j of M as a one-column PMatrix, an exact vector."""
+    return PMatrix.from_rows(M.p, [[row[j]] for row in M.entries])
 
 
 # small, moderate and up-to-2^200 coefficients, either sign
@@ -132,7 +133,11 @@ def test_packed_product_equals_schoolbook(pair):
     AB = A * B
     assert AB.entries == schoolbook_mul(A, B).entries == kronecker_mul(A, B).entries
     for j in range(A.n):
-        assert A.apply(column(B, j)) == column(AB, j)
+        b = column(B, j)
+        Ab = A * b
+        assert Ab.num.shape == (A.n, 1, ring(A.p).degree)
+        assert Ab.entries == column(AB, j).entries == schoolbook_mul(A, b).entries
+        assert Ab.entries == kronecker_mul(A, b).entries
 
 
 @st.composite
@@ -152,13 +157,14 @@ def products_with_root_diagonals(draw):
 @settings(max_examples=40, deadline=None)
 @given(products_with_root_diagonals())
 def test_root_diagonal_products_equal_schoolbook(ops):
-    """A root-of-unity diagonal on either side, or two of them; apply by it
-    moves each entry of the vector by a root of unity."""
+    """A root-of-unity diagonal on either side, or two of them; by a column
+    it moves each entry of the vector by a root of unity."""
     M, D, D2 = ops
     for A, B in ((D, M), (M, D), (D, D2), (D, M * D2)):
         assert (A * B).entries == schoolbook_mul(A, B).entries
     for j in range(M.n):
-        assert D.apply(column(M, j)) == column(schoolbook_mul(D, M), j)
+        m = column(M, j)
+        assert (D * m).entries == schoolbook_mul(D, m).entries == column(schoolbook_mul(D, M), j).entries
 
 
 def test_non_root_diagonals_take_the_packed_product():
@@ -179,7 +185,8 @@ def test_non_root_diagonals_take_the_packed_product():
     for N in near_misses:
         for A, B in ((N, M), (M, N)):
             assert (A * B).entries == schoolbook_mul(A, B).entries
-        assert N.apply(column(M, 0)) == column(schoolbook_mul(N, M), 0)
+        m = column(M, 0)
+        assert (N * m).entries == schoolbook_mul(N, m).entries == kronecker_mul(N, m).entries
 
 
 def test_extreme_digits():
@@ -194,21 +201,35 @@ def test_extreme_digits():
                     A = PMatrix.from_rows(p, [[x] * n] * n)
                     B = PMatrix.from_rows(p, [[CycElem.make(p, [m] * deg)] * n] * n)
                     assert (A * B).entries == schoolbook_mul(A, B).entries
-                    assert A.apply(column(B, 0)) == column(schoolbook_mul(A, B), 0)
+                    b = column(B, 0)
+                    assert (A * b).entries == schoolbook_mul(A, b).entries == kronecker_mul(A, b).entries
 
 
-def test_apply_of_zero_and_identity():
+def test_column_products_of_zero_and_identity():
     p, n = 7, 3
     A = PMatrix.from_rows(
         p, [[CycElem.make(p, [i + j - k for k in range(12)], j) for j in range(n)] for i in range(n)]
     )
-    zero = [CycElem.zero(p)] * n
-    assert A.apply(zero) == zero
+    zero = ring(p).vector([CycElem.zero(p)] * n)
+    assert A * zero == zero
     assert (A * PMatrix.identity(p, n)).entries == A.entries
     assert (PMatrix.identity(p, n) * A).entries == A.entries
     for j in range(n):
-        e_j = [CycElem.one(p) if i == j else CycElem.zero(p) for i in range(n)]
-        assert A.apply(e_j) == column(A, j)
+        e_j = ring(p).vector([CycElem.one(p) if i == j else CycElem.zero(p) for i in range(n)])
+        assert A * e_j == column(A, j)
+
+
+def test_mismatched_inner_dimensions_raise():
+    p = 5
+    x = CycElem.root_power(p, 1)
+    A, v = PMatrix.identity(p, 3), ring(p).vector([x, x])
+    with pytest.raises(RingUsageError):
+        A * v
+    with pytest.raises(RingUsageError):
+        v * A
+    with pytest.raises(RingUsageError):
+        A * PMatrix.identity(p, 2)
+    assert (ring(p).vector([x, x, x]) * PMatrix.identity(p, 1)).entries == ((x,),) * 3
 
 
 
