@@ -239,11 +239,10 @@ def parse_desc(text: str) -> ManifoldDesc:
     raise DescError(f"cannot parse manifold description {text!r}")
 
 
-def _desc_int(field: str, text: str) -> int:
-    try:
-        return int(field)
-    except ValueError:
-        raise DescError(f"expected an integer, got {field!r}: {text!r}") from None
+def _desc_int(field, text) -> int:
+    if isinstance(field, (int, str)) and re.fullmatch(r"\s*[+-]?\d+\s*", str(field)):
+        return int(field)  # not a float, which int() would truncate
+    raise DescError(f"expected an integer, got {field!r}: {text!r}")
 
 
 def _split_parenthesized(s: str) -> list[str]:
@@ -291,20 +290,23 @@ def desc_to_json(desc: ManifoldDesc) -> dict:
 
 
 def desc_from_json(doc: dict) -> ManifoldDesc:
-    kind = doc.get("kind")
-    if kind == "lens":
-        return LensSurgery(int(doc["b"]))
-    if kind == "heegaard":
-        return HeegaardGluing(int(doc["genus"]), parse_word(int(doc["genus"]), doc["word"]))
-    if kind == "mappingTorus":
-        return MappingTorus(int(doc["genus"]), parse_word(int(doc["genus"]), doc["word"]))
-    if kind == "sum":
-        return ConnectedSum(desc_from_json(doc["left"]), desc_from_json(doc["right"]))
-    if kind == "double":
-        return Double(desc_from_json(doc["half"]))
-    if kind == "bounded":
-        g = int(doc["genus"])
-        return BoundedHeegaard(g, int(doc["boundaryGenus"]), parse_word(g, doc["word"]))
+    """Inverse of desc_to_json; a malformed document raises DescError."""
+    try:
+        kind = doc.get("kind")
+        if kind == "lens":
+            return LensSurgery(_desc_int(doc["b"], doc))
+        if kind in ("heegaard", "mappingTorus", "bounded"):
+            g = _desc_int(doc["genus"], doc)
+            word = parse_word(g, doc["word"])
+            if kind == "bounded":
+                return BoundedHeegaard(g, _desc_int(doc["boundaryGenus"], doc), word)
+            return (HeegaardGluing if kind == "heegaard" else MappingTorus)(g, word)
+        if kind == "sum":
+            return ConnectedSum(desc_from_json(doc["left"]), desc_from_json(doc["right"]))
+        if kind == "double":
+            return Double(desc_from_json(doc["half"]))
+    except (AttributeError, KeyError, TypeError) as exc:  # not an object, a field missing or mistyped
+        raise DescError(f"malformed description document {doc!r}: {exc!r}") from None
     raise DescError(f"unknown kind {kind!r}")
 
 
@@ -313,13 +315,8 @@ def desc_from_json(doc: dict) -> ManifoldDesc:
 
 def _rewrite_to_cores(word) -> tuple[int, ...]:
     """Image of a surface-group word in pi1(handlebody): kill b_i, a_i -> x_i."""
-    out = []
-    for x in word:
-        if abs(x) == 1:
-            out.append(1 if x > 0 else -1)
-        elif abs(x) == 3:
-            out.append(2 if x > 0 else -2)
-    return free_reduce(tuple(out))
+    core = {1: 1, -1: -1, 3: 2, -3: -2}
+    return free_reduce(tuple(core[x] for x in word if x in core))
 
 
 def presentation(desc: ManifoldDesc) -> GroupPresentation:
@@ -331,10 +328,7 @@ def presentation(desc: ManifoldDesc) -> GroupPresentation:
             k = abs(W[1][0])
             return GroupPresentation(1, ((1,) * k if k else (),))
         phi = pi1_action(desc.word)
-        rels = tuple(
-            _rewrite_to_cores(phi[m]) for m in (2, 4)
-        )
-        return GroupPresentation(2, tuple(r for r in rels))
+        return GroupPresentation(2, tuple(_rewrite_to_cores(phi[m]) for m in (2, 4)))
     if isinstance(desc, MappingTorus):
         if desc.genus == 1:
             W = h1_action(desc.word)
@@ -453,17 +447,6 @@ def h1_order(desc: ManifoldDesc) -> int:
 _HOM_CHUNK = 1 << 12  # candidate assignments evaluated per numpy batch
 
 
-def _evaluate(rel: tuple[int, ...], assign, table, inverse):
-    """The relator's value under each row of assignments, by table lookups."""
-    acc = None
-    for x in rel:
-        g = assign[:, abs(x) - 1]
-        if x < 0:
-            g = inverse[g]
-        acc = g if acc is None else table[acc, g]
-    return acc
-
-
 def _runs(rel: tuple[int, ...], s: int) -> list:
     """rel cut at its letters +-s: those letters as ints, and each maximal
     run of lower letters between them as a tuple."""
@@ -483,27 +466,30 @@ def hom_count(pres: GroupPresentation, G: FiniteGroupTable, budget: int = 2_000_
 
     Stage s extends each assignment of x_1 .. x_{s-1} that satisfies the
     relators checkable so far by every value of x_s, and keeps the rows that
-    satisfy the relators whose highest letter is x_s, evaluated over a whole
-    batch at once.  Such a relator is cut at its letters +-x_s: each run of
-    lower letters between them is evaluated once per parent row and
-    repeated to that parent's |G| candidates, and only the letters +-x_s
-    are looked up per candidate.  Stages after the last relator multiply
-    the count by |G|.  The node count is that of a depth-first search with
-    relator pruning: one root plus the survivors of every stage.  Raises
-    BudgetExceededError as soon as it exceeds the budget; no partial counts
-    are ever returned.
+    satisfy the relators whose highest letter is x_s, a batch at a time.
+    Such a relator is cut at its letters +-x_s: each run of lower letters
+    between them is evaluated once per parent row and broadcast to its |G|
+    candidates, and a trailing run R is not multiplied in: the value before
+    it is compared with R^-1.  Values are scaled by |G| on one flat table
+    mul[a*|G| + b] = (a*b)*|G|, so a letter g costs one add and one gather,
+    acc = mul[acc + g].  Levels are stored as uint8 while |G| <= 256; a
+    batch widens only its parents' columns to intp.  Stages after the last
+    relator multiply the count by |G|.  The node count is that of a
+    depth-first search with relator pruning: one root plus the survivors of
+    every stage.  Raises BudgetExceededError as soon as it exceeds the
+    budget; no partial counts are ever returned.
     """
-    n = pres.num_generators
+    n, order = pres.num_generators, G.order
     # relators become checkable once all their letters are assigned
     by_stage: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     for rel in pres.relators:
         by_stage[max((abs(x) for x in rel), default=0)].append(rel)
     last = max((s for s in range(1, n + 1) if by_stage[s]), default=0)
-    dtype = np.uint8 if G.order <= 256 else np.intp
-    table = np.array(G.table, dtype=dtype)
-    inverse = np.array(G.inverse, dtype=dtype)
-    values = np.arange(G.order, dtype=dtype)
-    nodes = 0
+    dtype = np.uint8 if order <= 256 else np.intp
+    mul = (np.array(G.table, dtype=np.intp) * order).ravel()
+    inverse = np.array(G.inverse, dtype=np.intp)
+    top = np.arange(order, dtype=np.intp)  # x_s over one parent's candidates
+    one, nodes = G.identity * order, 0
 
     def visit(k: int) -> None:
         nonlocal nodes
@@ -511,32 +497,44 @@ def hom_count(pres: GroupPresentation, G: FiniteGroupTable, budget: int = 2_000_
         if nodes > budget:
             raise BudgetExceededError(f"homomorphism search exceeded {budget} nodes")
 
+    def product(word, values):  # the value of word, scaled by |G|
+        acc = one
+        for x in word:
+            acc = mul[acc + values[x]]
+        return acc
+
     visit(1)
     level = np.zeros((1, 0), dtype=dtype)
-    per = max(1, _HOM_CHUNK // G.order)
+    per = max(1, _HOM_CHUNK // order)
     for s in range(1, last + 1):
         rels = [_runs(rel, s) for rel in by_stage[s]]
-        kept = [np.zeros((0, s), dtype=dtype)]
+        tails = [free_inverse(r.pop()) if isinstance(r[-1], tuple) else () for r in rels]
+        # survivors cannot outrun the budget by more than one batch
+        kept = np.empty((min(len(level) * order, budget - nodes + per * order), s), dtype=dtype)
+        filled = 0
         for start in range(0, len(level), per):
             parents = level[start : start + per]
-            top = np.tile(values, len(parents))  # x_s over the candidates
-            letter = {s: top, -s: inverse[top]}
-            keep = np.ones(len(top), dtype=bool)
-            for segments in rels:
-                acc = None
+            cols = np.ascontiguousarray(parents.T, dtype=np.intp)
+            values = {s: top, -s: inverse}  # of each letter and run, per parent or per x_s
+            values.update(zip(range(1, s), cols))
+            values.update(zip(range(-1, -s, -1), inverse[cols]))
+            keep = np.ones((len(parents), order), dtype=bool)  # parent x x_s
+            for segments, tail in zip(rels, tails):
+                acc = one
                 for seg in segments:
-                    if isinstance(seg, tuple):
-                        g = np.repeat(_evaluate(seg, parents, table, inverse), G.order)
-                    else:
-                        g = letter[seg]
-                    acc = g if acc is None else table[acc, g]
-                keep &= acc == G.identity
-            kept.append(np.column_stack((np.repeat(parents, G.order, axis=0), top))[keep])
-            visit(len(kept[-1]))
-        level = np.concatenate(kept)
+                    if seg not in values:  # a run: one value per parent, broadcast
+                        values[seg] = (product(seg, values) // order)[:, None]
+                    acc = mul[acc + values[seg]]
+                keep &= acc == np.reshape(product(tail, values), (-1, 1))
+            idx = np.flatnonzero(keep)
+            rows = kept[filled : filled + len(idx)]
+            rows[:, :-1], rows[:, -1] = parents[idx // order], idx % order
+            filled += len(idx)
+            visit(len(idx))
+        level = kept[:filled]
     count = len(level)
     for _ in range(last, n):
-        count *= G.order
+        count *= order
         visit(count)
     return count
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -139,6 +140,30 @@ def test_malformed_desc_fields_raise_desc_error(text):
         parse_desc(text)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "lens"},
+        {"kind": "lens", "b": None},
+        {"kind": "lens", "b": 2.5},
+        {"kind": "lens", "b": True},
+        {"kind": "bounded", "genus": 2, "word": "c1"},
+        {"kind": "heegaard", "genus": "two", "word": "c1"},
+        {"kind": "mappingTorus", "genus": 2},
+        {"kind": "heegaard", "genus": 2, "word": 5},
+        {"kind": "bounded", "genus": 2, "boundaryGenus": 1.5j, "word": "c1"},
+        {"kind": "sum", "left": {"kind": "lens", "b": 3}},
+        {"kind": "double", "half": []},
+        [{"kind": "lens", "b": 5}],
+        "lens:5",
+        None,
+    ],
+)
+def test_malformed_desc_documents_raise_desc_error(doc):
+    with pytest.raises(DescError):
+        desc_from_json(doc)
+
+
 def test_huge_twist_power_is_the_identity_in_rt():
     """t^p = 1 exactly and 10^12 = 0 mod 5, so c1^(10^12) drops out."""
     big, plain = (parse_desc(f"heegaard:2:{w}") for w in ("c1^1000000000000*c3", "c3"))
@@ -240,6 +265,30 @@ def test_hom_count_budget_at_the_search_node_count():
         assert hom_count(pres, G, budget=nodes) == count
         with pytest.raises(BudgetExceededError):
             hom_count(pres, G, budget=nodes - 1)
+
+
+_CYCLIC = {m: builtin_group(f"Z/{m}") for m in (40, 257, 300)}
+
+
+def abelian_hom_count(pres: GroupPresentation, m: int) -> int:
+    """|Hom(pi, Z/m)| = |Hom(H_1, Z/m)| = m^rank * prod gcd(d_i, m)."""
+    rank, torsion = homology_h1(pres)
+    return m**rank * math.prod(math.gcd(d, m) for d in torsion)
+
+
+# Z/257 and Z/300 have more than 256 elements: their levels are stored as intp
+@settings(max_examples=40, deadline=None)
+@given(st.lists(relators(2), max_size=3), st.sampled_from(sorted(_CYCLIC)))
+def test_hom_count_into_cyclic_groups_equals_the_homology_count(rels, m):
+    pres = GroupPresentation(2, tuple(rels))
+    assert hom_count(pres, _CYCLIC[m]) == abelian_hom_count(pres, m)
+
+
+@pytest.mark.parametrize("m", sorted(_CYCLIC))
+@pytest.mark.parametrize("seed", range(8))
+def test_hom_count_of_genus_two_gluings_equals_the_homology_count(seed, m):
+    pres = presentation(HeegaardGluing(2, random_word(2, 12, seed)))
+    assert hom_count(pres, _CYCLIC[m]) == abelian_hom_count(pres, m)
 
 
 # word -> ((RT at p = 5), (RT at p = 7), |Hom(pi1, Q8)|, |Hom(pi1, S3)|) of
