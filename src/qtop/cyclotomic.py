@@ -31,6 +31,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from . import linalg
+
 
 class RingUsageError(ValueError):
     """Operands constructed over different primes, or malformed input."""
@@ -566,9 +568,6 @@ def residue_primes(p: int, count: int = 5) -> list[int]:
 
 
 # -- ideals ---------------------------------------------------------------
-
-
-from . import linalg  # noqa: E402
 
 
 @dataclass(frozen=True)

@@ -2,27 +2,29 @@
 
 Groups are ingested as tables (CSV: row i, col j = index of the product)
 or as permutation generators, in which case the table is built by
-closure.  Associativity, identity, and inverses are checked on
-construction; the exponent e(G) is cached.
+closure.  The table and the inverses are read-only intp arrays.
+Associativity, identity, and inverses are checked on construction as
+whole-array comparisons; the exponent e(G) is cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+
+import numpy as np
 
 
 class GroupTableError(ValueError):
     """Malformed multiplication table or unknown builtin group."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroupTable:
     name: str
-    table: tuple[tuple[int, ...], ...]
+    table: np.ndarray  # table[a, b] = index of a*b
     identity: int
-    inverse: tuple[int, ...]
+    inverse: np.ndarray
     exponent: int
 
     @property
@@ -30,67 +32,42 @@ class FiniteGroupTable:
         return len(self.table)
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inverse[a], -k
-        acc = self.identity
-        while k:
-            if k & 1:
-                acc = self.table[acc][a]
-            a = self.table[a][a]
-            k >>= 1
-        return acc
-
-    def element_order(self, a: int) -> int:
-        acc, k = a, 1
-        while acc != self.identity:
-            acc = self.table[acc][a]
-            k += 1
-        return k
-
-    def conjugate(self, g: int, a: int) -> int:
-        """g a g^{-1}."""
-        return self.table[self.table[g][a]][self.inverse[g]]
+        return int(self.inverse[a])
 
     @staticmethod
-    def from_table(name: str, table: list[list[int]]) -> "FiniteGroupTable":
+    def from_table(name: str, table) -> "FiniteGroupTable":
+        """Validate a square table of indices; |G|^3 comparisons for
+        associativity, one row of (a*b)*c against a*(b*c) at a time."""
         n = len(table)
-        if any(len(row) != n for row in table):
-            raise GroupTableError("table is not square")
-        if any(not (0 <= x < n) for row in table for x in row):
+        try:
+            T = np.array(table, dtype=np.intp).reshape(n, n)
+        except ValueError:
+            raise GroupTableError("table is not square") from None
+        if ((T < 0) | (T >= n)).any():
             raise GroupTableError("table entries out of range")
-        identity = None
-        for e in range(n):
-            if all(table[e][a] == a and table[a][e] == a for a in range(n)):
-                identity = e
-                break
-        if identity is None:
+        r = np.arange(n)
+        ids = np.flatnonzero((T == r).all(axis=1) & (T.T == r).all(axis=1))
+        if not len(ids):
             raise GroupTableError("no identity element")
-        inverse = [None] * n
+        identity = int(ids[0])
+        two_sided = (T == identity) & (T.T == identity)
+        missing = np.flatnonzero(~two_sided.any(axis=1))
+        if len(missing):
+            raise GroupTableError(f"element {missing[0]} has no inverse")
         for a in range(n):
-            for b in range(n):
-                if table[a][b] == identity and table[b][a] == identity:
-                    inverse[a] = b
-                    break
-            if inverse[a] is None:
-                raise GroupTableError(f"element {a} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
-                        raise GroupTableError("table is not associative")
-        tab = tuple(tuple(row) for row in table)
-        g = FiniteGroupTable(name, tab, identity, tuple(inverse), 1)
-        exp = 1
-        for a in range(n):
-            exp = lcm(exp, g.element_order(a))
-        object.__setattr__(g, "exponent", exp)
-        return g
+            if not np.array_equal(T[T[a]], T[a][T]):
+                raise GroupTableError("table is not associative")
+        # the exponent is the least k with x^k = 1 for every x at once
+        cur, exponent = r, 1
+        while (cur != identity).any():
+            cur, exponent = T[cur, r], exponent + 1
+        inverse = two_sided.argmax(axis=1)
+        T.setflags(write=False)
+        inverse.setflags(write=False)
+        return FiniteGroupTable(name, T, identity, inverse, exponent)
 
     @staticmethod
     def from_permutations(name: str, gens: list[tuple[int, ...]]) -> "FiniteGroupTable":
@@ -131,7 +108,7 @@ class FiniteGroupTable:
         return FiniteGroupTable.from_table(name, rows)
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(x) for x in row) for row in self.table)
+        return "\n".join(",".join(map(str, row)) for row in self.table.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -142,16 +119,14 @@ def builtin_group(name: str) -> FiniteGroupTable:
         digits = key[2:] if key.startswith("z/") else key[1:]
         if digits.isdigit() and int(digits) >= 1:
             n = int(digits)
-            table = [[(i + j) % n for j in range(n)] for i in range(n)]
-            return FiniteGroupTable.from_table(f"Z/{n}", table)
+            r = np.arange(n)
+            return FiniteGroupTable.from_table(f"Z/{n}", np.add.outer(r, r) % n)
     if key == "s3":
         return FiniteGroupTable.from_permutations(
             "S3", [(1, 0, 2), (1, 2, 0)]
         )
     if key == "q8":
         # elements 1, -1, i, -i, j, -j, k, -k
-        names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
         def q_mul(x, y):
             sx, ux = (1 if not x % 2 else -1), x // 2
             sy, uy = (1 if not y % 2 else -1), y // 2

@@ -486,8 +486,7 @@ def hom_count(pres: GroupPresentation, G: FiniteGroupTable, budget: int = 2_000_
         by_stage[max((abs(x) for x in rel), default=0)].append(rel)
     last = max((s for s in range(1, n + 1) if by_stage[s]), default=0)
     dtype = np.uint8 if order <= 256 else np.intp
-    mul = (np.array(G.table, dtype=np.intp) * order).ravel()
-    inverse = np.array(G.inverse, dtype=np.intp)
+    mul, inverse = (G.table * order).ravel(), G.inverse
     top = np.arange(order, dtype=np.intp)  # x_s over one parent's candidates
     one, nodes = G.identity * order, 0
 
@@ -551,63 +550,52 @@ def dw_invariant(desc: ManifoldDesc, G: FiniteGroupTable, budget: int = 2_000_00
 
 class DwTorusTheory:
     """The genus-1 Dijkgraaf-Witten theory: commuting pairs mod conjugation,
-    mapping classes acting through their SL2(Z) image."""
+    mapping classes acting through their SL2(Z) image.
+
+    A pair (x, y) is keyed x*|G| + y; a class is its least key, so the
+    classes are sorted as the pairs they stand for.
+    """
 
     def __init__(self, G: FiniteGroupTable):
         self.G = G
-        pairs = [
-            (x, y)
-            for x in range(G.order)
-            for y in range(G.order)
-            if G.mul(x, y) == G.mul(y, x)
-        ]
-        canon: dict[tuple[int, int], tuple[int, int]] = {}
-        for pr in pairs:
-            canon[pr] = min(
-                (G.conjugate(g, pr[0]), G.conjugate(g, pr[1])) for g in range(G.order)
-            )
-        classes = sorted(set(canon.values()))
-        self.pairs = pairs
-        self.canon = canon
-        self.classes = classes
-        self.class_index = {c: i for i, c in enumerate(classes)}
+        T, n = G.table, G.order
+        x, y = np.nonzero(T == T.T)  # the commuting pairs
+        key = x * n + y
+        for g in range(n):  # a running minimum keeps memory O(|G|^2)
+            conj = T[T[g], G.inverse[g]]  # a -> g a g^-1
+            np.minimum(key, conj[x] * n + conj[y], out=key)
+        self.classes, index = np.unique(key, return_inverse=True)
+        self.class_of = np.full(n * n, -1)  # pair key -> class index
+        self.class_of[x * n + y] = index
+        self.powers = np.empty((G.exponent, n), dtype=np.intp)  # [k, a] = a^k
+        self.powers[0] = G.identity
+        for k in range(1, G.exponent):
+            self.powers[k] = T[self.powers[k - 1], np.arange(n)]
 
     def dim(self) -> int:
         return len(self.classes)
 
-    def act_pair(self, W, pair):
-        """Action of an SL2(Z) matrix on a commuting pair: r -> r . phi."""
-        x, y = pair
-        G = self.G
-        nx = G.mul(G.power(x, W[0][0]), G.power(y, W[1][0]))
-        ny = G.mul(G.power(x, W[0][1]), G.power(y, W[1][1]))
-        return (nx, ny)
+    def act(self, W, x, y):
+        """Action of an SL2(Z) matrix on commuting pairs: r -> r . phi, as
+        the pair keys (x^W00 y^W10, x^W01 y^W11)."""
+        T, P, e = self.G.table, self.powers, self.G.exponent
+        nx = T[P[W[0][0] % e, x], P[W[1][0] % e, y]]
+        ny = T[P[W[0][1] % e, x], P[W[1][1] % e, y]]
+        return nx * self.G.order + ny
 
     def permutation(self, word: TwistWord) -> tuple[int, ...]:
         """Permutation matrix (as index map) of the word on the class basis."""
-        W = h1_action(word)
-        out = []
-        for c in self.classes:
-            img = self.canon[self.act_pair(W, c)]
-            out.append(self.class_index[img])
-        return tuple(out)
+        x, y = np.divmod(self.classes, self.G.order)
+        return tuple(self.class_of[self.act(h1_action(word), x, y)].tolist())
 
     def trace(self, word: TwistWord) -> int:
-        perm = self.permutation(word)
-        return sum(1 for i, j in enumerate(perm) if i == j)
+        return int(np.count_nonzero(np.equal(self.permutation(word), range(self.dim()))))
 
     def pairing_invariant(self, word: TwistWord) -> Fraction:
         """<handlebody, rho(word) handlebody> with class-size weights."""
         G = self.G
-        W = h1_action(word)
-        total = 0
-        for pr in self.pairs:
-            if pr[0] != G.identity:
-                continue
-            img = self.act_pair(W, pr)
-            if img[0] == G.identity:
-                total += 1
-        return Fraction(total, G.order)
+        img = self.act(h1_action(word), G.identity, np.arange(G.order))
+        return Fraction(int(np.count_nonzero(img // G.order == G.identity)), G.order)
 
 
 def dw_invariant_tqft(desc: ManifoldDesc, G: FiniteGroupTable) -> Fraction:

@@ -291,13 +291,6 @@ def free_inverse(w):
     return tuple(-x for x in reversed(w))
 
 
-def free_mul(*ws):
-    acc = []
-    for w in ws:
-        acc.extend(w)
-    return free_reduce(acc)
-
-
 _SIGMA = (1, 2, -1, -2)  # [a1, b1], the separating curve as a based loop
 
 # Each twist sends a generator g it moves to L.g.R, stored as g: (L, R);
@@ -316,15 +309,12 @@ _PI1_TWISTS = {
 @lru_cache(maxsize=None)
 def _twist_auto(curve: str, exp: int) -> MappingProxyType:
     """t_curve^exp on pi1(Sigma_2) as generator -> image word, read-only
-    because it is cached."""
-    step = {g: (g,) for g in (1, 2, 3, 4)}
+    because it is cached.  The twist fixes L and R, so t^k(g) = L^k.g.R^k."""
+    out = {g: (g,) for g in (1, 2, 3, 4)}
     for g, (left, right) in _PI1_TWISTS[curve].items():
         if exp < 0:
             left, right = free_inverse(left), free_inverse(right)
-        step[g] = free_mul(left, (g,), right)
-    out = {g: (g,) for g in (1, 2, 3, 4)}
-    for _ in range(abs(exp)):
-        out = _compose_auto(step, out)
+        out[g] = free_reduce(left * abs(exp) + (g,) + right * abs(exp))
     return MappingProxyType(out)
 
 

@@ -26,6 +26,7 @@ from .manifolds import (
     BoundedHeegaard,
     DescError,
     ManifoldDesc,
+    desc_to_json,
     is_closed,
     rt_closed,
 )
@@ -191,8 +192,6 @@ class ObstructionReport:
     certificate: tuple[dict, ...]  # one entry per residue prime tried
 
     def to_json(self) -> dict:
-        from .manifolds import desc_to_json
-
         return {
             "schemaVersion": 1,
             "target": desc_to_json(self.target),

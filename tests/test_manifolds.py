@@ -3,6 +3,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -36,7 +37,7 @@ from qtop.manifolds import (
     presentation,
     rt_closed,
 )
-from qtop.mcg import empty_word, letter, parse_word, random_word
+from qtop.mcg import empty_word, h1_action, letter, parse_word, random_word
 from qtop.rep import rep_dim
 from qtop.skein import kappa
 
@@ -60,12 +61,35 @@ def test_builtin_group_orders_and_exponents():
 def test_group_csv_roundtrip():
     G = builtin_group("S3")
     again = FiniteGroupTable.from_csv("S3", G.to_csv())
-    assert again.table == G.table
+    assert np.array_equal(again.table, G.table)
 
 
 def test_bad_table_rejected():
     with pytest.raises(GroupTableError):
         FiniteGroupTable.from_table("bad", [[0, 1], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 1], [1]], "table is not square"),
+        ([[0, 1, 2], [1, 2, 0]], "table is not square"),
+        ([[0, 1], [1, 2]], "table entries out of range"),
+        ([[0, 1], [1, -1]], "table entries out of range"),
+        ([[0, 1, 2], [1, 1, 1], [2, 1, 2]], "element 1 has no inverse"),
+        ([[0, 1, 2], [1, 0, 0], [2, 0, 1]], "table is not associative"),
+    ],
+)
+def test_malformed_tables_raise_group_table_error(table, message):
+    with pytest.raises(GroupTableError, match=message):
+        FiniteGroupTable.from_table("bad", table)
+
+
+def test_group_tables_are_read_only():
+    G = builtin_group("Z/5")
+    for arr in (G.table, G.inverse):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_permutation_closure():
@@ -103,6 +127,12 @@ def test_heegaard_words_for_standard_spaces():
     assert homology_of(HeegaardGluing(1, parse_word(1, "a*b*a"))) == (0, ())  # S3
     assert homology_of(HeegaardGluing(1, parse_word(1, "b^4"))) == (0, (4,))
     assert homology_of(HeegaardGluing(2, parse_word(2, "c1^4 * c4*c5*c4"))) == (0, (4,))
+
+
+def test_huge_twist_power_homology():
+    # t^k(g) = L^k.g.R^k in closed form, not k composed maps
+    desc = HeegaardGluing(2, parse_word(2, "c1^100000*c3"))
+    assert format_homology(*homology_of(desc)) == "Z/100000"
 
 
 def test_connected_sum_homology():
@@ -359,6 +389,67 @@ def test_dw_lens_surgery_matches_heegaard_word():
         word_desc = HeegaardGluing(1, parse_word(1, f"b^{b}"))
         assert dw_invariant(word_desc, G) == dw_invariant(LensSurgery(b), G)
         assert dw_invariant_tqft(word_desc, G) == dw_invariant_tqft(LensSurgery(b), G)
+
+
+class LoopTorusTheory:
+    """The genus-1 Dijkgraaf-Witten theory element by element: the oracle
+    for the whole-array DwTorusTheory."""
+
+    def __init__(self, G):
+        self.G = G
+        n = G.order
+        self.pairs = [(x, y) for x in range(n) for y in range(n) if G.mul(x, y) == G.mul(y, x)]
+        self.canon = {
+            (x, y): min((self.conj(g, x), self.conj(g, y)) for g in range(n)) for x, y in self.pairs
+        }
+        self.classes = sorted(set(self.canon.values()))
+
+    def conj(self, g, a):
+        return self.G.mul(self.G.mul(g, a), self.G.inv(g))
+
+    def power(self, a, k):
+        if k < 0:
+            a, k = self.G.inv(a), -k
+        acc = self.G.identity
+        while k:
+            if k & 1:
+                acc = self.G.mul(acc, a)
+            a, k = self.G.mul(a, a), k >> 1
+        return acc
+
+    def act(self, W, x, y):
+        G = self.G
+        nx = G.mul(self.power(x, W[0][0]), self.power(y, W[1][0]))
+        ny = G.mul(self.power(x, W[0][1]), self.power(y, W[1][1]))
+        return nx, ny
+
+    def permutation(self, word):
+        W = h1_action(word)
+        return tuple(self.classes.index(self.canon[self.act(W, *c)]) for c in self.classes)
+
+    def pairing(self, word):
+        W, e = h1_action(word), self.G.identity
+        total = sum(1 for x, y in self.pairs if x == e and self.act(W, x, y)[0] == e)
+        return Fraction(total, self.G.order)
+
+
+ORACLE_GROUPS = GROUPS + [
+    builtin_group("Z/12"),
+    FiniteGroupTable.from_permutations("A4", [(1, 2, 0, 3), (0, 2, 3, 1)]),
+]
+
+
+@pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda G: G.name)
+def test_dw_torus_theory_equals_the_element_loop(G):
+    oracle, theory = LoopTorusTheory(G), DwTorusTheory(G)
+    assert [divmod(int(k), G.order) for k in theory.classes] == oracle.classes
+    words = [random_word(1, 8, seed) for seed in range(20)]
+    words.append(parse_word(1, "a^1000003 * b^-77"))
+    for w in words:
+        perm = oracle.permutation(w)
+        assert theory.permutation(w) == perm
+        assert theory.trace(w) == sum(i == j for i, j in enumerate(perm))
+        assert theory.pairing_invariant(w) == oracle.pairing(w)
 
 
 def test_dw_three_torus():

@@ -196,6 +196,21 @@ def test_twist_table_inverse_powers_compose_to_the_identity():
             assert _compose_auto(_twist_auto(c, -e), _twist_auto(c, e)) == identity, (c, e)
 
 
+def test_closed_form_twist_powers_equal_the_composed_one_step_map():
+    identity = {g: (g,) for g in (1, 2, 3, 4)}
+    for c, moved in _PI1_TWISTS.items():
+        for sign in (1, -1):
+            step = dict(identity)
+            for g, (left, right) in moved.items():
+                if sign < 0:
+                    left, right = free_inverse(left), free_inverse(right)
+                step[g] = free_reduce(left + (g,) + right)
+            composed = identity
+            for k in range(9):
+                assert _twist_auto(c, sign * k) == composed, (c, sign * k)
+                composed = _compose_auto(step, composed)
+
+
 def test_cached_twist_automorphisms_are_read_only():
     with pytest.raises(TypeError):
         _twist_auto("c3", 1)[2] = (2,)
