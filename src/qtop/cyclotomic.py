@@ -430,6 +430,13 @@ def eta(R):
     return (S.root_power(4) - S.root_power(-4)).exact_div(gauss_sqrt_minus_p(R))
 
 
+@lru_cache(maxsize=None)
+def eta_inv(R):
+    """eta(R)^-1, cached like eta: closed genus-2 invariants, connected sums
+    and boundary vectors divide by eta."""
+    return eta(R).inv()
+
+
 # -- residue reduction ---------------------------------------------------
 
 

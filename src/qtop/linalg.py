@@ -7,7 +7,8 @@ are lists of lists, rows first.  F_q matrices are numpy arrays of
 residues in fq_dtype: fq_matmul and fq_walk are the one F_q product and
 walk kernel, computing in a dtype chosen from n and q so that every
 product sum is exact (the tiers are listed in _product_dtype), and
-fq_rref is the one F_q echelon.
+fq_rref is the one F_q echelon.  draw_picks draws the walks' picks in
+bulk, as one random.Random.choice per pick would.
 """
 
 from __future__ import annotations
@@ -187,6 +188,31 @@ def fq_walk(mats, picks, vec, q: int):
         every = (vectors @ stacked).reshape(len(picks), gens, n)
         vectors = np.asarray(_residues(every[batch, picks[:, step]], q), dtype=dtype)
     return np.asarray(vectors, dtype=fq_dtype(n, q))
+
+
+def draw_picks(rng, n: int, count: int):
+    """`count` indices into range(n) (1 <= n < 2^32) as an intp array:
+    the picks, and the final state of the random.Random `rng`, of `count`
+    calls rng.choice(range(n)).
+
+    CPython's choice takes the top k = n.bit_length() bits of one 32-bit
+    Mersenne Twister word and draws again while they are >= n, and
+    getrandbits(32 m) is m such words, the first one lowest.  Each round
+    draws one word per pick still missing and keeps those below n, so no
+    word past the last pick is drawn.
+    """
+    if not 0 < n < 2 ** 32:
+        raise ValueError(f"draw_picks needs 1 <= n < 2^32, got {n}")
+    shift = 32 - n.bit_length()
+    parts = [np.zeros(0, dtype=np.intp)]
+    need = count
+    while need:
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), "<u4")
+        tops = words >> shift
+        kept = tops[tops < n]
+        parts.append(kept.astype(np.intp))
+        need -= len(kept)
+    return np.concatenate(parts)
 
 
 def fq_rref(rows, q: int):

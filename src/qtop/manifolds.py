@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .cyclotomic import CycElem, eta
+from .cyclotomic import CycElem, eta, eta_inv
 from .groups import FiniteGroupTable
 from .mcg import (
     TwistWord,
@@ -40,7 +40,7 @@ from .mcg import (
     SURFACE_RELATOR,
 )
 from .rep import rho, rho_apply, vacuum_index, vacuum_vector
-from .skein import colors, kappa, quantum_dim, twist
+from .skein import colors, kappa, kappa_inv, quantum_dim, twist
 
 
 class BudgetExceededError(RuntimeError):
@@ -621,7 +621,7 @@ def _lens_rt(p: int, b: int) -> CycElem:
         acc = acc + quantum_dim(p, n) ** 2 * twist(p, n) ** b
     val = eta(p) ** 2 * acc
     if b > 0:
-        val = val * kappa(p).inv()
+        val = val * kappa_inv(p)
     elif b < 0:
         val = val * kappa(p)
     return val
@@ -642,10 +642,10 @@ def rt_closed(desc: ManifoldDesc, p: int) -> CycElem:
         v = vacuum_index(desc.genus, p)
         val = rho_apply(desc.word, p, vacuum_vector(desc.genus, p)).entries[v][0]
         if desc.genus == 2:
-            val = val * eta(p).inv()
+            val = val * eta_inv(p)
         return val
     if isinstance(desc, ConnectedSum):
-        return rt_closed(desc.left, p) * rt_closed(desc.right, p) * eta(p).inv()
+        return rt_closed(desc.left, p) * rt_closed(desc.right, p) * eta_inv(p)
     if isinstance(desc, Double):
         from .obstruct import boundary_vector  # local import to avoid a cycle
 

@@ -227,39 +227,46 @@ def symplectic_form(genus: int) -> list[list[int]]:
     return J
 
 
-@lru_cache(maxsize=None)
-def _transvection(genus: int, curve: str, exp: int) -> tuple[tuple[int, ...], ...]:
-    """Action of t_curve^exp on H_1 (a transvection), rows first."""
-    n = 2 * genus
+def _nonzero(v) -> tuple[tuple[int, int], ...]:
+    return tuple((i, x) for i, x in enumerate(v) if x)
+
+
+def _transvection_factors(genus: int) -> dict:
+    """curve -> (nonzero entries of gamma, nonzero entries of J gamma) as
+    (index, value) pairs, gamma the curve's class, for the curves with
+    gamma != 0.  Column j of t_curve^k on H_1 is e_j + k (J gamma)_j gamma,
+    so t_curve^k = I + k gamma (J gamma)^T."""
     J = symplectic_form(genus)
-    gamma = CURVE_CLASSES[genus][curve]
-    cols = []
-    for j in range(n):
-        v = [1 if i == j else 0 for i in range(n)]
-        pairing = sum(v[i] * J[i][k] * gamma[k] for i in range(n) for k in range(n))
-        cols.append([v[i] + exp * pairing * gamma[i] for i in range(n)])
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    return {
+        curve: (_nonzero(gamma), _nonzero([sum(a * g for a, g in zip(row, gamma)) for row in J]))
+        for curve, gamma in CURVE_CLASSES[genus].items()
+        if any(gamma)
+    }
 
 
-def _mat_mul(A, B):
-    n = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+_TRANSVECTION_FACTORS = {genus: _transvection_factors(genus) for genus in GENUS_CURVES}
 
 
 def h1_action(word: TwistWord) -> tuple[tuple[int, ...], ...]:
-    """Product of transvections, one per twist letter."""
+    """Product of transvections, one per twist letter, on Python ints.
+
+    Each letter t_c^k multiplies on the right as the rank-one update
+    M <- M + k (M gamma)(J gamma)^T, gamma the class of c; gamma has at
+    most two nonzero entries, and letters with gamma = 0 (s) are skipped.
+    """
     n = 2 * word.genus
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    factors = _TRANSVECTION_FACTORS[word.genus]
     for curve, exp in word.letters:
-        M = _mat_mul(M, _transvection(word.genus, curve, exp))
+        if curve not in factors:
+            continue
+        gamma, j_gamma = factors[curve]
+        for row in M:
+            dot = exp * sum(row[i] * g for i, g in gamma)
+            if dot:
+                for j, x in j_gamma:
+                    row[j] += dot * x
     return tuple(tuple(r) for r in M)
-
-
-def is_symplectic(M, genus: int) -> bool:
-    J = symplectic_form(genus)
-    n = 2 * genus
-    MT = [[M[j][i] for j in range(n)] for i in range(n)]
-    return _mat_mul(MT, _mat_mul(J, [list(r) for r in M])) == J
 
 
 def is_torelli(word: TwistWord) -> bool:

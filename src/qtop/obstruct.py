@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import CycElem, CycIdeal, ResidueSpec, RingUsageError, eta, residue_primes
+from .cyclotomic import CycElem, CycIdeal, ResidueSpec, RingUsageError, eta_inv, residue_primes
 from .manifolds import (
     BoundedHeegaard,
     DescError,
@@ -30,7 +30,7 @@ from .manifolds import (
     is_closed,
     rt_closed,
 )
-from .linalg import fq_matmul, fq_walk
+from .linalg import draw_picks, fq_matmul, fq_walk
 from .mcg import TwistWord, empty_word, word_in_subgroup, word_product
 from .rep import (
     genus1_basis,
@@ -93,7 +93,7 @@ def boundary_vector(desc: BoundedHeegaard, p: int) -> BoundaryVector:
     genus-1 basis order.
     """
     column = rho_apply(desc.word, p, vacuum_vector(2, p)).entries
-    scale = eta(p).inv() ** (2 - desc.boundary_genus)
+    scale = eta_inv(p) ** (2 - desc.boundary_genus)
     coords = tuple(
         scale * column[i][0] for i in surviving_indices(p, desc.boundary_genus)
     )
@@ -104,7 +104,7 @@ def boundary_vector_mod(desc: BoundedHeegaard, p: int, r: ResidueSpec) -> tuple[
     if r.p != p:
         raise RingUsageError("word and residue spec use different p")
     column = rho_apply(desc.word, r, vacuum_vector(2, r))
-    scale = (eta(r).inv() ** (2 - desc.boundary_genus)).v
+    scale = (eta_inv(r) ** (2 - desc.boundary_genus)).v
     # Python ints, as certificates record them in JSON
     return tuple(
         scale * int(column[i]) % r.q for i in surviving_indices(p, desc.boundary_genus)
@@ -302,14 +302,16 @@ def twist_search(
 
     Samples products of certified subgroup generators; each sample is a
     fresh walk of SEARCH_WALK_LENGTH steps whose picks come from one
-    random.Random(seed).  Only the vacuum column of rho(base f) is read,
-    so the samples are drawn in batches of SEARCH_BATCH, and
-    linalg.fq_walk (the walk kernel montecarlo_vanishing shares) carries
-    e_vac right to left through each sample's picked generator matrices,
-    then linalg.fq_matmul applies the base word's matrix.  The rows are
-    scanned in sample order and the first vanishing one wins; drawing
-    picks past it touches only the local rng, so the result is that of
-    drawing one sample at a time.  Deterministic in (seed, budget).
+    random.Random(seed), as one rng.choice per step would draw them.  Only
+    the vacuum column of rho(base f) is read, so the samples are drawn in
+    batches of SEARCH_BATCH, each batch's picks in one linalg.draw_picks
+    call, and linalg.fq_walk (the walk kernel montecarlo_vanishing
+    shares) carries e_vac right to left through each sample's picked
+    generator matrices, then linalg.fq_matmul applies the base word's
+    matrix.  The rows are scanned in sample order and the first vanishing
+    one wins; drawing picks past it touches only the local rng, so the
+    result is that of drawing one sample at a time.  Deterministic in
+    (seed, budget).
     """
     if r.p != p:
         raise RingUsageError("word and residue spec use different p")
@@ -329,7 +331,6 @@ def twist_search(
     words = gens + [g.inverse() for g in gens]
     cert_terms = certs + [f"({c})^-1" for c in certs]
     gen_mats = np.array([rho(w, r) for w in words])
-    gen_index = list(range(len(words)))
     e_vac = vacuum_vector(2, r)
     base_mat = rho(base, r)
 
@@ -340,13 +341,12 @@ def twist_search(
     images = set()
     for start in range(0, budget, SEARCH_BATCH):
         size = min(SEARCH_BATCH, budget - start)
-        picks = [[rng.choice(gen_index) for _ in range(SEARCH_WALK_LENGTH)] for _ in range(size)]
-        index = np.array(picks, dtype=np.intp).reshape(size, SEARCH_WALK_LENGTH)
-        rows = fq_matmul(fq_walk(gen_mats, index, e_vac, r.q), base_mat.T, r.q)
+        picks = draw_picks(rng, len(words), size * SEARCH_WALK_LENGTH).reshape(size, -1)
+        rows = fq_matmul(fq_walk(gen_mats, picks, e_vac, r.q), base_mat.T, r.q)
         for offset, vec in enumerate(rows.tolist()):
             images.add(tuple(vec))
             if vanishes(vec):
-                chosen = picks[offset]
+                chosen = picks[offset].tolist()
                 f = word_product(2, [words[i] for i in chosen])
                 certificate = " . ".join(cert_terms[i] for i in chosen)
                 samples = start + offset + 1

@@ -214,3 +214,9 @@ def kappa(p: int) -> CycElem:
     for n in colors(p):
         acc = acc + quantum_dim(p, n) ** 2 * twist(p, n)
     return eta(p) * acc
+
+
+@lru_cache(maxsize=None)
+def kappa_inv(p: int) -> CycElem:
+    """kappa(p)^-1, cached like kappa (lens spaces with b > 0 divide by it)."""
+    return kappa(p).inv()

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import ResidueSpec, is_prime
-from .linalg import fq_dtype, fq_matmul, fq_walk
+from .linalg import draw_picks, fq_dtype, fq_matmul, fq_walk
 from .manifolds import BoundedHeegaard
 from .mcg import word_in_subgroup
 from .obstruct import surviving_indices
@@ -250,8 +250,9 @@ def hyperplane_prob(
     sample:     frequency over `trials` pseudorandom products with a
                 3-sigma binomial radius.  Each product is 60 steps, each
                 a transvection or the identity, picked uniformly from
-                random.Random(seed); linalg.fq_walk carries e_1 through
-                a batch of products at once.
+                random.Random(seed) as rng.choice would pick them;
+                linalg.draw_picks draws a batch's picks at once, and
+                linalg.fq_walk carries e_1 through the batch.
     """
     if not (1 <= m < n):
         raise WalkUsageError("need 1 <= m < n")
@@ -276,11 +277,10 @@ def hyperplane_prob(
         rng = random.Random(seed)
         eye = np.eye(n, dtype=fq_dtype(n, q))
         mats = np.array(gens + [eye])  # the identity is the hold step, keeping the walk aperiodic
-        index = range(len(mats))
         hits = 0
         for start in range(0, trials, SAMPLE_BATCH):
             size = min(SAMPLE_BATCH, trials - start)
-            picks = np.array([[rng.choice(index) for _ in range(60)] for _ in range(size)])
+            picks = draw_picks(rng, len(mats), size * 60).reshape(size, 60)
             cols = fq_walk(mats, picks, eye[0], q)  # X e_1, X the product of the picked steps
             hits += int(np.all(cols[:, m:] == 0, axis=1).sum())
         freq = Fraction(hits, trials)

@@ -365,3 +365,40 @@ def test_fq_matmul_and_walk_exact_at_the_float32_bound(n, q):
         for i in reversed(walk):
             expect = fq_mat_vec((full, near)[i], expect, q)
         assert tuple(row) == expect
+
+
+# -- bulk pick draws ------------------------------------------------------------
+
+
+PICK_SIZES = (1, 2, 3, 12, 13, 16, 17, 255)
+
+
+@pytest.mark.parametrize("n", PICK_SIZES)
+def test_draw_picks_equals_one_choice_per_pick(n):
+    for seed, count in enumerate((0, 1, 2, 7, 48, 1536, 5000)):
+        ours, ref = random.Random(seed), random.Random(seed)
+        got = linalg.draw_picks(ours, n, count)
+        assert got.dtype == np.intp and got.shape == (count,)
+        assert got.tolist() == [ref.choice(range(n)) for _ in range(count)]
+        assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n", PICK_SIZES)
+def test_draw_picks_in_small_draws_continue_one_large_draw(n):
+    rng, whole = random.Random(n), random.Random(n)
+    sizes = [0, 1, 5, 0, 33, 2, 400, 9]
+    parts = [linalg.draw_picks(rng, n, size).tolist() for size in sizes]
+    assert sum(parts, []) == linalg.draw_picks(whole, n, sum(sizes)).tolist()
+    assert rng.getstate() == whole.getstate()
+    # the stream continues where the picks stopped, for choice as for draw_picks
+    assert rng.random() == whole.random()
+
+
+def test_draw_picks_at_the_word_size_limit():
+    for n in (2 ** 31, 2 ** 32 - 1):
+        ours, ref = random.Random(n), random.Random(n)
+        assert linalg.draw_picks(ours, n, 50).tolist() == [ref.choice(range(n)) for _ in range(50)]
+        assert ours.getstate() == ref.getstate()
+    for n in (0, 2 ** 32):
+        with pytest.raises(ValueError):
+            linalg.draw_picks(random.Random(0), n, 1)

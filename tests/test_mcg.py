@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtop.mcg import (
+    CURVE_CLASSES,
     GENUS_CURVES,
     SURFACE_RELATOR,
     TwistWord,
@@ -14,12 +17,12 @@ from qtop.mcg import (
     free_inverse,
     free_reduce,
     h1_action,
-    is_symplectic,
     is_torelli,
     letter,
     parse_word,
     pi1_action,
     random_word,
+    symplectic_form,
     word_in_subgroup,
     word_product,
 )
@@ -88,6 +91,57 @@ def test_a_huge_exponent_parses_to_one_letter():
 
 
 # -- homology action -----------------------------------------------------------
+
+
+def _transvection(genus, curve, exp):
+    """Action of t_curve^exp on H_1 (a transvection), rows first: column j
+    is e_j + exp <e_j, gamma> gamma, gamma the curve's class."""
+    n = 2 * genus
+    J = symplectic_form(genus)
+    gamma = CURVE_CLASSES[genus][curve]
+    cols = []
+    for j in range(n):
+        v = [1 if i == j else 0 for i in range(n)]
+        pairing = sum(v[i] * J[i][k] * gamma[k] for i in range(n) for k in range(n))
+        cols.append([v[i] + exp * pairing * gamma[i] for i in range(n)])
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def _mat_mul(A, B):
+    n = len(A)
+    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def is_symplectic(M, genus):
+    J = symplectic_form(genus)
+    n = 2 * genus
+    MT = [[M[j][i] for j in range(n)] for i in range(n)]
+    return _mat_mul(MT, _mat_mul(J, [list(r) for r in M])) == J
+
+
+def transvection_product(word):
+    """The oracle for h1_action: the product of the letters' full
+    transvection matrices."""
+    n = 2 * word.genus
+    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for curve, exp in word.letters:
+        M = _mat_mul(M, _transvection(word.genus, curve, exp))
+    return tuple(tuple(r) for r in M)
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_h1_action_equals_the_transvection_product(genus):
+    rng = random.Random(genus)
+    for _ in range(300):
+        letters = [
+            (rng.choice(GENUS_CURVES[genus]), rng.choice((1, -1)) * rng.randint(1, rng.choice((3, 10 ** 12))))
+            for _ in range(rng.randint(0, 10))
+        ]
+        word = TwistWord(genus, tuple(letters))
+        M = h1_action(word)
+        assert M == transvection_product(word)
+        assert is_symplectic(M, genus)
+
 
 
 def test_empty_word_is_identity():
