@@ -41,7 +41,6 @@ from .obstruct import (  # noqa: F401
     fkb_ideal_inner,
     obstruct_embedding,
     twist_search,
-    vanishes_mod,
 )
 from .pmatrix import PMatrix  # noqa: F401
 from .rep import algebra_span_dim, hermitian_check, rep_dim, rho, rho_mod  # noqa: F401

@@ -89,8 +89,9 @@ class ScalarRing:
     Subclasses provide p, zero, one, root_power(k) = zeta^k, matrix(rows),
     diagonal(xs), vector(xs) (their dense matrix type, PMatrix exactly and
     read-only numpy arrays over F_q; an exact vector is a one-column
-    PMatrix) and mat_mul(A, B), the one product of a matrix by a matrix or
-    a vector.  The methods below expose element arithmetic to the generic
+    PMatrix), mat_mul(A, B), the one product of a matrix by a matrix or
+    a vector, and column(vec), the coordinates of a vector as ring
+    elements.  The methods below expose element arithmetic to the generic
     helpers in linalg.
     """
 
@@ -171,6 +172,10 @@ class RingSpec(ScalarRing):
     @staticmethod
     def mat_mul(A, B):
         return A * B
+
+    @staticmethod
+    def column(vec):
+        return tuple(row[0] for row in vec.entries)
 
     def reduce_poly(self, raw: list[int]) -> list[int]:
         """Canonically reduce a polynomial in zeta of any degree."""
@@ -317,10 +322,6 @@ class CycElem:
         """Complex conjugation zeta -> zeta^{-1} (hence A -> A^{-1})."""
         return self.galois(self.spec.m - 1)
 
-    def in_half_conductor_subring(self) -> bool:
-        """Whether the element lies in Z[1/p, zeta_{2p}] = Z[1/p, A]."""
-        return self.galois(2 * self.p + 1) == self
-
     def _norm_cofactor(self) -> tuple[int, "CycElem"]:
         """(N, c) for the integer part x (denominator ignored): c is the
         product of the nontrivial Galois conjugates of x, and N = x * c is
@@ -333,24 +334,13 @@ class CycElem:
             raise AssertionError("norm did not land in Z")
         return norm.coeffs[0], cof
 
-    def is_unit(self) -> bool:
-        if self.is_zero():
-            return False
-        return abs(split_p_part(self._norm_cofactor()[0], self.p)[1]) == 1
-
     def inv(self) -> "CycElem":
-        """Inverse in Z[zeta, 1/p]; raises NotAUnitError otherwise."""
-        if self.is_zero():
-            raise NotAUnitError("zero is not invertible")
-        n, cof = self._norm_cofactor()
-        k, rest = split_p_part(n, self.p)
-        if abs(rest) != 1:
-            raise NotAUnitError(f"norm has non-p part {rest}")
-        if rest < 0:
-            cof = -cof
-        # x = int_part / p^e  =>  x^{-1} = p^e * cofactor / (rest p^k), rest = +-1
-        scaled = [c * self.p ** self.e for c in cof.coeffs]
-        return CycElem.make(self.p, scaled, cof.e + k)
+        """Inverse in Z[zeta, 1/p], the exact quotient 1 / self; raises
+        NotAUnitError when there is none."""
+        try:
+            return ring(self.p).one.exact_div(self)
+        except (ZeroDivisionError, InexactDivisionError) as err:
+            raise NotAUnitError("not a unit of Z[zeta, 1/p]") from err
 
     def exact_div(self, other: "CycElem") -> "CycElem":
         """self / other when the quotient lies in the ring; exact."""
@@ -372,10 +362,6 @@ class CycElem:
 
     def to_json(self) -> dict:
         return {"p": self.p, "coeffs": [str(c) for c in self.coeffs], "denomExp": self.e}
-
-    @staticmethod
-    def from_json(doc: dict) -> "CycElem":
-        return CycElem.make(int(doc["p"]), [int(c) for c in doc["coeffs"]], int(doc["denomExp"]))
 
     def __repr__(self):
         terms = [f"{c}*z^{k}" for k, c in enumerate(self.coeffs) if c]
@@ -551,6 +537,9 @@ class ResidueSpec(ScalarRing):
 
     def mat_mul(self, A, B):
         return _read_only(linalg.fq_matmul(A, B, self.q))
+
+    def column(self, vec):
+        return tuple(FqElem(self.q, x) for x in vec.tolist())
 
 
 def _read_only(a):

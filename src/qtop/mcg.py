@@ -91,12 +91,6 @@ class TwistWord:
     def commutator(self, other: "TwistWord") -> "TwistWord":
         return self * other * self.inverse() * other.inverse()
 
-    def exponent_sums(self) -> dict[str, int]:
-        sums = {c: 0 for c in GENUS_CURVES[self.genus]}
-        for c, e in self.letters:
-            sums[c] += e
-        return sums
-
     def __str__(self) -> str:
         if not self.letters:
             return "1"

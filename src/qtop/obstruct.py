@@ -21,7 +21,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import CycElem, CycIdeal, ResidueSpec, RingUsageError, eta_inv, residue_primes
+from .cyclotomic import (
+    CycElem,
+    CycIdeal,
+    ResidueSpec,
+    RingUsageError,
+    eta_inv,
+    residue_primes,
+    scalar_ring,
+)
 from .manifolds import (
     BoundedHeegaard,
     DescError,
@@ -51,18 +59,7 @@ SOUNDNESS_AXIOM = (
 class BoundaryVector:
     p: int
     boundary_genus: int
-    coords: tuple[CycElem, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.coords)
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "boundaryGenus": self.boundary_genus,
-            "coords": [x.to_json() for x in self.coords],
-        }
+    coords: tuple  # CycElems exactly, FqElems over a ResidueSpec
 
 
 @lru_cache(maxsize=None)
@@ -84,38 +81,20 @@ def surviving_indices(p: int, boundary_genus: int) -> tuple[int, ...]:
     raise DescError("boundary genus must be 0 or 1")
 
 
-def boundary_vector(desc: BoundedHeegaard, p: int) -> BoundaryVector:
-    """Compression projection of rho(word) applied to the handlebody vector.
+def boundary_vector(desc: BoundedHeegaard, R) -> BoundaryVector:
+    """Compression projection of rho(word) applied to the handlebody vector,
+    over R: p exactly, or a ResidueSpec for its reduction mod J.
 
     Each compressed handle contributes a factor eta^{-1} in the TQFT
     normalization (so capping the result reproduces the closed Heegaard
     value exactly).  Boundary genus 1 coordinates are indexed by the
     genus-1 basis order.
     """
-    column = rho_apply(desc.word, p, vacuum_vector(2, p)).entries
-    scale = eta_inv(p) ** (2 - desc.boundary_genus)
-    coords = tuple(
-        scale * column[i][0] for i in surviving_indices(p, desc.boundary_genus)
-    )
-    return BoundaryVector(p, desc.boundary_genus, coords)
-
-
-def boundary_vector_mod(desc: BoundedHeegaard, p: int, r: ResidueSpec) -> tuple[int, ...]:
-    if r.p != p:
-        raise RingUsageError("word and residue spec use different p")
-    column = rho_apply(desc.word, r, vacuum_vector(2, r))
-    scale = (eta_inv(r) ** (2 - desc.boundary_genus)).v
-    # Python ints, as certificates record them in JSON
-    return tuple(
-        scale * int(column[i]) % r.q for i in surviving_indices(p, desc.boundary_genus)
-    )
-
-
-def vanishes_mod(v: BoundaryVector, r: ResidueSpec) -> bool:
-    """True iff every coordinate reduces to 0 in F_q."""
-    if v.p != r.p:
-        raise DescError("boundary vector and residue spec use different p")
-    return all(r.reduce(x) == 0 for x in v.coords)
+    S = scalar_ring(R)
+    column = S.column(rho_apply(desc.word, R, vacuum_vector(2, R)))
+    scale = eta_inv(R) ** (2 - desc.boundary_genus)
+    coords = tuple(scale * column[i] for i in surviving_indices(S.p, desc.boundary_genus))
+    return BoundaryVector(S.p, desc.boundary_genus, coords)
 
 
 def fkb_ideal_closed(desc: ManifoldDesc, p: int) -> CycIdeal:
@@ -193,7 +172,6 @@ class ObstructionReport:
 
     def to_json(self) -> dict:
         return {
-            "schemaVersion": 1,
             "target": desc_to_json(self.target),
             "candidate": desc_to_json(self.candidate),
             "p": self.p,
@@ -206,7 +184,7 @@ class ObstructionReport:
 
 def _candidate_residues(desc: ManifoldDesc, p: int, r: ResidueSpec) -> list[int]:
     if isinstance(desc, BoundedHeegaard):
-        return list(boundary_vector_mod(desc, p, r))
+        return [x.v for x in boundary_vector(desc, r).coords]
     if is_closed(desc):
         return [r.reduce(rt_closed(desc, p))]
     raise DescError(f"cannot form a vector for {desc!r}")
@@ -248,21 +226,12 @@ def obstruct_embedding(
 
 
 def rederive_report(report: ObstructionReport) -> bool:
-    """Recompute every recorded residue from scratch and check the verdict."""
-    rt_target = rt_closed(report.target, report.p)
-    for entry in report.certificate:
-        r = ResidueSpec.for_primes(report.p, entry["q"])
-        if r.root != entry["root"]:
-            return False
-        if r.reduce(rt_target) != entry["mResidue"]:
-            return False
-        if _candidate_residues(report.candidate, report.p, r) != list(entry["nVector"]):
-            return False
-        again = entry["mResidue"] != 0 and all(x == 0 for x in entry["nVector"])
-        if again != entry["obstructed"]:
-            return False
-    expect = "OBSTRUCTED" if any(e["obstructed"] for e in report.certificate) else "NO_OBSTRUCTION_FOUND"
-    return expect == report.verdict
+    """Re-run obstruct_embedding on the recorded primes and compare whole
+    reports: roots, residues, entry order, verdict and q_used.  A
+    certificate with no entries, or a recorded q that is not a prime
+    1 mod 4p, raises the error obstruct_embedding raises."""
+    qs = [entry["q"] for entry in report.certificate]
+    return obstruct_embedding(report.candidate, report.target, report.p, qs) == report
 
 
 # -- randomized search for vanishing gluings ---------------------------------

@@ -13,10 +13,12 @@ Genus 2: the dumbbell basis.  Basis labels are admissible colorings
 color), while t_c1, t_c5 are conjugates of diagonal matrices by the
 one-holed-torus S-move of the corresponding handle and t_c3 is a
 conjugate by the S-moves on both handles followed by the bridge
-recoupling.  The S-move matrix is computed by expanding the clasped,
-bridge-connected Hopf pairing into twist eigenvalues and tetrahedral
-coefficients; correctness of the whole assembly is enforced by the braid
-/ commutation / Hermitian relation suite rather than by construction.
+recoupling.  The S-move matrix (skein._holed_torus_s, whose boundary
+color 0 case is the genus-1 s_matrix) is computed by expanding the
+clasped, bridge-connected Hopf pairing into twist eigenvalues and
+tetrahedral coefficients; correctness of the whole assembly is enforced
+by the braid / commutation / Hermitian relation suite rather than by
+construction.
 
 The S-move and bridge blocks, the conjugators and the representation
 itself are built over a scalar ring R chosen by the caller, as in skein:
@@ -41,11 +43,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import ResidueSpec, RingUsageError, eta, scalar_ring
+from .cyclotomic import ResidueSpec, RingUsageError, scalar_ring
 from .linalg import fq_mat_mul, fq_matmul, fq_rref  # noqa: F401  (fq_mat_mul: kept for bench/tracing.py)
 from .mcg import TwistWord, WordError
 from .pmatrix import PMatrix
 from .skein import (
+    _holed_torus_s,
     admissible,
     colors,
     spectral_color_order,
@@ -94,42 +97,7 @@ def vacuum_index(genus: int, p: int) -> int:
     return genus2_basis(p).index((0, 0, 0))
 
 
-# -- one-holed torus S-move and bridge recoupling ---------------------------
-
-
-@lru_cache(maxsize=None)
-def _holed_torus_s(R, c: int) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
-    """Operator matrix of the S-move on the one-holed torus with boundary
-    color c, in the basis {loop color y : (y,y,c) admissible}, and its
-    inverse.
-
-    Entry (y, a): eta * Delta_y / theta(y,y,c) * (mu_y mu_a)^{-1} *
-    sum_e mu_e (Delta_e / theta(y,a,e)) tet[y y c; a a e].
-    Reduces to the closed-torus s_matrix at c = 0.  The move squares to
-    the scalar lambda = (S^2)_00, a root of unity, so S^{-1} = S / lambda.
-    """
-    S = scalar_ring(R)
-    p = S.p
-    idx = [y for y in colors(p) if admissible(p, y, y, c)]
-    h = eta(R)
-    rows = []
-    for y in idx:
-        pref = h * quantum_dim(R, y) * _theta_inv(R, y, y, c)
-        row = []
-        for a in idx:
-            acc = S.zero
-            for e in colors(p):
-                if admissible(p, y, a, e):
-                    acc = acc + twist(R, e) * quantum_dim(R, e) * _theta_inv(R, y, a, e) * tet(
-                        R, y, y, c, a, a, e
-                    )
-            row.append(pref * (twist(R, y) * twist(R, a)).inv() * acc)
-        rows.append(tuple(row))
-    lam = S.zero
-    for row, top in zip(rows, rows[0]):
-        lam = lam + top * row[0]
-    lam_inv = lam.inv()
-    return tuple(rows), tuple(tuple(lam_inv * x for x in row) for row in rows)
+# -- bridge recoupling -----------------------------------------------------
 
 
 @lru_cache(maxsize=None)

@@ -171,12 +171,6 @@ def sixj(R, a: int, b: int, e: int, c: int, d: int, f: int):
     return val * _theta_inv(R, a, d, f) * _theta_inv(R, b, c, f)
 
 
-def hopf(R, a: int, b: int):
-    """Bracket of the (a,b)-colored zero-framed Hopf link: (-1)^{a+b}[(a+1)(b+1)]."""
-    val = quantum_integer(R, (a + 1) * (b + 1))
-    return -val if (a + b) % 2 else val
-
-
 # -- genus-1 modular data -------------------------------------------------
 
 
@@ -192,15 +186,51 @@ def t_matrix(p: int) -> PMatrix:
 
 
 @lru_cache(maxsize=None)
-def s_matrix(R):
-    """eta-normalized Hopf pairing of colored cores.  It squares to the
-    identity exactly, so it is its own inverse, and it generates a
-    projective SL2(Z) action with t_matrix.  A PMatrix for p, a read-only
-    array of residues for a ResidueSpec."""
+def _holed_torus_s(R, c: int) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+    """Operator matrix of the S-move on the one-holed torus with boundary
+    color c, in the basis {loop color y : (y,y,c) admissible}, and its
+    inverse.
+
+    Entry (y, a): eta * Delta_y / theta(y,y,c) * (mu_y mu_a)^{-1} *
+    sum_e mu_e (Delta_e / theta(y,a,e)) tet[y y c; a a e].
+    At c = 0 it is s_matrix, in natural color order.  The move squares to
+    the scalar lambda = (S^2)_00, a root of unity, so S^{-1} = S / lambda.
+    """
     S = scalar_ring(R)
-    order = spectral_color_order(S.p)
+    p = S.p
+    idx = [y for y in colors(p) if admissible(p, y, y, c)]
     h = eta(R)
-    return S.matrix([[h * hopf(R, a, b) for b in order] for a in order])
+    rows = []
+    for y in idx:
+        pref = h * quantum_dim(R, y) * _theta_inv(R, y, y, c)
+        row = []
+        for a in idx:
+            acc = S.zero
+            for e in colors(p):
+                if admissible(p, y, a, e):
+                    acc = acc + twist(R, e) * quantum_dim(R, e) * _theta_inv(R, y, a, e) * tet(
+                        R, y, y, c, a, a, e
+                    )
+            row.append(pref * (twist(R, y) * twist(R, a)).inv() * acc)
+        rows.append(tuple(row))
+    lam = S.zero
+    for row, top in zip(rows, rows[0]):
+        lam = lam + top * row[0]
+    lam_inv = lam.inv()
+    return tuple(rows), tuple(tuple(lam_inv * x for x in row) for row in rows)
+
+
+@lru_cache(maxsize=None)
+def s_matrix(R):
+    """The one-holed-torus S-move at boundary color 0, read in
+    spectral_color_order.  It squares to the identity exactly, so it is
+    its own inverse, and it generates a projective SL2(Z) action with
+    t_matrix.  A PMatrix for p, a read-only array of residues for a
+    ResidueSpec."""
+    S = scalar_ring(R)
+    move = _holed_torus_s(R, 0)[0]
+    pos = [colors(S.p).index(n) for n in spectral_color_order(S.p)]
+    return S.matrix([[move[i][j] for j in pos] for i in pos])
 
 
 @lru_cache(maxsize=None)

@@ -164,7 +164,6 @@ class MixingReport:
 
     def to_json(self) -> dict:
         return {
-            "schemaVersion": 1,
             "groupOrder": self.group_order,
             "method": "exact-transition",
             "lazy": self.lazy,
@@ -308,7 +307,6 @@ class MonteCarloReport:
 
     def to_json(self) -> dict:
         return {
-            "schemaVersion": 1,
             "trials": self.trials,
             "hits": self.hits,
             "frequency": str(self.frequency) if self.frequency is not None else None,

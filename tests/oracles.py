@@ -1,0 +1,44 @@
+"""Reference implementations of predicates only the tests ask about."""
+
+from functools import lru_cache
+
+from sympy import Poly, cyclotomic_poly, resultant, symbols
+
+from qtop.cyclotomic import CycElem, split_p_part
+from qtop.mcg import GENUS_CURVES
+
+_T = symbols("t")
+
+
+@lru_cache(maxsize=None)
+def _phi(p: int) -> Poly:
+    return Poly(cyclotomic_poly(4 * p, _T), _T)
+
+
+def is_unit(x: CycElem) -> bool:
+    """Whether x is a unit of Z[zeta_{4p}, 1/p]: its field norm, the
+    resultant of Phi_{4p} with its numerator (p is a unit, so the
+    denominator does not matter), is +-p^k."""
+    if x.is_zero():
+        return False
+    norm = resultant(_phi(x.p), Poly(list(reversed(x.coeffs)), _T))
+    return abs(split_p_part(int(norm), x.p)[1]) == 1
+
+
+def in_half_conductor_subring(x: CycElem) -> bool:
+    """Whether x lies in Z[1/p, zeta_{2p}] = Z[1/p, A]: fixed by the Galois
+    element zeta -> zeta^{2p+1}, which fixes zeta^2 and negates i."""
+    return x.galois(2 * x.p + 1) == x
+
+
+def cyc_from_json(doc: dict) -> CycElem:
+    """Inverse of CycElem.to_json."""
+    return CycElem.make(int(doc["p"]), [int(c) for c in doc["coeffs"]], int(doc["denomExp"]))
+
+
+def exponent_sums(word) -> dict[str, int]:
+    """Total exponent of each catalogued curve in a twist word."""
+    sums = {c: 0 for c in GENUS_CURVES[word.genus]}
+    for c, e in word.letters:
+        sums[c] += e
+    return sums

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fq_oracles import fq_mat_vec
+from oracles import exponent_sums, is_unit
 from qtop.cyclotomic import CycElem, ResidueSpec, elem_A, elem_u, eta
 from qtop.manifolds import (
     BoundedHeegaard,
@@ -26,14 +28,12 @@ from qtop.obstruct import (
     TwistSearchResult,
     _genus1_words_upto,
     boundary_vector,
-    boundary_vector_mod,
     fkb_ideal_closed,
     fkb_ideal_inner,
     obstruct_embedding,
     rederive_report,
     surviving_indices,
     twist_search,
-    vanishes_mod,
 )
 from qtop.rep import genus1_basis, letter_matrix, vacuum_vector
 from qtop.skein import colors, twist
@@ -69,7 +69,7 @@ def test_positive_b1_mapping_torus_is_the_twist_trace():
 def test_solid_torus_boundary_vector():
     bv = boundary_vector(BoundedHeegaard(2, 1, empty_word(2)), 5)
     lead = bv.coords[genus1_basis(5).index(0)]
-    assert lead.is_unit()
+    assert is_unit(lead)
     assert lead == eta(5).inv()
     assert all(x.is_zero() for i, x in enumerate(bv.coords) if genus1_basis(5)[i] != 0)
 
@@ -77,7 +77,7 @@ def test_solid_torus_boundary_vector():
 def test_capped_vector_is_eta_normalized_closed_invariant():
     bv = boundary_vector(BoundedHeegaard(2, 0, empty_word(2)), 5)
     assert len(bv.coords) == 1
-    assert not bv.is_zero
+    assert not bv.coords[0].is_zero()
     closed = HeegaardGluing(2, empty_word(2))
     from qtop.manifolds import rt_closed
 
@@ -97,11 +97,15 @@ def test_compression_is_twist_invariant():
         assert a.coords == b.coords
 
 
+def _vanishes_mod(bv, r):
+    return all(r.reduce(x) == 0 for x in bv.coords)
+
+
 def test_vanishes_mod_basics():
     zero = BoundaryVector(5, 1, (CycElem.zero(5), CycElem.zero(5)))
     unit = BoundaryVector(5, 1, (CycElem.one(5), CycElem.zero(5)))
-    assert vanishes_mod(zero, R41)
-    assert not vanishes_mod(unit, R41)
+    assert _vanishes_mod(zero, R41)
+    assert not _vanishes_mod(unit, R41)
 
 
 def test_vanishes_mod_unit_insensitive():
@@ -109,18 +113,23 @@ def test_vanishes_mod_unit_insensitive():
     bv = boundary_vector(BoundedHeegaard(2, 1, parse_word(2, "c1*c3^-1")), 5)
     for unit in (eta(5), elem_A(5) ** 3, (u - 1)):
         scaled = BoundaryVector(5, 1, tuple(unit * x for x in bv.coords))
-        assert vanishes_mod(scaled, R41) == vanishes_mod(bv, R41)
+        assert _vanishes_mod(scaled, R41) == _vanishes_mod(bv, R41)
 
 
 def test_u_minus_one_scaled_vector_does_not_vanish():
     bv = BoundaryVector(5, 1, ((elem_u(5) - 1), CycElem.zero(5)))
-    assert not vanishes_mod(bv, R41)
+    assert not _vanishes_mod(bv, R41)
 
 
 def test_boundary_vector_mod_matches_reduction():
-    desc = BoundedHeegaard(2, 1, parse_word(2, "c1 * c3 * s^2"))
-    bv = boundary_vector(desc, 5)
-    assert tuple(R41.reduce(x) for x in bv.coords) == boundary_vector_mod(desc, 5, R41)
+    # the one formula over F_q gives the reduction of its exact coordinates
+    cases = itertools.product(("c1 * c3 * s^2", "c3^-1 * c5 * c2^2 * c3"), (0, 1), (41, 61))
+    for word, boundary_genus, q in cases:
+        r = ResidueSpec.for_primes(5, q)
+        desc = BoundedHeegaard(2, boundary_genus, parse_word(2, word))
+        exact, mod = boundary_vector(desc, 5), boundary_vector(desc, r)
+        assert (mod.p, mod.boundary_genus) == (exact.p, exact.boundary_genus)
+        assert [x.v for x in mod.coords] == [r.reduce(x) for x in exact.coords]
 
 
 # -- FKB ideals -----------------------------------------------------------------------
@@ -190,7 +199,7 @@ def test_solid_torus_never_obstructed_in_s3():
 def test_certificate_residues_are_python_ints(boundary_genus):
     # F_q vectors are numpy arrays; what a certificate records must be int
     desc = BoundedHeegaard(2, boundary_genus, parse_word(2, "c1*c3"))
-    assert all(type(x) is int for x in boundary_vector_mod(desc, 5, R41))
+    assert all(type(x.v) is int for x in boundary_vector(desc, R41).coords)
     report = obstruct_embedding(desc, S3, 5, [41])
     for entry in report.certificate:
         assert all(type(x) is int for x in (entry["q"], entry["root"], entry["mResidue"]))
@@ -228,19 +237,31 @@ def test_end_to_end_obstruction_via_search():
 
 
 def test_report_verdict_is_function_of_residues():
+    # re-derivation re-runs the obstruction on the recorded primes, so any
+    # changed field, or an entry after the obstructed one, is rejected
     res = twist_search(BoundedHeegaard(2, 0, empty_word(2)), 5, R41, budget=3000, seed=2)
     assert res.found
-    report = obstruct_embedding(BoundedHeegaard(2, 0, res.full_word), S3, 5, [41])
-    tampered = report.__class__(
-        report.target,
-        report.candidate,
-        report.p,
-        report.verdict,
-        report.q_used,
-        (dict(report.certificate[0], mResidue=0),),
-    )
+    candidate = BoundedHeegaard(2, 0, res.full_word)
+    report = obstruct_embedding(candidate, S3, 5, [41, 61])
+    assert report.verdict == "OBSTRUCTED" and len(report.certificate) == 1
+    entry = report.certificate[0]
+    # another root of order 4p = 20 mod 41: another maximal ideal over 41
+    other_root = next(x for x in (2, 5, 8, 20, 21, 33, 36, 39) if x != entry["root"])
+    nvec = list(entry["nVector"])
+    nvec[0] = 1
+    later = obstruct_embedding(candidate, S3, 5, [61]).certificate
+    tampered = [
+        dataclasses.replace(report, certificate=(dict(entry, mResidue=0),)),
+        dataclasses.replace(report, certificate=(dict(entry, root=other_root),)),
+        dataclasses.replace(report, certificate=(dict(entry, nVector=nvec),)),
+        dataclasses.replace(report, q_used=61),
+        dataclasses.replace(report, q_used=None),
+        dataclasses.replace(report, verdict="NO_OBSTRUCTION_FOUND"),
+        dataclasses.replace(report, certificate=report.certificate + later),
+    ]
     assert rederive_report(report)
-    assert not rederive_report(tampered)
+    for bad in tampered:
+        assert not rederive_report(bad)
 
 
 def test_obstructed_word_is_certified_torelli():
@@ -249,7 +270,7 @@ def test_obstructed_word_is_certified_torelli():
     res = twist_search(BoundedHeegaard(2, 0, empty_word(2)), 5, R41, budget=3000, seed=3)
     assert res.found
     assert is_torelli(res.word)
-    assert all(v % 3 == 0 for v in res.word.exponent_sums().values())
+    assert all(v % 3 == 0 for v in exponent_sums(res.word).values())
     assert res.certificate
 
 

@@ -12,7 +12,6 @@ from qtop.pmatrix import PMatrix
 from qtop.rep import (
     _bridge_f_block,
     _bridge_f_matrix,
-    _holed_torus_s,
     _left_s_operator,
     _letter_matrix_mod,
     _right_s_operator,
@@ -32,7 +31,7 @@ from qtop.rep import (
     vacuum_index,
     vacuum_vector,
 )
-from qtop.skein import admissible, colors, s_matrix, sixj, twist
+from qtop.skein import _holed_torus_s, admissible, colors, s_matrix, sixj, twist
 from qtop.walks import default_subgroup_walk, enumerate_group
 
 R41 = ResidueSpec.for_primes(5, 41)

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from qtop.cyclotomic import CycElem, elem_A, eta
+from oracles import is_unit
+from qtop.cyclotomic import CycElem, ResidueSpec, elem_A, eta
 from qtop.pmatrix import PMatrix
 from qtop.skein import (
     AdmissibilityError,
     admissible,
     colors,
-    hopf,
     kappa,
     spectral_color_order,
     quantum_dim,
@@ -21,6 +21,12 @@ from qtop.skein import (
     theta,
     twist,
 )
+
+
+def hopf(R, a: int, b: int):
+    """Bracket of the (a,b)-colored zero-framed Hopf link: (-1)^{a+b}[(a+1)(b+1)]."""
+    val = quantum_integer(R, (a + 1) * (b + 1))
+    return -val if (a + b) % 2 else val
 
 
 def test_color_counts():
@@ -71,7 +77,7 @@ def test_theta_invertible_for_admissible_triples():
     for p in (5, 7):
         for a, b, c in itertools.product(colors(p), repeat=3):
             if admissible(p, a, b, c):
-                assert theta(p, a, b, c).is_unit()
+                assert is_unit(theta(p, a, b, c))
 
 
 def test_tet_degenerates_to_theta():
@@ -155,6 +161,18 @@ def test_modular_relations():
         assert not S.proj_equal(eye)
 
 
+def test_s_matrix_is_the_eta_normalized_hopf_pairing():
+    # s_matrix is the one-holed-torus S-move at boundary color 0; the
+    # closed-torus formula eta * hopf must give it exactly
+    for p in (5, 7, 11):
+        order = spectral_color_order(p)
+        hopf_s = PMatrix.from_rows(p, [[eta(p) * hopf(p, a, b) for b in order] for a in order])
+        assert s_matrix(p) == hopf_s
+    r = ResidueSpec.for_primes(7, 29)
+    order = spectral_color_order(7)
+    assert s_matrix(r).tolist() == [[(eta(r) * hopf(r, a, b)).v for b in order] for a in order]
+
+
 def test_hopf_twist_expansion_identity():
     # Kirby-style expansion of the clasp into channel twists: the identity
     # underlying the one-holed torus S-move
@@ -170,7 +188,7 @@ def test_hopf_twist_expansion_identity():
 
 def test_kappa_is_a_unit():
     for p in (5, 7):
-        assert kappa(p).is_unit()
+        assert is_unit(kappa(p))
 
 
 def test_surgery_anchor_values():
