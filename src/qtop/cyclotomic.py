@@ -89,10 +89,11 @@ class ScalarRing:
     Subclasses provide p, zero, one, root_power(k) = zeta^k, matrix(rows),
     diagonal(xs), vector(xs) (their dense matrix type, PMatrix exactly and
     read-only numpy arrays over F_q; an exact vector is a one-column
-    PMatrix), mat_mul(A, B), the one product of a matrix by a matrix or
-    a vector, and column(vec), the coordinates of a vector as ring
-    elements.  The methods below expose element arithmetic to the generic
-    helpers in linalg.
+    PMatrix), mat_mul(A, B), the one product of two matrices,
+    apply(mats, vec), the product mats[0] ... mats[-1] vec carried right
+    to left as a vector, and column(vec), the coordinates of a vector as
+    ring elements.  The methods below expose element arithmetic to the
+    generic helpers in linalg.
     """
 
     @staticmethod
@@ -172,6 +173,12 @@ class RingSpec(ScalarRing):
     @staticmethod
     def mat_mul(A, B):
         return A * B
+
+    @staticmethod
+    def apply(mats, vec):
+        for M in reversed(mats):
+            vec = M * vec
+        return vec
 
     @staticmethod
     def column(vec):
@@ -475,7 +482,8 @@ class ResidueSpec(ScalarRing):
     which pins down one maximal ideal J with Z[zeta,1/p]/J = F_q and makes
     runs reproducible.  As a ScalarRing it is F_q with zeta -> root: FqElem
     elements, and matrices and vectors as read-only numpy arrays of residues
-    in [0, q), in linalg.fq_dtype, multiplied by linalg.fq_matmul.
+    in [0, q), in linalg.fq_dtype, multiplied by linalg.fq_matmul, or
+    applied to a vector in a chain by linalg.fq_apply.
     """
 
     p: int
@@ -537,6 +545,9 @@ class ResidueSpec(ScalarRing):
 
     def mat_mul(self, A, B):
         return _read_only(linalg.fq_matmul(A, B, self.q))
+
+    def apply(self, mats, vec):
+        return _read_only(linalg.fq_apply(mats, vec, self.q))
 
     def column(self, vec):
         return tuple(FqElem(self.q, x) for x in vec.tolist())

@@ -7,8 +7,11 @@ are lists of lists, rows first.  F_q matrices are numpy arrays of
 residues in fq_dtype: fq_matmul and fq_walk are the one F_q product and
 walk kernel, computing in a dtype chosen from n and q so that every
 product sum is exact (the tiers are listed in _product_dtype), and
-fq_rref is the one F_q echelon.  draw_picks draws the walks' picks in
-bulk, as one random.Random.choice per pick would.
+fq_rref is the one F_q echelon.  fq_apply carries one vector through a
+chain of matrices in fq_dtype with delayed reduction: from a bound on
+the vector's entries it reduces mod q only before a product that could
+pass 2^63.  draw_picks draws the walks' picks in bulk, as one
+random.Random.choice per pick would.
 """
 
 from __future__ import annotations
@@ -163,6 +166,34 @@ def fq_matmul(a, b, q: int):
     n = len(b) if b.ndim == 1 else b.shape[-2]
     dtype = _product_dtype(n, q)
     return _residues(np.asarray(a, dtype=dtype) @ b.astype(dtype, copy=False), q)
+
+
+def fq_apply(mats, vec, q: int):
+    """mats[0] ... mats[-1] vec mod q, the vector carried right to left:
+    n x n matrices and a length-n vector of residues in [0, q), arrays in
+    fq_dtype(n, q), which the result is in too.
+
+    Every product runs in fq_dtype itself, and the vector is reduced mod q
+    only when the next product could leave int64 (the delayed reduction
+    of FFLAS-FFPACK, see _product_dtype).  With entries at most B, a
+    product's are at most B n (q - 1); from B = q - 1 that stays below
+    2^63 for `run` products, the largest j with (q - 1) (n (q - 1))^j <
+    2^63 (at least 1), so the vector is reduced after each run of them.
+    In the int64 tier a run is a few products; in the object tier it is
+    one, which keeps the Python ints small.
+    """
+    n = len(vec)
+    vec = np.array(vec, dtype=fq_dtype(n, q))  # a copy, so the result is always fresh
+    grow = n * (q - 1)
+    run, bound = 1, (q - 1) * grow
+    while run < len(mats) and bound * grow < 2 ** 63:
+        run, bound = run + 1, bound * grow
+    chain = list(reversed(mats))
+    for start in range(0, len(chain), run):
+        for mat in chain[start:start + run]:
+            vec = mat @ vec
+        vec %= q
+    return vec
 
 
 def fq_walk(mats, picks, vec, q: int):

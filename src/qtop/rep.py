@@ -33,8 +33,10 @@ reductions of the exact ones) multiply by linalg.fq_matmul.  rho_mod is
 the list edge for output, rho(word, r) as a tuple of rows of ints.
 rho_apply carries a vector right to left through the letters over either
 ring, for callers that read a single column such as the vacuum column.
-Each letter takes the ring's one product, mat_mul, with the vector as its
-right factor: exactly, a one-column PMatrix.
+The letters go to the ring's apply as one chain: exactly, each multiplies
+a one-column PMatrix; over F_q, linalg.fq_apply multiplies in int64 (or
+Python ints past it) and reduces mod q only when the next product could
+leave int64.
 """
 
 from __future__ import annotations
@@ -299,12 +301,10 @@ def vacuum_vector(genus: int, R):
 
 def rho_apply(word: TwistWord, R, vec):
     """rho(word) vec over R, carried right to left through the cached
-    letters: each letter multiplies one column instead of a dense
-    matrix."""
-    S = scalar_ring(R)
-    for curve, exp in reversed(word.letters):
-        vec = S.mat_mul(letter_matrix(word.genus, R, curve, exp), vec)
-    return vec
+    letters by the ring's apply: each letter multiplies one column instead
+    of a dense matrix."""
+    mats = [letter_matrix(word.genus, R, curve, exp) for curve, exp in word.letters]
+    return scalar_ring(R).apply(mats, vec)
 
 
 # -- Hermitian structure ----------------------------------------------------

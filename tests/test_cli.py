@@ -241,7 +241,7 @@ def test_output_file(tmp_path, capsys):
 # Exit code and sha256 of stdout for the README examples, five p = 7
 # commands over letters, RT, the walk, the search and the sampled
 # projective orders, the sampled hyperplane walk, a certificate whose
-# two-entry nVector comes from boundary_vector_mod, and two genus-2
+# two-entry nVector is boundary_vector over F_q, and two genus-2
 # fundamental groups whose words hold inverse twist letters (a mapping
 # torus's DW count and a double's homology), three homology groups whose
 # invariant factors need the Smith form's gcd/lcm order (a mapping torus

@@ -245,9 +245,20 @@ def test_fq_dtype_guard_boundary():
     assert linalg.fq_dtype(5, q + 1) is object
 
 
-@settings(max_examples=40, deadline=None)
+def _int64_edge_prime(n):
+    """The largest prime q with n (q - 1)^2 < 2^63, the top of fq_dtype's
+    int64 tier."""
+    q = math.isqrt((2 ** 63 - 1) // n) + 1
+    while not is_prime(q):
+        q -= 1
+    return q
+
+
+# fq_apply reduces between products at 3000000361 for n = 1 (int64) and
+# at the int64 edge prime for every n <= 4; 2^61 - 1 is the object tier
+@settings(max_examples=60, deadline=None)
 @given(
-    q=st.sampled_from((2, 41, 3000000361, 2 ** 61 - 1)),
+    q=st.sampled_from((2, 41, 3000000361, _int64_edge_prime(5), 2 ** 61 - 1)),
     n=st.integers(1, 4),
     gens=st.integers(1, 3),
     batch=st.integers(0, 5),
@@ -267,11 +278,28 @@ def test_fq_walk_matches_python_products(q, n, gens, batch, steps, data):
     ))
     rows = linalg.fq_walk(mats, np.array(picks, dtype=np.intp).reshape(batch, steps), vec, q)
     assert rows.shape == (batch, n)
+    assert np.array_equal(linalg.fq_apply([], vec, q), vec)
     for row, walk in zip(rows.tolist(), picks):
         expect = tuple(vec)
         for i in reversed(walk):
             expect = fq_mat_vec(mats[i], expect, q)
         assert tuple(row) == expect
+        applied = linalg.fq_apply([np.array(mats[i], dtype=rows.dtype) for i in walk], vec, q)
+        assert applied.dtype == rows.dtype and tuple(applied.tolist()) == expect
+
+
+@pytest.mark.parametrize(
+    "n, q", [(5, 41), (5, 61), (8, 257), (1, 3000000361), (4, _int64_edge_prime(5)), (2, 2 ** 61 - 1)]
+)
+def test_fq_apply_exact_at_the_worst_case_bound(n, q):
+    # every entry q - 1, so after k products each entry is (q - 1)^(k+1) n^k,
+    # the bound fq_apply reduces by: at (5, 61) it reaches 60 * 300^6 < 2^63
+    # before a reduction, and one more product would pass 2^63; at (8, 257)
+    # five products would reach 256^6 * 8^5 = 2^63 exactly, one past int64
+    full = np.full((n, n), q - 1, dtype=linalg.fq_dtype(n, q))
+    for length in (1, 6, 7, 20):
+        got = linalg.fq_apply([full] * length, [q - 1] * n, q)
+        assert got.tolist() == [pow(q - 1, length + 1, q) * pow(n, length, q) % q] * n
 
 
 def _next_prime(q, step):

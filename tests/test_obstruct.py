@@ -5,6 +5,7 @@ import json
 import random
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,14 +123,23 @@ def test_u_minus_one_scaled_vector_does_not_vanish():
 
 
 def test_boundary_vector_mod_matches_reduction():
-    # the one formula over F_q gives the reduction of its exact coordinates
-    cases = itertools.product(("c1 * c3 * s^2", "c3^-1 * c5 * c2^2 * c3"), (0, 1), (41, 61))
-    for word, boundary_genus, q in cases:
-        r = ResidueSpec.for_primes(5, q)
+    # the one formula over F_q gives the reduction of its exact coordinates.
+    # The delayed reduction first fires after 7 letters at q = 41 and after
+    # 6 at q = 61, so one word has 42; 1358187661 is the largest prime
+    # = 1 mod 20 with 5 (q - 1)^2 < 2^63, reduced after every letter in
+    # int64, and 3000000361 is past it, in Python ints
+    long_word = " * ".join(["c1", "c3^-1", "s^2", "c5", "c2^2", "c4^-1", "c3"] * 6)
+    assert len(parse_word(2, long_word).letters) >= 40
+    specs = [ResidueSpec.for_primes(5, q) for q in (41, 61, 1358187661, 3000000361)]
+    assert [fq_dtype(5, r.q) for r in specs[2:]] == [np.int64, object]
+    words = ("c1 * c3 * s^2", "c3^-1 * c5 * c2^2 * c3", long_word)
+    for word, boundary_genus in itertools.product(words, (0, 1)):
         desc = BoundedHeegaard(2, boundary_genus, parse_word(2, word))
-        exact, mod = boundary_vector(desc, 5), boundary_vector(desc, r)
-        assert (mod.p, mod.boundary_genus) == (exact.p, exact.boundary_genus)
-        assert [x.v for x in mod.coords] == [r.reduce(x) for x in exact.coords]
+        exact = boundary_vector(desc, 5)
+        for r in specs:
+            mod = boundary_vector(desc, r)
+            assert (mod.p, mod.boundary_genus) == (exact.p, exact.boundary_genus)
+            assert [x.v for x in mod.coords] == [r.reduce(x) for x in exact.coords]
 
 
 # -- FKB ideals -----------------------------------------------------------------------
