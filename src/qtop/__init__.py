@@ -27,6 +27,7 @@ from .manifolds import (  # noqa: F401
     LensSurgery,
     MappingTorus,
     S3,
+    boundary_vector,
     dw_invariant,
     dw_invariant_tqft,
     homology_of,
@@ -36,7 +37,6 @@ from .manifolds import (  # noqa: F401
 )
 from .mcg import TwistWord, h1_action, is_torelli, parse_word, word_in_subgroup  # noqa: F401
 from .obstruct import (  # noqa: F401
-    boundary_vector,
     fkb_ideal_closed,
     fkb_ideal_inner,
     obstruct_embedding,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -327,7 +328,7 @@ def _cmd_rep_check(args) -> int:
     if args.q:
         r = ResidueSpec.for_primes(p, args.q)
         words = [random_word(genus, 12, seed) for seed in range(args.words * 10)]
-        span = algebra_span_dim(words, genus, p, r)
+        span = algebra_span_dim(words, p, r)
         orders = []
         for seed in range(5):
             M = rho(random_word(genus, 10, 1000 + seed), r)
@@ -430,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
@@ -438,7 +440,9 @@ def main(argv=None) -> int:
         print(f"error[{exc.kind}]: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # typed errors from the libraries
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        # a bare MemoryError has no text: name the input instead
+        message = str(exc) or f"no message, running qtop {shlex.join(argv)}"
+        print(f"error[{type(exc).__name__}]: {message}", file=sys.stderr)
         return 2
 
 

@@ -14,12 +14,13 @@ exponent e, meaning division by p^e; only p is ever inverted.
 
 Code that is generic over its scalars takes a ring R: a prime p names
 the exact ring Z[zeta_{4p}, 1/p] (its RingSpec), a ResidueSpec names the
-residue field F_q with zeta -> root.  Both are ScalarRings, and their
-elements (CycElem, FqElem) share the operators + - * ** and the methods
-inv, exact_div and is_zero.  Reduction Z[zeta, 1/p] -> F_q is a ring
-homomorphism, so a formula evaluated over F_q equals the reduction of
-the same formula evaluated exactly whenever every inverse it takes is of
-a unit.
+residue field F_q with zeta -> root, and pmatrix.scalar_ring(R) gives
+either ring's elements and matrices.  Their elements (CycElem, FqElem)
+share the operators + - * ** and the methods inv, exact_div and is_zero,
+and generic element code such as linalg.bareiss_det uses nothing else.
+Reduction Z[zeta, 1/p] -> F_q is a ring homomorphism, so a formula
+evaluated over F_q equals the reduction of the same formula evaluated
+exactly whenever every inverse it takes is of a unit.
 """
 
 from __future__ import annotations
@@ -83,43 +84,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class ScalarRing:
-    """A ring of scalars for the skein constants and the twist conjugators.
-
-    Subclasses provide p, zero, one, root_power(k) = zeta^k, matrix(rows),
-    diagonal(xs), vector(xs) (their dense matrix type, PMatrix exactly and
-    read-only numpy arrays over F_q; an exact vector is a one-column
-    PMatrix), mat_mul(A, B), the one product of two matrices,
-    apply(mats, vec), the product mats[0] ... mats[-1] vec carried right
-    to left as a vector, and column(vec), the coordinates of a vector as
-    ring elements.  The methods below expose element arithmetic to the
-    generic helpers in linalg.
-    """
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def exact_div(a, b):
-        return a.exact_div(b)
-
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
-    @staticmethod
-    def inv(a):
-        return a.inv()
-
-
-class RingSpec(ScalarRing):
-    """Structure constants of Z[zeta_{4p}, 1/p] for one prime p; the exact
-    ScalarRing, with CycElem elements and PMatrix matrices."""
+class RingSpec:
+    """Structure constants of Z[zeta_{4p}, 1/p] for one prime p, and its
+    CycElem zero, one and powers of zeta."""
 
     def __init__(self, p: int):
         if not is_prime(p) or p < 5:
@@ -137,12 +104,6 @@ class RingSpec(ScalarRing):
         # canonical basis vector of zeta^E for any exponent E in [0, 4p)
         self.monomial = tuple(tuple(self.reduce_poly([0] * E + [1])) for E in range(self.m))
 
-    def __eq__(self, other):
-        return isinstance(other, RingSpec) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("RingSpec", self.p))
-
     def __repr__(self):
         return f"RingSpec(p={self.p})"
 
@@ -156,33 +117,6 @@ class RingSpec(ScalarRing):
 
     def root_power(self, k: int) -> "CycElem":
         return CycElem(self.p, self.monomial[k % self.m])
-
-    def matrix(self, rows):
-        from .pmatrix import PMatrix  # pmatrix imports this module
-
-        return PMatrix.from_rows(self.p, rows)
-
-    def diagonal(self, xs):
-        from .pmatrix import PMatrix
-
-        return PMatrix.diagonal(self.p, list(xs))
-
-    def vector(self, xs):
-        return self.matrix([[x] for x in xs])
-
-    @staticmethod
-    def mat_mul(A, B):
-        return A * B
-
-    @staticmethod
-    def apply(mats, vec):
-        for M in reversed(mats):
-            vec = M * vec
-        return vec
-
-    @staticmethod
-    def column(vec):
-        return tuple(row[0] for row in vec.entries)
 
     def reduce_poly(self, raw: list[int]) -> list[int]:
         """Canonically reduce a polynomial in zeta of any degree."""
@@ -217,10 +151,6 @@ class CycElem:
     p: int
     coeffs: tuple[int, ...]
     e: int = 0
-
-    @property
-    def spec(self) -> RingSpec:
-        return ring(self.p)
 
     # -- constructors -------------------------------------------------
 
@@ -316,7 +246,7 @@ class CycElem:
 
     def galois(self, t: int) -> "CycElem":
         """Apply zeta -> zeta^t; t must be invertible mod 4p."""
-        m = self.spec.m
+        m = ring(self.p).m
         if t % 2 == 0 or t % self.p == 0:
             raise RingUsageError(f"galois exponent {t} not coprime to {m}")
         # t is a unit mod m, so the exponents k t mod m are distinct
@@ -327,14 +257,14 @@ class CycElem:
 
     def conjugate(self) -> "CycElem":
         """Complex conjugation zeta -> zeta^{-1} (hence A -> A^{-1})."""
-        return self.galois(self.spec.m - 1)
+        return self.galois(ring(self.p).m - 1)
 
     def _norm_cofactor(self) -> tuple[int, "CycElem"]:
         """(N, c) for the integer part x (denominator ignored): c is the
         product of the nontrivial Galois conjugates of x, and N = x * c is
         the field norm."""
         base = CycElem(self.p, self.coeffs, 0)
-        conjugates = (base.galois(t) for t in range(3, self.spec.m, 2) if t % self.p)
+        conjugates = (base.galois(t) for t in range(3, ring(self.p).m, 2) if t % self.p)
         cof = reduce(operator.mul, conjugates)
         norm = base * cof
         if any(norm.coeffs[1:]):
@@ -402,7 +332,7 @@ def gauss_sqrt_minus_p(R):
     The bare sum g = sum_k u^{k^2} squares to (-1)^((p-1)/2) p.
     R is p for the exact ring or a ResidueSpec for F_q.
     """
-    S = scalar_ring(R)
+    S = _elements(R)
     p = S.p
     g = S.zero
     for k in range(p):
@@ -419,7 +349,7 @@ def eta(R):
     R is p for the exact ring or a ResidueSpec for F_q.  Cached: both
     element types are immutable.
     """
-    S = scalar_ring(R)
+    S = _elements(R)
     return (S.root_power(4) - S.root_power(-4)).exact_div(gauss_sqrt_minus_p(R))
 
 
@@ -475,15 +405,16 @@ class FqElem:
 
 
 @dataclass(frozen=True)
-class ResidueSpec(ScalarRing):
+class ResidueSpec:
     """A prime q = 1 mod 4p together with the chosen root of Phi_{4p} in F_q.
 
     The root is the smallest residue of multiplicative order exactly 4p,
     which pins down one maximal ideal J with Z[zeta,1/p]/J = F_q and makes
-    runs reproducible.  As a ScalarRing it is F_q with zeta -> root: FqElem
-    elements, and matrices and vectors as read-only numpy arrays of residues
-    in [0, q), in linalg.fq_dtype, multiplied by linalg.fq_matmul, or
-    applied to a vector in a chain by linalg.fq_apply.
+    runs reproducible.  As a scalar ring (pmatrix.scalar_ring) it is F_q
+    with zeta -> root: FqElem elements, and matrices and vectors as
+    read-only numpy arrays of residues in [0, q), in linalg.fq_dtype,
+    multiplied by linalg.fq_matmul, or applied to a vector in a chain by
+    linalg.fq_apply.
     """
 
     p: int
@@ -558,8 +489,9 @@ def _read_only(a):
     return a
 
 
-def scalar_ring(R) -> ScalarRing:
-    """The ScalarRing a caller names: p for Z[zeta_{4p}, 1/p], or a ResidueSpec."""
+def _elements(R):
+    """Where the elements R names come from: ring(p) for a prime p, or the
+    ResidueSpec R itself."""
     return R if isinstance(R, ResidueSpec) else ring(R)
 
 

@@ -277,9 +277,9 @@ def fq_rref(rows, q: int):
 def bareiss_det(mat: list[list], ring) -> object:
     """Fraction-free determinant over an integral domain.
 
-    `ring` must provide .one, .zero, mul(a,b), sub(a,b), exact_div(a,b),
-    and is_zero(a), as a cyclotomic.ScalarRing does.  Division steps are
-    exact by the Bareiss identity.
+    The entries are ring elements (CycElem or FqElem) with their own
+    operators - and *, and exact_div and is_zero; `ring` supplies only
+    .one and .zero.  Division steps are exact by the Bareiss identity.
     """
     n = len(mat)
     if n == 0:
@@ -288,32 +288,32 @@ def bareiss_det(mat: list[list], ring) -> object:
     sign = 1
     prev = ring.one
     for k in range(n - 1):
-        if ring.is_zero(a[k][k]):
-            swap = next((i for i in range(k + 1, n) if not ring.is_zero(a[i][k])), None)
+        if a[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
             if swap is None:
                 return ring.zero
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = ring.sub(ring.mul(a[i][j], a[k][k]), ring.mul(a[i][k], a[k][j]))
-                a[i][j] = ring.exact_div(num, prev)
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]).exact_div(prev)
             a[i][k] = ring.zero
         prev = a[k][k]
     det = a[n - 1][n - 1]
     if sign < 0:
-        det = ring.sub(ring.zero, det)
+        det = ring.zero - det
     return det
 
 
 def ring_inverse(mat: list[list], ring) -> list[list]:
-    """Inverse of a matrix over a commutative ring via adjugate / det.
+    """Inverse of a matrix over a commutative ring via adjugate / det,
+    with bareiss_det's elements and ring.
 
-    Requires det to be a unit (ring.inv raises otherwise).
+    Requires det to be a unit (its inv raises otherwise).
     """
     n = len(mat)
     det = bareiss_det(mat, ring)
-    det_inv = ring.inv(det)
+    det_inv = det.inv()
     if n == 1:
         return [[det_inv]]
     adj = [[None] * n for _ in range(n)]
@@ -326,6 +326,6 @@ def ring_inverse(mat: list[list], ring) -> list[list]:
             ]
             cof = bareiss_det(minor, ring)
             if (i + j) % 2:
-                cof = ring.sub(ring.zero, cof)
-            adj[j][i] = ring.mul(cof, det_inv)
+                cof = ring.zero - cof
+            adj[j][i] = cof * det_inv
     return adj

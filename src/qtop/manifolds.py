@@ -15,7 +15,10 @@ A ManifoldDesc is one of
 Every variant has a derivable fundamental-group presentation; closed
 variants have Dijkgraaf-Witten invariants (counted two independent ways
 at genus 1) and SO(3) quantum invariants (defined up to a declared
-anomaly phase, a power of the Gauss-sum unit kappa).
+anomaly phase, a power of the Gauss-sum unit kappa).  A compression
+piece has a boundary vector, the coordinates of rho(word) e_vac that
+the compression keeps (surviving_indices); a double's invariant is its
+half's vector's Hermitian norm.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,8 +43,9 @@ from .mcg import (
     pi1_action,
     SURFACE_RELATOR,
 )
-from .rep import rho, rho_apply, vacuum_index, vacuum_vector
-from .skein import colors, kappa, kappa_inv, quantum_dim, twist
+from .pmatrix import scalar_ring
+from .rep import genus2_basis, rho, rho_apply, vacuum_index, vacuum_vector
+from .skein import colors, kappa, kappa_inv, quantum_dim, spectral_color_order, twist
 
 
 class BudgetExceededError(RuntimeError):
@@ -351,10 +356,7 @@ def presentation(desc: ManifoldDesc) -> GroupPresentation:
     if isinstance(desc, ConnectedSum):
         lp = presentation(desc.left)
         rp = presentation(desc.right)
-        shift = lp.num_generators
-        shifted = tuple(
-            tuple(x + shift if x > 0 else x - shift for x in rel) for rel in rp.relators
-        )
+        shifted = _shifted(rp.relators, lp.num_generators)
         return GroupPresentation(lp.num_generators + rp.num_generators, lp.relators + shifted)
     if isinstance(desc, BoundedHeegaard):
         return _bounded_presentation(desc)
@@ -365,6 +367,11 @@ def presentation(desc: ManifoldDesc) -> GroupPresentation:
 
 def _gen_power(g: int, k: int) -> tuple[int, ...]:
     return (g,) * k if k >= 0 else (-g,) * (-k)
+
+
+def _shifted(relators, n: int) -> tuple[tuple[int, ...], ...]:
+    """The relators with every generator index moved up by n."""
+    return tuple(tuple(x + n if x > 0 else x - n for x in rel) for rel in relators)
 
 
 def _bounded_presentation(desc: BoundedHeegaard) -> GroupPresentation:
@@ -385,10 +392,7 @@ def _bounded_presentation(desc: BoundedHeegaard) -> GroupPresentation:
 def _double_presentation(half: BoundedHeegaard) -> GroupPresentation:
     base = _bounded_presentation(half)
     n = base.num_generators
-    mirrored = tuple(
-        tuple(x + n if x > 0 else x - n for x in rel) for rel in base.relators
-    )
-    rels = list(base.relators + mirrored)
+    rels = list(base.relators + _shifted(base.relators, n))
     if half.boundary_genus == 1:
         # glue the boundary tori by the identity: a1 = a1', b1 = b1'
         rels.append((1, -(1 + n)))
@@ -612,6 +616,49 @@ def dw_invariant_tqft(desc: ManifoldDesc, G: FiniteGroupTable) -> Fraction:
     raise DescError("TQFT route implemented for genus-1 descriptions only")
 
 
+# -- boundary vectors of compression pieces ------------------------------------
+
+
+@dataclass(frozen=True)
+class BoundaryVector:
+    p: int
+    boundary_genus: int
+    coords: tuple  # CycElems exactly, FqElems over a ResidueSpec
+
+
+@lru_cache(maxsize=None)
+def surviving_indices(p: int, boundary_genus: int) -> tuple[int, ...]:
+    """Dumbbell coordinates that survive the compression projection.
+
+    Compressing the right handle kills every (a, c, b) with b != 0
+    (admissibility then forces c = 0), which leaves (n, 0, 0) for n in
+    the genus-1 basis order; compressing both handles keeps only the
+    vacuum coordinate.
+    """
+    if boundary_genus == 1:
+        basis = genus2_basis(p)
+        return tuple(basis.index((n, 0, 0)) for n in spectral_color_order(p))
+    if boundary_genus == 0:
+        return (vacuum_index(2, p),)
+    raise DescError("boundary genus must be 0 or 1")
+
+
+def boundary_vector(desc: BoundedHeegaard, R) -> BoundaryVector:
+    """Compression projection of rho(word) applied to the handlebody vector,
+    over R: p exactly, or a ResidueSpec for its reduction mod J.
+
+    Each compressed handle contributes a factor eta^{-1} in the TQFT
+    normalization (so capping the result reproduces the closed Heegaard
+    value exactly).  Boundary genus 1 coordinates are indexed by the
+    genus-1 basis order.
+    """
+    S = scalar_ring(R)
+    column = S.column(rho_apply(desc.word, R, vacuum_vector(2, R)))
+    scale = eta_inv(R) ** (2 - desc.boundary_genus)
+    coords = tuple(scale * column[i] for i in surviving_indices(S.p, desc.boundary_genus))
+    return BoundaryVector(S.p, desc.boundary_genus, coords)
+
+
 # -- SO(3) quantum invariants ------------------------------------------------
 
 
@@ -647,8 +694,6 @@ def rt_closed(desc: ManifoldDesc, p: int) -> CycElem:
     if isinstance(desc, ConnectedSum):
         return rt_closed(desc.left, p) * rt_closed(desc.right, p) * eta_inv(p)
     if isinstance(desc, Double):
-        from .obstruct import boundary_vector  # local import to avoid a cycle
-
         # RT(DM) = ||RT(M)||^2: genus-1 boundary pairing is the identity,
         # the sphere pairing weighs the ball vector by eta
         bv = boundary_vector(desc.half, p)

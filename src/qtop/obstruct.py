@@ -2,11 +2,11 @@
 
 The mechanism: a compression body kills every boundary-basis coordinate
 whose compressed-handle color is nonzero, so the invariant vector of a
-bounded manifold N = C u_w H is the compression projection of
-rho(w) applied to the handlebody vector.  If that vector vanishes mod a
-maximal ideal J with residue field F_q while a closed target M has
-RT_p(M) nonzero mod J, the FKB ideal of N is contained in J but that of
-M is not, and N cannot embed in M.
+bounded manifold N = C u_w H is the compression projection of rho(w)
+applied to the handlebody vector (manifolds.boundary_vector).  If that
+vector vanishes mod a maximal ideal J with residue field F_q while a
+closed target M has RT_p(M) nonzero mod J, the FKB ideal of N is
+contained in J but that of M is not, and N cannot embed in M.
 
 Soundness axiom recorded in every certificate: closed invariants of
 manifolds containing N factor through the pairing with N's boundary
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,23 +25,22 @@ from .cyclotomic import (
     CycIdeal,
     ResidueSpec,
     RingUsageError,
-    eta_inv,
     residue_primes,
-    scalar_ring,
 )
 from .manifolds import (
+    BoundaryVector,
     BoundedHeegaard,
     DescError,
     ManifoldDesc,
+    boundary_vector,
     desc_to_json,
     is_closed,
     rt_closed,
+    surviving_indices,
 )
 from .linalg import draw_picks, fq_matmul, fq_walk
 from .mcg import TwistWord, empty_word, word_in_subgroup, word_product
 from .rep import (
-    genus1_basis,
-    genus2_basis,
     rho,
     rho_apply,
     vacuum_index,
@@ -53,48 +51,6 @@ SOUNDNESS_AXIOM = (
     "vector vanishing mod J implies I_p(N) <= J: closed invariants of "
     "manifolds containing N factor through the pairing with N's vector"
 )
-
-
-@dataclass(frozen=True)
-class BoundaryVector:
-    p: int
-    boundary_genus: int
-    coords: tuple  # CycElems exactly, FqElems over a ResidueSpec
-
-
-@lru_cache(maxsize=None)
-def surviving_indices(p: int, boundary_genus: int) -> tuple[int, ...]:
-    """Dumbbell coordinates that survive the compression projection.
-
-    Compressing the right handle kills every (a, c, b) with b != 0
-    (admissibility then forces c = 0); compressing both handles keeps
-    only the vacuum coordinate.
-    """
-    basis = genus2_basis(p)
-    if boundary_genus == 1:
-        order = []
-        for n in genus1_basis(p):
-            order.append(basis.index((n, 0, 0)))
-        return tuple(order)
-    if boundary_genus == 0:
-        return (basis.index((0, 0, 0)),)
-    raise DescError("boundary genus must be 0 or 1")
-
-
-def boundary_vector(desc: BoundedHeegaard, R) -> BoundaryVector:
-    """Compression projection of rho(word) applied to the handlebody vector,
-    over R: p exactly, or a ResidueSpec for its reduction mod J.
-
-    Each compressed handle contributes a factor eta^{-1} in the TQFT
-    normalization (so capping the result reproduces the closed Heegaard
-    value exactly).  Boundary genus 1 coordinates are indexed by the
-    genus-1 basis order.
-    """
-    S = scalar_ring(R)
-    column = S.column(rho_apply(desc.word, R, vacuum_vector(2, R)))
-    scale = eta_inv(R) ** (2 - desc.boundary_genus)
-    coords = tuple(scale * column[i] for i in surviving_indices(S.p, desc.boundary_genus))
-    return BoundaryVector(S.p, desc.boundary_genus, coords)
 
 
 def fkb_ideal_closed(desc: ManifoldDesc, p: int) -> CycIdeal:
@@ -277,8 +233,9 @@ def twist_search(
     call, and linalg.fq_walk (the walk kernel montecarlo_vanishing
     shares) carries e_vac right to left through each sample's picked
     generator matrices, then linalg.fq_matmul applies the base word's
-    matrix.  The rows are scanned in sample order and the first vanishing
-    one wins; drawing picks past it touches only the local rng, so the
+    matrix.  A row vanishes when it is zero at every surviving index, the
+    test montecarlo_vanishing makes; the first vanishing row in sample
+    order wins.  Drawing picks past it touches only the local rng, so the
     result is that of drawing one sample at a time.  Deterministic in
     (seed, budget).
     """
@@ -286,11 +243,7 @@ def twist_search(
         raise RingUsageError("word and residue spec use different p")
     rng = random.Random(seed)
     base = desc.word
-    keep = surviving_indices(p, desc.boundary_genus)
-
-    def vanishes(vec):
-        return all(vec[i] == 0 for i in keep)
-
+    keep = list(surviving_indices(p, desc.boundary_genus))
     gens = []
     certs = []
     for j in range(SEARCH_GENERATORS):
@@ -304,7 +257,7 @@ def twist_search(
     base_mat = rho(base, r)
 
     # empty word first: degenerate setups succeed immediately
-    if vanishes(base_mat[:, vacuum_index(2, p)]):
+    if not base_mat[keep, vacuum_index(2, p)].any():
         return TwistSearchResult(True, empty_word(2), base, "1", 0, 1)
 
     images = set()
@@ -312,12 +265,12 @@ def twist_search(
         size = min(SEARCH_BATCH, budget - start)
         picks = draw_picks(rng, len(words), size * SEARCH_WALK_LENGTH).reshape(size, -1)
         rows = fq_matmul(fq_walk(gen_mats, picks, e_vac, r.q), base_mat.T, r.q)
-        for offset, vec in enumerate(rows.tolist()):
-            images.add(tuple(vec))
-            if vanishes(vec):
-                chosen = picks[offset].tolist()
-                f = word_product(2, [words[i] for i in chosen])
-                certificate = " . ".join(cert_terms[i] for i in chosen)
-                samples = start + offset + 1
-                return TwistSearchResult(True, f, base * f, certificate, samples, len(images))
+        hits = np.flatnonzero(~rows[:, keep].any(axis=1))
+        end = int(hits[0]) + 1 if len(hits) else size  # the rows scanned: up to the first hit
+        images.update(map(tuple, rows[:end].tolist()))
+        if len(hits):
+            chosen = picks[end - 1].tolist()
+            f = word_product(2, [words[i] for i in chosen])
+            certificate = " . ".join(cert_terms[i] for i in chosen)
+            return TwistSearchResult(True, f, base * f, certificate, start + end, len(images))
     return TwistSearchResult(False, None, None, None, budget, len(images))

@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cyclotomic import CycElem, ResidueSpec, RingUsageError, is_prime, power, ring
+from .cyclotomic import CycElem, ResidueSpec, RingSpec, RingUsageError, is_prime, power, ring
 from .linalg import fq_dtype, fq_matmul, fq_rref
 
 # int64 tensors hold numerators below this bound, so a sum of two fits
@@ -272,3 +272,47 @@ class PMatrix:
         for k in reversed(range(num.shape[2])):
             acc = (acc * r.root % q + num[:, :, k]) % q
         return tuple(map(tuple, (acc * pow(self.p, -self.e, q) % q).tolist()))
+
+
+class ExactRing(RingSpec):
+    """Z[zeta_{4p}, 1/p] as a scalar ring: a RingSpec's CycElems, and
+    PMatrix matrices, an exact vector being one column."""
+
+    def matrix(self, rows) -> PMatrix:
+        return PMatrix.from_rows(self.p, rows)
+
+    def diagonal(self, xs) -> PMatrix:
+        return PMatrix.diagonal(self.p, list(xs))
+
+    def vector(self, xs) -> PMatrix:
+        return self.matrix([[x] for x in xs])
+
+    @staticmethod
+    def mat_mul(A: PMatrix, B: PMatrix) -> PMatrix:
+        return A * B
+
+    @staticmethod
+    def apply(mats, vec: PMatrix) -> PMatrix:
+        for M in reversed(mats):
+            vec = M * vec
+        return vec
+
+    @staticmethod
+    def column(vec: PMatrix) -> tuple[CycElem, ...]:
+        return tuple(row[0] for row in vec.entries)
+
+
+@lru_cache(maxsize=None)
+def scalar_ring(R):
+    """The scalar ring that code generic over its scalars is given: an
+    ExactRing for a prime p, or the ResidueSpec R itself.
+
+    Either provides p; zero, one and root_power(k) = zeta^k, its elements
+    (CycElem or FqElem); matrix(rows), diagonal(xs) and vector(xs), its
+    dense matrix type (PMatrix, or read-only numpy arrays of residues);
+    mat_mul(A, B), the one product of two matrices; apply(mats, vec), the
+    product mats[0] ... mats[-1] vec carried right to left as a vector;
+    and column(vec), the coordinates of a vector as elements.  Element
+    arithmetic is the elements' own operators.
+    """
+    return R if isinstance(R, ResidueSpec) else ExactRing(R)

@@ -45,10 +45,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import ResidueSpec, RingUsageError, scalar_ring
+from .cyclotomic import ResidueSpec, RingUsageError
 from .linalg import fq_mat_mul, fq_matmul, fq_rref  # noqa: F401  (fq_mat_mul: kept for bench/tracing.py)
 from .mcg import TwistWord, WordError
-from .pmatrix import PMatrix
+from .pmatrix import PMatrix, scalar_ring
 from .skein import (
     _holed_torus_s,
     admissible,
@@ -67,11 +67,6 @@ from .skein import (
 
 
 @lru_cache(maxsize=None)
-def genus1_basis(p: int) -> tuple[int, ...]:
-    return spectral_color_order(p)
-
-
-@lru_cache(maxsize=None)
 def genus2_basis(p: int) -> tuple[tuple[int, int, int], ...]:
     """Dumbbell colorings (a, c, b), lexicographic in natural color order."""
     out = []
@@ -87,7 +82,7 @@ def genus2_basis(p: int) -> tuple[tuple[int, int, int], ...]:
 
 def rep_dim(genus: int, p: int) -> int:
     if genus == 1:
-        return len(genus1_basis(p))
+        return len(spectral_color_order(p))
     if genus == 2:
         return len(genus2_basis(p))
     raise WordError(f"unsupported genus {genus}")
@@ -95,7 +90,7 @@ def rep_dim(genus: int, p: int) -> int:
 
 def vacuum_index(genus: int, p: int) -> int:
     if genus == 1:
-        return genus1_basis(p).index(0)
+        return spectral_color_order(p).index(0)
     return genus2_basis(p).index((0, 0, 0))
 
 
@@ -200,7 +195,7 @@ def _twist_conjugators(genus: int, R, curve: str):
     S = scalar_ring(R)
     p = S.p
     if genus == 1:
-        diag = tuple(twist(R, n) for n in genus1_basis(p))
+        diag = tuple(twist(R, n) for n in spectral_color_order(p))
         if curve == "a":
             return None, None, diag
         if curve == "b":
@@ -338,7 +333,7 @@ def hermitian_check(word: TwistWord, p: int) -> bool:
 # -- surjectivity evidence ---------------------------------------------------
 
 
-def algebra_span_dim(words, genus: int, p: int, r: ResidueSpec) -> int:
+def algebra_span_dim(words, p: int, r: ResidueSpec) -> int:
     """Dimension over F_q of the matrix algebra spanned by rho(words, r).
 
     d^2 certifies irreducibility of the generated subgroup (Burnside);

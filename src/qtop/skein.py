@@ -15,7 +15,7 @@ that c(i)+1 = +-i mod p), one has mu_{c(i)} = (-A)^{i^2-1} exactly.
 
 The constants are generic over their scalars: the first argument R is the
 prime p for exact elements of Z[zeta_{4p}, 1/p], or a ResidueSpec for
-their images in F_q (see cyclotomic.scalar_ring).  Each formula is
+their images in F_q (see pmatrix.scalar_ring).  Each formula is
 written once; over F_q it gives the reduction of the exact value.
 """
 
@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclotomic import CycElem, eta, ring, scalar_ring
-from .pmatrix import PMatrix
+from .cyclotomic import CycElem, eta, ring
+from .pmatrix import PMatrix, scalar_ring
 
 
 class AdmissibilityError(ValueError):

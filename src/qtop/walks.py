@@ -17,11 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import ResidueSpec, is_prime
+from .cyclotomic import ResidueSpec, RingUsageError, is_prime
 from .linalg import draw_picks, fq_dtype, fq_matmul, fq_walk
-from .manifolds import BoundedHeegaard
+from .manifolds import BoundedHeegaard, surviving_indices
 from .mcg import word_in_subgroup
-from .obstruct import surviving_indices
 from .rep import rep_dim, rho, vacuum_index, vacuum_vector
 
 
@@ -357,8 +356,10 @@ def montecarlo_vanishing(
     """
     if trials < 0:
         raise WalkUsageError("trials must be >= 0")
+    if r.p != p:
+        raise RingUsageError("word and residue spec use different p")
     q = r.q
-    keep = surviving_indices(p, desc.boundary_genus)
+    keep = list(surviving_indices(p, desc.boundary_genus))
     dim = rep_dim(2, p)
     kdim = dim - len(keep)  # the projection kills every other coordinate
     exact = Fraction(q ** kdim - 1, q ** dim - 1)
@@ -381,7 +382,7 @@ def montecarlo_vanishing(
     picks = rng.choice(len(gen_mats), size=(trials, walkspec.length), p=weights)
 
     vectors = fq_matmul(fq_walk(gen_mats, picks, vacuum_vector(2, r), q), base.T, q)
-    hits = int(np.all(vectors[:, list(keep)] == 0, axis=1).sum())
+    hits = int(np.count_nonzero(~vectors[:, keep].any(axis=1)))
     freq = Fraction(hits, trials)
     fhat = float(freq)
     se = math.sqrt(max(fhat * (1 - fhat), 1e-12) / trials)

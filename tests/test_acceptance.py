@@ -180,7 +180,7 @@ def test_criterion_08_strong_approximation_evidence():
     c = Criterion(8, 60)
     r = ResidueSpec.for_primes(5, 41)
     words = [random_word(2, 12, seed) for seed in range(200)]
-    span = algebra_span_dim(words, 2, 5, r)
+    span = algebra_span_dim(words, 5, r)
     ts = rho_mod(letter(2, "s"), 5, r)
     ok = span == 25 and not fq_is_scalar(ts, 41)
     c.finish(ok)

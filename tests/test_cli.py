@@ -123,6 +123,19 @@ def test_error_exit_code_and_stderr(capsys):
     assert err.startswith("error[")
 
 
+def test_an_error_without_text_names_the_input(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError()  # as an allocation of a spelled-out power raises it
+
+    monkeypatch.setattr("qtop.cli._cmd_homology", exhausted)
+    code, out, err = run(capsys, "--format", "text", "homology", "--desc", "lens:1000000000000")
+    assert code == 2 and out == ""
+    assert err == (
+        "error[MemoryError]: no message, running qtop --format text homology"
+        " --desc lens:1000000000000\n"
+    )
+
+
 def test_parse_error_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json }")

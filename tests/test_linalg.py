@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fq_oracles import fq_mat_vec, fq_rref as list_fq_rref
 from qtop import linalg
-from qtop.cyclotomic import is_prime
+from qtop.cyclotomic import CycElem, is_prime, ring
 
 
 def _bareiss_int_det(sub):
@@ -222,18 +222,14 @@ def test_fq_rref_matches_list_echelon(q):
 
 
 def test_bareiss_det_over_integers():
-    class IntRing:
-        one, zero = 1, 0
-        mul = staticmethod(lambda a, b: a * b)
-        sub = staticmethod(lambda a, b: a - b)
-        exact_div = staticmethod(lambda a, b: a // b)
-        is_zero = staticmethod(lambda a: a == 0)
-
+    # the integers inside Z[zeta_28, 1/7]: bareiss_det works on the elements'
+    # own operators and reads only one and zero from the ring
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randint(1, 4)
         mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert linalg.bareiss_det(mat, IntRing) == _bareiss_int_det(mat)
+        embedded = [[CycElem.from_int(7, x) for x in row] for row in mat]
+        assert linalg.bareiss_det(embedded, ring(7)) == CycElem.from_int(7, _bareiss_int_det(mat))
 
 
 def test_fq_dtype_guard_boundary():

@@ -36,8 +36,8 @@ from qtop.obstruct import (
     surviving_indices,
     twist_search,
 )
-from qtop.rep import genus1_basis, letter_matrix, vacuum_vector
-from qtop.skein import colors, twist
+from qtop.rep import letter_matrix, vacuum_vector
+from qtop.skein import colors, spectral_color_order, twist
 
 R41 = ResidueSpec.for_primes(5, 41)
 
@@ -69,10 +69,10 @@ def test_positive_b1_mapping_torus_is_the_twist_trace():
 
 def test_solid_torus_boundary_vector():
     bv = boundary_vector(BoundedHeegaard(2, 1, empty_word(2)), 5)
-    lead = bv.coords[genus1_basis(5).index(0)]
+    lead = bv.coords[spectral_color_order(5).index(0)]
     assert is_unit(lead)
     assert lead == eta(5).inv()
-    assert all(x.is_zero() for i, x in enumerate(bv.coords) if genus1_basis(5)[i] != 0)
+    assert all(x.is_zero() for i, x in enumerate(bv.coords) if spectral_color_order(5)[i] != 0)
 
 
 def test_capped_vector_is_eta_normalized_closed_invariant():
@@ -237,6 +237,8 @@ def test_obstruct_empty_q_list():
 def test_end_to_end_obstruction_via_search():
     res = twist_search(BoundedHeegaard(2, 0, empty_word(2)), 5, R41, budget=3000, seed=1)
     assert res.found
+    # plain ints, which json.dumps takes: not numpy integers from the batch scan
+    assert type(res.samples) is int and type(res.distinct_images) is int
     candidate = BoundedHeegaard(2, 0, res.full_word)
     report = obstruct_embedding(candidate, S3, 5, [41])
     assert report.verdict == "OBSTRUCTED"
@@ -385,6 +387,7 @@ def test_twist_search_budget_exhaustion_is_not_found():
     res = twist_search(desc, 5, R41, budget=2, seed=12)
     assert not res.found and res.word is None
     assert res.samples == 2
+    assert type(res.samples) is int and type(res.distinct_images) is int
     assert res.distinct_images == _twist_search_one_sample_at_a_time(desc, 5, R41, 2, 12).distinct_images
 
 

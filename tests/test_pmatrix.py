@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qtop import pmatrix
 from qtop.cyclotomic import CycElem, ResidueSpec, RingUsageError, residue_primes, ring
-from qtop.pmatrix import PMatrix, moduli, prime_count, product_spread
+from qtop.pmatrix import PMatrix, moduli, prime_count, product_spread, scalar_ring
 
 
 def schoolbook_mul(A: PMatrix, B: PMatrix) -> PMatrix:
@@ -210,26 +210,26 @@ def test_column_products_of_zero_and_identity():
     A = PMatrix.from_rows(
         p, [[CycElem.make(p, [i + j - k for k in range(12)], j) for j in range(n)] for i in range(n)]
     )
-    zero = ring(p).vector([CycElem.zero(p)] * n)
+    zero = scalar_ring(p).vector([CycElem.zero(p)] * n)
     assert A * zero == zero
     assert (A * PMatrix.identity(p, n)).entries == A.entries
     assert (PMatrix.identity(p, n) * A).entries == A.entries
     for j in range(n):
-        e_j = ring(p).vector([CycElem.one(p) if i == j else CycElem.zero(p) for i in range(n)])
+        e_j = scalar_ring(p).vector([CycElem.one(p) if i == j else CycElem.zero(p) for i in range(n)])
         assert A * e_j == column(A, j)
 
 
 def test_mismatched_inner_dimensions_raise():
     p = 5
     x = CycElem.root_power(p, 1)
-    A, v = PMatrix.identity(p, 3), ring(p).vector([x, x])
+    A, v = PMatrix.identity(p, 3), scalar_ring(p).vector([x, x])
     with pytest.raises(RingUsageError):
         A * v
     with pytest.raises(RingUsageError):
         v * A
     with pytest.raises(RingUsageError):
         A * PMatrix.identity(p, 2)
-    assert (ring(p).vector([x, x, x]) * PMatrix.identity(p, 1)).entries == ((x,),) * 3
+    assert (scalar_ring(p).vector([x, x, x]) * PMatrix.identity(p, 1)).entries == ((x,),) * 3
 
 
 

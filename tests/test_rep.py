@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtop.cyclotomic import CycElem, ResidueSpec, elem_A, scalar_ring
+from qtop.cyclotomic import CycElem, ResidueSpec, elem_A
 from qtop.linalg import fq_dtype, fq_rref, ring_inverse
 from qtop.mcg import GENUS_CURVES, empty_word, letter, parse_word, random_word
-from qtop.pmatrix import PMatrix
+from qtop.pmatrix import PMatrix, scalar_ring
 from qtop.rep import (
     _bridge_f_block,
     _bridge_f_matrix,
@@ -346,12 +346,12 @@ def test_hermitian_gram_is_conjugation_invariant():
 
 
 def test_algebra_span_identity_only():
-    assert algebra_span_dim([empty_word(2)], 2, 5, R41) == 1
+    assert algebra_span_dim([empty_word(2)], 5, R41) == 1
 
 
 def test_algebra_span_full_matrix_algebra():
     words = [random_word(2, 12, seed) for seed in range(200)]
-    assert algebra_span_dim(words, 2, 5, R41) == 25
+    assert algebra_span_dim(words, 5, R41) == 25
 
 
 def test_algebra_span_genus1_matches_closure():
@@ -363,7 +363,7 @@ def test_algebra_span_genus1_matches_closure():
     assert closure.complete
     span = fq_rref([[x for row in M for x in row] for M in closure.elements], 41)
     words = [random_word(1, 10, seed) for seed in range(300)]
-    assert algebra_span_dim(words, 1, p, R41) == len(span)
+    assert algebra_span_dim(words, p, R41) == len(span)
 
 
 def test_projective_order_helper():

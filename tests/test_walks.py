@@ -5,10 +5,9 @@ import pytest
 import numpy as np
 
 from fq_oracles import enumerate_group as tuple_closure, tv_curve
-from qtop.cyclotomic import ResidueSpec
-from qtop.manifolds import BoundedHeegaard
+from qtop.cyclotomic import ResidueSpec, RingUsageError
+from qtop.manifolds import BoundedHeegaard, surviving_indices
 from qtop.mcg import empty_word, parse_word
-from qtop.obstruct import surviving_indices
 from qtop.linalg import fq_walk
 from qtop.rep import fq_mat_mul, rho, rho_mod, vacuum_index, vacuum_vector
 from qtop.walks import (
@@ -297,6 +296,15 @@ def test_montecarlo_converges_in_walk_length():
         gaps.append(abs(float(rep.frequency) - float(rep.exact_probability)))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 0.01
+
+
+def test_montecarlo_refuses_a_residue_spec_of_another_p():
+    # a p = 5 word against a p = 7 spec, and a p = 7 word against a p = 5 spec
+    desc = BoundedHeegaard(2, 0, empty_word(2))
+    spec = default_subgroup_walk(5, 10, 0)
+    for p, r in ((5, ResidueSpec.for_primes(7, 29)), (7, R41)):
+        with pytest.raises(RingUsageError, match="different p"):
+            montecarlo_vanishing(desc, p, r, spec, 10)
 
 
 def test_montecarlo_genus1_boundary_kernel_dim():
