@@ -37,8 +37,8 @@ def main():
         f, e = float(rep.frequency), float(rep.exact_probability)
         print(f"{d},{f:.6f},{e:.6f},{abs(f - e):.6f},{rep.radius3sigma:.6f}")
     print(
-        f"# kernel dim {rep.kernel_dim} of {rep.space_dim}; bound shape "
-        f"{rep.bound_shape} = {float(rep.bound_shape):.6f}",
+        f"# kernel dim {rep.kernel_dim} of {rep.space_dim}; exact probability "
+        f"{rep.exact_probability} = {float(rep.exact_probability):.6f}",
         file=sys.stderr,
     )
 

@@ -328,7 +328,7 @@ def _cmd_rep_check(args) -> int:
     if args.q:
         r = ResidueSpec.for_primes(p, args.q)
         words = [random_word(genus, 12, seed) for seed in range(args.words * 10)]
-        span = algebra_span_dim(words, p, r)
+        span = algebra_span_dim(words, r)
         orders = []
         for seed in range(5):
             M = rho(random_word(genus, 10, 1000 + seed), r)

@@ -126,20 +126,8 @@ def builtin_group(name: str) -> FiniteGroupTable:
             "S3", [(1, 0, 2), (1, 2, 0)]
         )
     if key == "q8":
-        # elements 1, -1, i, -i, j, -j, k, -k
-        def q_mul(x, y):
-            sx, ux = (1 if not x % 2 else -1), x // 2
-            sy, uy = (1 if not y % 2 else -1), y // 2
-            # units: 0=1, 1=i, 2=j, 3=k
-            prod = {
-                (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-                (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-                (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-                (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-            }[(ux, uy)]
-            s = sx * sy * prod[0]
-            return 2 * prod[1] + (0 if s == 1 else 1)
-
-        table = [[q_mul(x, y) for y in range(8)] for x in range(8)]
-        return FiniteGroupTable.from_table("Q8", table)
+        # left multiplication by i and by j on 1, -1, i, -i, j, -j, k, -k
+        return FiniteGroupTable.from_permutations(
+            "Q8", [(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)]
+        )
     raise GroupTableError(f"unknown builtin group {name!r}")

@@ -17,7 +17,8 @@ variants have Dijkgraaf-Witten invariants (counted two independent ways
 at genus 1) and SO(3) quantum invariants (defined up to a declared
 anomaly phase, a power of the Gauss-sum unit kappa).  A compression
 piece has a boundary vector, the coordinates of rho(word) e_vac that
-the compression keeps (surviving_indices); a double's invariant is its
+the compression keeps (surviving_indices), which compressed_walks reads
+mod J along batches of regluing walks; a double's invariant is its
 half's vector's Hermitian norm.
 """
 
@@ -657,6 +658,31 @@ def boundary_vector(desc: BoundedHeegaard, R) -> BoundaryVector:
     scale = eta_inv(R) ** (2 - desc.boundary_genus)
     coords = tuple(scale * column[i] for i in surviving_indices(S.p, desc.boundary_genus))
     return BoundaryVector(S.p, desc.boundary_genus, coords)
+
+
+def compressed_walks(desc: BoundedHeegaard, r, words):
+    """Walks of regluings over F_q: walk(picks) -> (rows, vanishing).
+
+    Row t of rows is rho(desc.word) rho(words[picks[t, 0]]) ...
+    rho(words[picks[t, -1]]) e_vac mod J over the ResidueSpec r, for a
+    (batch, steps) index array picks; vanishing[t] says whether it is
+    zero at every surviving index.  A walk of no steps gives the base
+    word's vacuum column.  The matrices rho(w, r) are built once;
+    linalg.fq_walk carries the batch of vacuum vectors right to left
+    through each row's picks (one product per step gives every word's
+    image, each row keeps its pick's), then linalg.fq_matmul applies the
+    base word's matrix, both exactly in linalg._product_dtype's dtype.
+    """
+    mats = np.array([rho(w, r) for w in words])
+    base_t = rho(desc.word, r).T
+    e_vac = vacuum_vector(2, r)
+    keep = list(surviving_indices(r.p, desc.boundary_genus))
+
+    def walk(picks):
+        rows = linalg.fq_matmul(linalg.fq_walk(mats, picks, e_vac, r.q), base_t, r.q)
+        return rows, ~rows[:, keep].any(axis=1)
+
+    return walk
 
 
 # -- SO(3) quantum invariants ------------------------------------------------

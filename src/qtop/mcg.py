@@ -381,6 +381,10 @@ def _base_letter(rng: random.Random, n: int, conj_len: int) -> tuple[TwistWord, 
     return base, cert
 
 
+# certified words twist_search and default_subgroup_walk draw (each also inverted)
+SUBGROUP_WORDS = 6
+
+
 def word_in_subgroup(n: int, k: int, seed: int) -> CertifiedWord:
     """A genus-2 word certified by construction to lie in Gamma_k I cap T_n
     (the genus-1 Torelli group is trivial).

@@ -33,19 +33,14 @@ from .manifolds import (
     DescError,
     ManifoldDesc,
     boundary_vector,
+    compressed_walks,
     desc_to_json,
     is_closed,
     rt_closed,
-    surviving_indices,
 )
-from .linalg import draw_picks, fq_matmul, fq_walk
-from .mcg import TwistWord, empty_word, word_in_subgroup, word_product
-from .rep import (
-    rho,
-    rho_apply,
-    vacuum_index,
-    vacuum_vector,
-)
+from .linalg import draw_picks
+from .mcg import SUBGROUP_WORDS, TwistWord, empty_word, word_in_subgroup, word_product
+from .rep import rho_apply, vacuum_vector
 
 SOUNDNESS_AXIOM = (
     "vector vanishing mod J implies I_p(N) <= J: closed invariants of "
@@ -195,9 +190,7 @@ def rederive_report(report: ObstructionReport) -> bool:
 
 # samples twist_search draws and walks together; results do not depend on it
 SEARCH_BATCH = 32
-# steps per twist_search sample; certified subgroup words drawn (each also inverted)
-SEARCH_WALK_LENGTH = 48
-SEARCH_GENERATORS = 6
+SEARCH_WALK_LENGTH = 48  # steps per twist_search sample
 
 
 @dataclass(frozen=True)
@@ -225,52 +218,42 @@ def twist_search(
 ) -> TwistSearchResult:
     """Search Gamma_k I cap T_n for f with vanishing compressed vector mod J.
 
-    Samples products of certified subgroup generators; each sample is a
-    fresh walk of SEARCH_WALK_LENGTH steps whose picks come from one
-    random.Random(seed), as one rng.choice per step would draw them.  Only
-    the vacuum column of rho(base f) is read, so the samples are drawn in
-    batches of SEARCH_BATCH, each batch's picks in one linalg.draw_picks
-    call, and linalg.fq_walk (the walk kernel montecarlo_vanishing
-    shares) carries e_vac right to left through each sample's picked
-    generator matrices, then linalg.fq_matmul applies the base word's
-    matrix.  A row vanishes when it is zero at every surviving index, the
-    test montecarlo_vanishing makes; the first vanishing row in sample
-    order wins.  Drawing picks past it touches only the local rng, so the
-    result is that of drawing one sample at a time.  Deterministic in
-    (seed, budget).
+    Samples products of the mcg.SUBGROUP_WORDS certified subgroup words
+    and their inverses; each sample is a fresh walk of SEARCH_WALK_LENGTH
+    steps whose picks come from one random.Random(seed), as one
+    rng.choice per step would draw them.  The empty word is tried first,
+    as a walk of no steps.  Then the samples are drawn in batches of
+    SEARCH_BATCH, each batch's picks in one linalg.draw_picks call, and
+    walked by manifolds.compressed_walks, the kernel montecarlo_vanishing
+    shares; the first vanishing row in sample order wins.  Drawing picks
+    past it touches only the local rng, so the result is that of drawing
+    one sample at a time.  Deterministic in (seed, budget).
     """
+    if budget < 0:
+        raise DescError("budget must be >= 0")
     if r.p != p:
         raise RingUsageError("word and residue spec use different p")
     rng = random.Random(seed)
-    base = desc.word
-    keep = list(surviving_indices(p, desc.boundary_genus))
-    gens = []
-    certs = []
-    for j in range(SEARCH_GENERATORS):
-        cw = word_in_subgroup(n, k, seed * 1009 + j + 1)
-        gens.append(cw.word)
-        certs.append(cw.certificate)
-    words = gens + [g.inverse() for g in gens]
-    cert_terms = certs + [f"({c})^-1" for c in certs]
-    gen_mats = np.array([rho(w, r) for w in words])
-    e_vac = vacuum_vector(2, r)
-    base_mat = rho(base, r)
+    drawn = [word_in_subgroup(n, k, seed * 1009 + j + 1) for j in range(SUBGROUP_WORDS)]
+    words = [cw.word for cw in drawn] + [cw.word.inverse() for cw in drawn]
+    cert_terms = [cw.certificate for cw in drawn] + [f"({cw.certificate})^-1" for cw in drawn]
+    walk = compressed_walks(desc, r, words)
 
     # empty word first: degenerate setups succeed immediately
-    if not base_mat[keep, vacuum_index(2, p)].any():
-        return TwistSearchResult(True, empty_word(2), base, "1", 0, 1)
+    if walk(np.zeros((1, 0), dtype=np.intp))[1][0]:
+        return TwistSearchResult(True, empty_word(2), desc.word, "1", 0, 1)
 
     images = set()
     for start in range(0, budget, SEARCH_BATCH):
         size = min(SEARCH_BATCH, budget - start)
         picks = draw_picks(rng, len(words), size * SEARCH_WALK_LENGTH).reshape(size, -1)
-        rows = fq_matmul(fq_walk(gen_mats, picks, e_vac, r.q), base_mat.T, r.q)
-        hits = np.flatnonzero(~rows[:, keep].any(axis=1))
+        rows, vanishing = walk(picks)
+        hits = np.flatnonzero(vanishing)
         end = int(hits[0]) + 1 if len(hits) else size  # the rows scanned: up to the first hit
         images.update(map(tuple, rows[:end].tolist()))
         if len(hits):
             chosen = picks[end - 1].tolist()
             f = word_product(2, [words[i] for i in chosen])
             certificate = " . ".join(cert_terms[i] for i in chosen)
-            return TwistSearchResult(True, f, base * f, certificate, start + end, len(images))
+            return TwistSearchResult(True, f, desc.word * f, certificate, start + end, len(images))
     return TwistSearchResult(False, None, None, None, budget, len(images))

@@ -333,14 +333,12 @@ def hermitian_check(word: TwistWord, p: int) -> bool:
 # -- surjectivity evidence ---------------------------------------------------
 
 
-def algebra_span_dim(words, p: int, r: ResidueSpec) -> int:
+def algebra_span_dim(words, r: ResidueSpec) -> int:
     """Dimension over F_q of the matrix algebra spanned by rho(words, r).
 
     d^2 certifies irreducibility of the generated subgroup (Burnside);
     reported as surjectivity evidence, never as proof.
     """
-    if r.p != p:
-        raise RingUsageError("word and residue spec use different p")
     return len(fq_rref([rho(w, r).ravel() for w in words], r.q))
 
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from .cyclotomic import ResidueSpec, RingUsageError, is_prime
 from .linalg import draw_picks, fq_dtype, fq_matmul, fq_walk
-from .manifolds import BoundedHeegaard, surviving_indices
-from .mcg import word_in_subgroup
-from .rep import rep_dim, rho, vacuum_index, vacuum_vector
+from .manifolds import BoundedHeegaard, compressed_walks, surviving_indices
+from .mcg import SUBGROUP_WORDS, word_in_subgroup
+from .rep import rep_dim
 
 
 class WalkUsageError(ValueError):
@@ -300,7 +300,6 @@ class MonteCarloReport:
     kernel_dim: int
     space_dim: int
     exact_probability: Fraction
-    bound_shape: Fraction
     walk_length: int
     seed: int
 
@@ -316,23 +315,16 @@ class MonteCarloReport:
             "spaceDim": self.space_dim,
             "exactProbability": str(self.exact_probability),
             "exactProbabilityFloat": float(self.exact_probability),
-            "boundShape": str(self.bound_shape),
+            "boundShape": str(self.exact_probability),
             "walkLength": self.walk_length,
             "seed": self.seed,
         }
 
 
-SUBGROUP_WALK_WORDS = 6  # certified words default_subgroup_walk draws (each also inverted)
-
-
 def default_subgroup_walk(p: int, length: int, seed: int, n: int = 3, k: int = 1) -> WalkSpec:
     """Walk on certified Gamma_k I cap T_n words, closed under inverses."""
-    words = []
-    for j in range(SUBGROUP_WALK_WORDS):
-        cw = word_in_subgroup(n, k, seed * 977 + j + 1)
-        words.append(cw.word)
-        words.append(cw.word.inverse())
-    return WalkSpec.uniform(tuple(words), length, seed)
+    drawn = [word_in_subgroup(n, k, seed * 977 + j + 1).word for j in range(SUBGROUP_WORDS)]
+    return WalkSpec.uniform(tuple(x for w in drawn for x in (w, w.inverse())), length, seed)
 
 
 def montecarlo_vanishing(
@@ -346,43 +338,26 @@ def montecarlo_vanishing(
 
     Each trial composes the base gluing with an independent walk of
     walkspec.length steps; all generator picks are drawn up front from
-    the seed, so the result is reproducible for any worker count.  Only
-    the vacuum column is read, so linalg.fq_walk carries a (trials, dim)
-    batch of vacuum vectors right to left through the picked generators
-    (the walk kernel twist_search shares: one product per step giving
-    every generator's image, of which each trial keeps its pick's), then
-    linalg.fq_matmul applies the base word's matrix.  Both compute exactly
-    in the dtype linalg._product_dtype picks from dim and q.
+    the seed, so the result is reproducible for any worker count.  The
+    trials are one batch of manifolds.compressed_walks, the kernel
+    twist_search shares.
     """
     if trials < 0:
         raise WalkUsageError("trials must be >= 0")
     if r.p != p:
         raise RingUsageError("word and residue spec use different p")
     q = r.q
-    keep = list(surviving_indices(p, desc.boundary_genus))
     dim = rep_dim(2, p)
-    kdim = dim - len(keep)  # the projection kills every other coordinate
+    kdim = dim - len(surviving_indices(p, desc.boundary_genus))  # the projection kills the rest
     exact = Fraction(q ** kdim - 1, q ** dim - 1)
-    bound = Fraction(q ** (dim - (1 if desc.boundary_genus == 0 else rep_dim(1, p))) - 1, q ** dim - 1)
-
-    vac = vacuum_index(2, p)
-    base = rho(desc.word, r)
-    if np.all(base[:, vac] % q == 0):
-        raise WalkUsageError("handlebody vector is zero mod J: degenerate setup")
-
     if trials == 0:
-        return MonteCarloReport(
-            0, 0, None, None, None, kdim, dim, exact, bound, walkspec.length, walkspec.seed
-        )
+        return MonteCarloReport(0, 0, None, None, None, kdim, dim, exact, walkspec.length, walkspec.seed)
 
-    gen_mats = np.array([rho(w, r) for w in walkspec.generators])
     weights = np.array([float(w) for w in walkspec.weights])
-    weights = weights / weights.sum()
     rng = np.random.default_rng(walkspec.seed)
-    picks = rng.choice(len(gen_mats), size=(trials, walkspec.length), p=weights)
-
-    vectors = fq_matmul(fq_walk(gen_mats, picks, vacuum_vector(2, r), q), base.T, q)
-    hits = int(np.count_nonzero(~vectors[:, keep].any(axis=1)))
+    picks = rng.choice(len(weights), size=(trials, walkspec.length), p=weights / weights.sum())
+    _, vanishing = compressed_walks(desc, r, walkspec.generators)(picks)
+    hits = int(np.count_nonzero(vanishing))
     freq = Fraction(hits, trials)
     fhat = float(freq)
     se = math.sqrt(max(fhat * (1 - fhat), 1e-12) / trials)
@@ -396,7 +371,6 @@ def montecarlo_vanishing(
         kdim,
         dim,
         exact,
-        bound,
         walkspec.length,
         walkspec.seed,
     )

@@ -180,7 +180,7 @@ def test_criterion_08_strong_approximation_evidence():
     c = Criterion(8, 60)
     r = ResidueSpec.for_primes(5, 41)
     words = [random_word(2, 12, seed) for seed in range(200)]
-    span = algebra_span_dim(words, 5, r)
+    span = algebra_span_dim(words, r)
     ts = rho_mod(letter(2, "s"), 5, r)
     ok = span == 25 and not fq_is_scalar(ts, 41)
     c.finish(ok)
@@ -215,7 +215,7 @@ def test_criterion_11_montecarlo_bound():
     ok = report.kernel_dim == 4
     ok &= report.exact_probability == Fraction(41 ** 4 - 1, 41 ** 5 - 1)
     ok &= gap <= report.radius3sigma
-    ok &= float(report.frequency) >= float(report.bound_shape) - report.radius3sigma
+    ok &= float(report.frequency) >= float(report.exact_probability) - report.radius3sigma
     print(
         f"  frequency {float(report.frequency):.5f} vs exact "
         f"{float(report.exact_probability):.5f} (3 sigma {report.radius3sigma:.5f})"

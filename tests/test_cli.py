@@ -117,6 +117,15 @@ def test_obstruct_exit_codes(capsys):
     assert doc["verdict"] == "OBSTRUCTED" and doc["q"] == 41
 
 
+def test_obstruct_search_refuses_a_negative_budget(capsys):
+    code, out, err = run(
+        capsys, "obstruct", "--candidate", "bounded:2:0:1", "--target", "s3",
+        "--p", "5", "--q", "41", "--search", "--budget", "-5",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error[DescError]: budget must be >= 0")
+
+
 def test_error_exit_code_and_stderr(capsys):
     code, _, err = run(capsys, "homology", "--desc", "banana:1")
     assert code == 2

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qtop.cyclotomic import CycElem, elem_A, elem_u, eta
+from qtop.cyclotomic import CycElem, ResidueSpec, elem_A, elem_u, eta
 from qtop.groups import FiniteGroupTable, GroupTableError, builtin_group
 from qtop.manifolds import (
     BoundedHeegaard,
@@ -22,6 +23,7 @@ from qtop.manifolds import (
     MappingTorus,
     NotQHSError,
     S3,
+    compressed_walks,
     desc_from_json,
     desc_to_json,
     dw_invariant,
@@ -36,9 +38,18 @@ from qtop.manifolds import (
     parse_desc,
     presentation,
     rt_closed,
+    surviving_indices,
 )
-from qtop.mcg import empty_word, h1_action, letter, parse_word, random_word
-from qtop.rep import rep_dim
+from qtop.mcg import (
+    empty_word,
+    h1_action,
+    letter,
+    parse_word,
+    random_word,
+    word_in_subgroup,
+    word_product,
+)
+from qtop.rep import rep_dim, rho, rho_apply, vacuum_index, vacuum_vector
 from qtop.skein import kappa
 
 GROUPS = [builtin_group("Z2"), builtin_group("Z3"), builtin_group("S3"), builtin_group("Q8")]
@@ -559,6 +570,51 @@ def test_rt_double_values_match_connected_sum_count():
 def test_rt_rejects_bounded():
     with pytest.raises(DescError):
         rt_closed(BoundedHeegaard(2, 1, empty_word(2)), 5)
+
+
+# -- the compressed walk kernel ---------------------------------------------------------
+
+
+R41 = ResidueSpec.for_primes(5, 41)
+WALK_WORDS = [word_in_subgroup(3, 1, j + 1).word for j in range(3)]
+WALK_WORDS += [w.inverse() for w in WALK_WORDS]
+
+
+def _compressed(vec, boundary_genus):
+    return not vec[list(surviving_indices(5, boundary_genus))].any()
+
+
+@pytest.mark.parametrize("boundary_genus", (0, 1))
+def test_compressed_walk_of_no_steps_is_the_base_vacuum_column(boundary_genus):
+    desc = BoundedHeegaard(2, boundary_genus, parse_word(2, "c1*c3^-1*s"))
+    rows, vanishing = compressed_walks(desc, R41, WALK_WORDS)(np.zeros((1, 0), dtype=np.intp))
+    column = rho(desc.word, R41)[:, vacuum_index(2, 5)]
+    assert rows.tolist() == [column.tolist()]
+    assert vanishing.tolist() == [_compressed(column, boundary_genus)]
+
+
+@pytest.mark.parametrize("boundary_genus", (0, 1))
+def test_compressed_walk_rows_follow_the_letter_chain(boundary_genus):
+    # every 3-step walk: each row is rho(base f) e_vac carried through the
+    # letters of base f one at a time
+    desc = BoundedHeegaard(2, boundary_genus, parse_word(2, "c2*s^-1*c5"))
+    picks = np.array(list(itertools.product(range(len(WALK_WORDS)), repeat=3)))
+    rows, vanishing = compressed_walks(desc, R41, WALK_WORDS)(picks)
+    assert rows.shape == (len(picks), rep_dim(2, 5))
+    e_vac = vacuum_vector(2, R41)
+    for row, flag, chosen in zip(rows, vanishing, picks.tolist()):
+        f = word_product(2, [WALK_WORDS[i] for i in chosen])
+        expected = rho_apply(desc.word * f, R41, e_vac)
+        assert row.tolist() == expected.tolist()
+        assert flag == _compressed(expected, boundary_genus)
+    if boundary_genus == 0:
+        # one of these walks vanishes; a zero-step walk from its regluing
+        # gives the same row, flagged
+        (hit,) = np.flatnonzero(vanishing)
+        f = word_product(2, [WALK_WORDS[i] for i in picks[hit].tolist()])
+        glued = BoundedHeegaard(2, 0, desc.word * f)
+        again, flag = compressed_walks(glued, R41, WALK_WORDS)(np.zeros((1, 0), dtype=np.intp))
+        assert again.tolist() == [rows[hit].tolist()] and flag.tolist() == [True]
 
 
 # -- Murakami ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from qtop.manifolds import (
     MappingTorus,
     S3,
     rt_closed,
+    surviving_indices,
 )
 from qtop.linalg import fq_dtype, fq_mat_mul
 from qtop.mcg import empty_word, letter, parse_word, word_in_subgroup
@@ -33,7 +34,6 @@ from qtop.obstruct import (
     fkb_ideal_inner,
     obstruct_embedding,
     rederive_report,
-    surviving_indices,
     twist_search,
 )
 from qtop.rep import letter_matrix, vacuum_vector
@@ -389,6 +389,16 @@ def test_twist_search_budget_exhaustion_is_not_found():
     assert res.samples == 2
     assert type(res.samples) is int and type(res.distinct_images) is int
     assert res.distinct_images == _twist_search_one_sample_at_a_time(desc, 5, R41, 2, 12).distinct_images
+
+
+def test_twist_search_refuses_a_negative_budget():
+    desc = BoundedHeegaard(2, 0, empty_word(2))
+    with pytest.raises(DescError, match="budget must be >= 0"):
+        twist_search(desc, 5, R41, budget=-5, seed=1)
+    # a budget of 0 draws nothing and finds nothing here
+    assert twist_search(desc, 5, R41, budget=0, seed=1) == TwistSearchResult(
+        False, None, None, None, 0, 0
+    )
 
 
 def test_twist_search_degenerate_immediate():

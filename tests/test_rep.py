@@ -346,12 +346,12 @@ def test_hermitian_gram_is_conjugation_invariant():
 
 
 def test_algebra_span_identity_only():
-    assert algebra_span_dim([empty_word(2)], 5, R41) == 1
+    assert algebra_span_dim([empty_word(2)], R41) == 1
 
 
 def test_algebra_span_full_matrix_algebra():
     words = [random_word(2, 12, seed) for seed in range(200)]
-    assert algebra_span_dim(words, 5, R41) == 25
+    assert algebra_span_dim(words, R41) == 25
 
 
 def test_algebra_span_genus1_matches_closure():
@@ -363,7 +363,7 @@ def test_algebra_span_genus1_matches_closure():
     assert closure.complete
     span = fq_rref([[x for row in M for x in row] for M in closure.elements], 41)
     words = [random_word(1, 10, seed) for seed in range(300)]
-    assert algebra_span_dim(words, p, R41) == len(span)
+    assert algebra_span_dim(words, R41) == len(span)
 
 
 def test_projective_order_helper():

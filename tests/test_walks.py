@@ -274,6 +274,8 @@ def test_montecarlo_zero_trials():
     report = montecarlo_vanishing(desc, 5, R41, spec, 0)
     assert report.frequency is None and report.trials == 0
     assert report.exact_probability > 0
+    doc = report.to_json()
+    assert doc["boundShape"] == doc["exactProbability"] == str(Fraction(41 ** 4 - 1, 41 ** 5 - 1))
 
 
 def test_montecarlo_deterministic():
