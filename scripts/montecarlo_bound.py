@@ -7,10 +7,12 @@ probability (q^m - 1)/(q^n - 1) for the measured kernel dimension.
 """
 
 import argparse
+import shlex
 import sys
 
 sys.path.insert(0, "src")
 
+from qtop.cli import report_errors
 from qtop.cyclotomic import ResidueSpec
 from qtop.manifolds import BoundedHeegaard
 from qtop.mcg import parse_word
@@ -44,4 +46,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(report_errors(main, shlex.join(sys.argv)))

@@ -9,10 +9,12 @@ every residue from scratch.
 
 import argparse
 import json
+import shlex
 import sys
 
 sys.path.insert(0, "src")
 
+from qtop.cli import report_errors
 from qtop.cyclotomic import ResidueSpec
 from qtop.manifolds import BoundedHeegaard, parse_desc
 from qtop.mcg import parse_word
@@ -51,4 +53,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(report_errors(main, shlex.join(sys.argv)))

@@ -432,16 +432,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    return report_errors(lambda: args.func(args), f"qtop {shlex.join(argv)}")
+
+
+def report_errors(run, command: str):
+    """run()'s result, or exit code 2 after one `error[<type>]: <message>`
+    line on stderr if it raises; `command` names the input for an error
+    without text.  The CLI and the scripts under scripts/ report through
+    it."""
     try:
-        return args.func(args)
+        return run()
     except CliError as exc:
         print(f"error[{exc.kind}]: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # typed errors from the libraries
         # a bare MemoryError has no text: name the input instead
-        message = str(exc) or f"no message, running qtop {shlex.join(argv)}"
+        message = str(exc) or f"no message, running {command}"
         print(f"error[{type(exc).__name__}]: {message}", file=sys.stderr)
         return 2
 

@@ -144,11 +144,11 @@ def _product_dtype(n: int, q: int):
     return np.float64 if worst < 2 ** 53 else fq_dtype(n, q)
 
 
-def _residues(x, q: int):
-    """x mod q for exact products x, as int64 (or object) residues; x is
-    a fresh array, reduced in place."""
+def _residues(x, q: int, ints=np.int64):
+    """x mod q for exact products x, as residues in ints (or object); x
+    is a fresh array, reduced in place."""
     if x.dtype.kind == "f":  # either float tier
-        x = x.astype(np.int64)
+        x = x.astype(ints)
     x %= q
     return x
 
@@ -196,29 +196,89 @@ def fq_apply(mats, vec, q: int):
     return vec
 
 
+# the stacked row width gens * n from which fq_walk multiplies blocks
+_BLOCKED_WIDTH = 256
+
+
 def fq_walk(mats, picks, vec, q: int):
     """Walks over F_q: row t of the result is
     mats[picks[t, 0]] ... mats[picks[t, -1]] vec mod q.
 
-    mats is a (generators, n, n) array of residues, picks a (batch, steps)
+    mats is a (gens, n, n) array of residues, picks a (batch, steps)
     index array and vec a length-n vector.  The (batch, n) array of
-    vectors is carried right to left.  The generators are laid out once as
-    an (n, generators * n) block whose column block k is mats[k].T, so
-    each step is one product giving every generator's image of every
-    vector (one BLAS call on the float tiers of _product_dtype); each row
-    then keeps the image under its own pick, and only that is reduced mod
-    q.  The result is in fq_dtype(n, q).
+    vectors is carried right to left; each step's images are computed
+    exactly in _product_dtype(n, q) and reduced mod q, in int32 on the
+    float32 tier (its sums are below 2^24, and int32 divides faster than
+    int64).  The result is in fq_dtype(n, q).
+
+    A step's product takes one of two layouts, by the stacked row width
+    gens * n:
+      below _BLOCKED_WIDTH, stacked: one product of every row with the
+        (n, gens * n) block whose column block k is mats[k].T gives every
+        generator's image of every row, and a flat take keeps each row's
+        image under its own pick;
+      from it on, blocked: each row is multiplied by its own pick only.
+        _walk_blocks sorts each step's rows into one block per generator,
+        so a step is one take, one batched product of the (gens, cap, n)
+        blocks with the transposed mats, and one take back to row order.
+        A block's spare slots read row 0, but slot[step] names only the
+        slots holding rows, so their images never reach the result.
+    Stacked computes gens times as many images as blocked, which pays
+    gens BLAS calls and two takes per step instead.  With one BLAS
+    thread, 64-row walks broke even between gens * n = 120 and 160 at
+    gens = 4, 168 and 240 at gens = 12, 240 and 336 at gens = 24, and 320
+    and 400 at gens = 40 (CHANGES.md has the table).  At p = 11 (n = 55,
+    gens = 12) blocked takes half the time of stacked; on the 4096-row
+    sample walks (gens * n = 52) it takes twice as long.
     """
     mats = np.asarray(mats)
     gens, n = mats.shape[0], len(vec)
     dtype = _product_dtype(n, q)
-    stacked = np.asarray(mats.transpose(2, 0, 1).reshape(n, gens * n), dtype=dtype)
-    batch = np.arange(len(picks))
+    if gens * n < _BLOCKED_WIDTH:
+        stacked = np.asarray(mats.transpose(2, 0, 1).reshape(n, gens * n), dtype=dtype)
+        reads = np.arange(len(picks)) * gens + picks.T  # row t * gens + k holds row t's image under k
+
+        def images(vectors, step):
+            return (vectors @ stacked).reshape(-1, n).take(reads[step], axis=0)
+    else:
+        mats_t = np.ascontiguousarray(mats.transpose(0, 2, 1), dtype=dtype)
+        slot, fill, cap = _walk_blocks(picks, gens)
+
+        def images(vectors, step):
+            blocks = vectors.take(fill[step], axis=0).reshape(gens, cap, n)
+            return np.matmul(blocks, mats_t).reshape(-1, n).take(slot[step], axis=0)
+    ints = np.int32 if dtype is np.float32 else np.int64
     vectors = np.tile(np.asarray(vec, dtype=dtype), (len(picks), 1))
     for step in reversed(range(picks.shape[1])):
-        every = (vectors @ stacked).reshape(len(picks), gens, n)
-        vectors = np.asarray(_residues(every[batch, picks[:, step]], q), dtype=dtype)
+        vectors = np.asarray(_residues(images(vectors, step), q, ints), dtype=dtype)
     return np.asarray(vectors, dtype=fq_dtype(n, q))
+
+
+def _walk_blocks(picks, gens: int):
+    """fq_walk's blocked layout of a (batch, steps) array of picks in
+    range(gens): (slot, fill, cap).
+
+    At each step the rows picking generator k fill block k, in row order;
+    cap is the largest block.  slot[step, t] is row t's place in the
+    flattened (gens * cap) blocks, and fill[step, i] the row that place i
+    reads (row 0 for a spare place).  A stable radix argsort of each
+    step's picks, cast to the smallest unsigned dtype, orders the rows;
+    a bincount of (step, generator) pairs gives the block sizes.
+    """
+    batch, steps = picks.shape
+    by_step = picks.T
+    order = np.argsort(by_step.astype(np.min_scalar_type(gens - 1)), axis=1, kind="stable")
+    pairs = by_step + gens * np.arange(steps)[:, None]
+    counts = np.bincount(pairs.ravel(), minlength=steps * gens).reshape(steps, gens)
+    cap = int(counts.max(initial=0))
+    first = np.cumsum(counts, axis=1) - counts  # where each block starts in sorted order
+    ranked = np.take_along_axis(by_step, order, axis=1)
+    place = ranked * cap + np.arange(batch) - np.take_along_axis(first, ranked, axis=1)
+    slot = np.empty((steps, batch), dtype=np.intp)
+    np.put_along_axis(slot, order, place, axis=1)
+    fill = np.zeros((steps, gens * cap), dtype=np.intp)
+    np.put_along_axis(fill, place, order, axis=1)
+    return slot, fill, cap
 
 
 def draw_picks(rng, n: int, count: int):

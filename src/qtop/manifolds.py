@@ -669,9 +669,10 @@ def compressed_walks(desc: BoundedHeegaard, r, words):
     zero at every surviving index.  A walk of no steps gives the base
     word's vacuum column.  The matrices rho(w, r) are built once;
     linalg.fq_walk carries the batch of vacuum vectors right to left
-    through each row's picks (one product per step gives every word's
-    image, each row keeps its pick's), then linalg.fq_matmul applies the
-    base word's matrix, both exactly in linalg._product_dtype's dtype.
+    through each row's picks (each step multiplies every row by its own
+    pick's matrix, in the layout fq_walk picks from the shapes), then
+    linalg.fq_matmul applies the base word's matrix, both exactly in
+    linalg._product_dtype's dtype.
     """
     mats = np.array([rho(w, r) for w in words])
     base_t = rho(desc.word, r).T

@@ -297,9 +297,10 @@ def vacuum_vector(genus: int, R):
 def rho_apply(word: TwistWord, R, vec):
     """rho(word) vec over R, carried right to left through the cached
     letters by the ring's apply: each letter multiplies one column instead
-    of a dense matrix."""
-    mats = [letter_matrix(word.genus, R, curve, exp) for curve, exp in word.letters]
-    return scalar_ring(R).apply(mats, vec)
+    of a dense matrix.  Each distinct letter is looked up in the cache
+    once, since every lookup hashes R."""
+    cached = {letter: letter_matrix(word.genus, R, *letter) for letter in set(word.letters)}
+    return scalar_ring(R).apply([cached[letter] for letter in word.letters], vec)
 
 
 # -- Hermitian structure ----------------------------------------------------

@@ -250,7 +250,8 @@ def hyperplane_prob(
                 a transvection or the identity, picked uniformly from
                 random.Random(seed) as rng.choice would pick them;
                 linalg.draw_picks draws a batch's picks at once, and
-                linalg.fq_walk carries e_1 through the batch.
+                linalg.fq_walk carries e_1 through the batch, each row
+                through its own picks.
     """
     if not (1 <= m < n):
         raise WalkUsageError("need 1 <= m < n")

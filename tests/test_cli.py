@@ -1,5 +1,8 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +146,26 @@ def test_an_error_without_text_names_the_input(capsys, monkeypatch):
         "error[MemoryError]: no message, running qtop --format text homology"
         " --desc lens:1000000000000\n"
     )
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script, args, line",
+    [
+        ("obstruction_demo.py", ["--budget", "-3"], "error[DescError]: budget must be >= 0"),
+        ("montecarlo_bound.py", ["--trials", "-5"], "error[WalkUsageError]: trials must be >= 0"),
+        ("montecarlo_bound.py", ["--p", "6"], "error[RingUsageError]: q = 41 is not 1 mod 24"),
+    ],
+)
+def test_script_errors_are_one_line_as_in_the_cli(script, args, line):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr == line + "\n"
 
 
 def test_parse_error_reports_position(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -250,11 +251,26 @@ def _int64_edge_prime(n):
     return q
 
 
+def _walk(layout, mats, picks, vec, q):
+    """fq_walk in the named layout: no stacked row width reaches an
+    infinite _BLOCKED_WIDTH, and every one reaches 0."""
+    with mock.patch.object(linalg, "_BLOCKED_WIDTH", {"stacked": math.inf, "blocked": 0}[layout]):
+        return linalg.fq_walk(mats, np.array(picks, dtype=np.intp), vec, q)
+
+
+def _python_walk(mats, walk, vec, q):
+    expect = tuple(vec)
+    for i in reversed(walk):
+        expect = fq_mat_vec(mats[i], expect, q)
+    return expect
+
+
 # fq_apply reduces between products at 3000000361 for n = 1 (int64) and
-# at the int64 edge prime for every n <= 4; 2^61 - 1 is the object tier
+# at the int64 edge prime for every n <= 4; 1000003 is the float64 tier
+# and 2^61 - 1 the object tier
 @settings(max_examples=60, deadline=None)
 @given(
-    q=st.sampled_from((2, 41, 3000000361, _int64_edge_prime(5), 2 ** 61 - 1)),
+    q=st.sampled_from((2, 41, 1_000_003, 3000000361, _int64_edge_prime(5), 2 ** 61 - 1)),
     n=st.integers(1, 4),
     gens=st.integers(1, 3),
     batch=st.integers(0, 5),
@@ -272,16 +288,52 @@ def test_fq_walk_matches_python_products(q, n, gens, batch, steps, data):
         st.lists(st.integers(0, gens - 1), min_size=steps, max_size=steps),
         min_size=batch, max_size=batch,
     ))
-    rows = linalg.fq_walk(mats, np.array(picks, dtype=np.intp).reshape(batch, steps), vec, q)
-    assert rows.shape == (batch, n)
+    picks = np.array(picks, dtype=np.intp).reshape(batch, steps)
+    expect = [_python_walk(mats, walk, vec, q) for walk in picks.tolist()]
+    for layout in ("stacked", "blocked"):
+        rows = _walk(layout, mats, picks, vec, q)
+        assert rows.shape == (batch, n) and rows.dtype == linalg.fq_dtype(n, q)
+        assert list(map(tuple, rows.tolist())) == expect
     assert np.array_equal(linalg.fq_apply([], vec, q), vec)
-    for row, walk in zip(rows.tolist(), picks):
-        expect = tuple(vec)
-        for i in reversed(walk):
-            expect = fq_mat_vec(mats[i], expect, q)
-        assert tuple(row) == expect
-        applied = linalg.fq_apply([np.array(mats[i], dtype=rows.dtype) for i in walk], vec, q)
-        assert applied.dtype == rows.dtype and tuple(applied.tolist()) == expect
+    for row, walk in zip(expect, picks.tolist()):
+        applied = linalg.fq_apply([np.array(mats[i], dtype=linalg.fq_dtype(n, q)) for i in walk], vec, q)
+        assert applied.dtype == linalg.fq_dtype(n, q) and tuple(applied.tolist()) == row
+    # each row's block slot reads that row, and cap is the largest block
+    slot, fill, cap = linalg._walk_blocks(picks, gens)
+    assert slot.shape == (steps, batch) and fill.shape == (steps, gens * cap)
+    for step in range(steps):
+        assert fill[step][slot[step]].tolist() == list(range(batch))
+    assert cap == max((np.bincount(picks[:, step]).max() for step in range(steps) if batch), default=0)
+
+
+# one prime per tier of _product_dtype at n = 3
+TIER_PRIMES = {np.float32: 41, np.float64: 1_000_003, np.int64: 1_500_000_001, object: 2 ** 61 - 1}
+
+WALK_EDGES = {
+    "no steps": (3, np.zeros((4, 0), dtype=np.intp)),
+    "no rows": (3, np.zeros((0, 4), dtype=np.intp)),
+    "one row": (3, [[2, 0, 1, 1]]),
+    "one generator": (1, np.zeros((4, 3), dtype=np.intp)),
+    "a generator no row picks": (3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+    "every row one generator": (3, [[1, 2], [1, 0], [1, 1]]),
+}
+
+
+@pytest.mark.parametrize("edge", WALK_EDGES)
+@pytest.mark.parametrize("tier", TIER_PRIMES, ids=lambda t: getattr(t, "__name__", str(t)))
+@pytest.mark.parametrize("layout", ("stacked", "blocked"))
+def test_fq_walk_edge_shapes_in_every_tier(layout, tier, edge):
+    n, q = 3, TIER_PRIMES[tier]
+    assert linalg._product_dtype(n, q) is tier
+    gens, picks = WALK_EDGES[edge]
+    rng = random.Random(q)
+    mats = [[[rng.randrange(q) for _ in range(n)] for _ in range(n)] for _ in range(gens)]
+    vec = [q - 1, 0, rng.randrange(q)]
+    rows = _walk(layout, mats, picks, vec, q)
+    assert rows.shape == (len(picks), n) and rows.dtype == linalg.fq_dtype(n, q)
+    assert list(map(tuple, rows.tolist())) == [_python_walk(mats, walk, vec, q) for walk in np.asarray(picks).tolist()]
+    if edge == "every row one generator":
+        assert linalg._walk_blocks(np.array(picks, dtype=np.intp), gens)[2] == len(picks)
 
 
 @pytest.mark.parametrize(
@@ -310,6 +362,23 @@ def _float64_bound_primes(n):
     return _next_prime(edge, -1), _next_prime(edge + 1, 1)
 
 
+def _check_walk_at_the_bound(n, q, full, near, rng):
+    """Walks over full, near and more matrices of entries q - 2 and q - 1:
+    two generators take fq_walk's stacked layout, and enough of them to
+    reach _BLOCKED_WIDTH take the blocked one."""
+    vec = [q - 1] * n
+    for gens in (2, -(-linalg._BLOCKED_WIDTH // n)):
+        mats = [full, near] + [
+            [[rng.choice((q - 2, q - 1)) for _ in range(n)] for _ in range(n)] for _ in range(gens - 2)
+        ]
+        picks = [[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 0]] + [
+            [rng.randrange(gens) for _ in range(3)] for _ in range(4)
+        ]
+        rows = linalg.fq_walk(mats, np.array(picks, dtype=np.intp), vec, q)
+        assert rows.dtype == np.int64
+        assert list(map(tuple, rows.tolist())) == [_python_walk(mats, walk, vec, q) for walk in picks]
+
+
 # (n, q) on both sides of the float64 bound n (q - 1)^2 = 2^53, and one in
 # the int64 tier between 2^53 and 2^63
 BOUND_CASES = [(n, q) for n in (3, 7) for q in _float64_bound_primes(n)] + [
@@ -330,15 +399,7 @@ def test_fq_matmul_and_walk_exact_at_the_float64_bound(n, q):
         got = linalg.fq_matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), q)
         assert got.dtype == np.int64
         assert tuple(map(tuple, got.tolist())) == linalg.fq_mat_mul(a, b, q)
-    picks = [[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 0]]
-    vec = [q - 1] * n
-    rows = linalg.fq_walk([full, near], np.array(picks, dtype=np.intp), vec, q)
-    assert rows.dtype == np.int64
-    for row, walk in zip(rows.tolist(), picks):
-        expect = tuple(vec)
-        for i in reversed(walk):
-            expect = fq_mat_vec((full, near)[i], expect, q)
-        assert tuple(row) == expect
+    _check_walk_at_the_bound(n, q, full, near, rng)
 
 
 def _float32_edge(n):
@@ -380,15 +441,7 @@ def test_fq_matmul_and_walk_exact_at_the_float32_bound(n, q):
         got = linalg.fq_matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), q)
         assert got.dtype == np.int64
         assert tuple(map(tuple, got.tolist())) == linalg.fq_mat_mul(a, b, q)
-    picks = [[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 0]]
-    vec = [q - 1] * n
-    rows = linalg.fq_walk([full, near], np.array(picks, dtype=np.intp), vec, q)
-    assert rows.dtype == np.int64
-    for row, walk in zip(rows.tolist(), picks):
-        expect = tuple(vec)
-        for i in reversed(walk):
-            expect = fq_mat_vec((full, near)[i], expect, q)
-        assert tuple(row) == expect
+    _check_walk_at_the_bound(n, q, full, near, rng)
 
 
 # -- bulk pick draws ------------------------------------------------------------
