@@ -413,8 +413,8 @@ class ResidueSpec:
     runs reproducible.  As a scalar ring (pmatrix.scalar_ring) it is F_q
     with zeta -> root: FqElem elements, and matrices and vectors as
     read-only numpy arrays of residues in [0, q), in linalg.fq_dtype,
-    multiplied by linalg.fq_matmul, or applied to a vector in a chain by
-    linalg.fq_apply.
+    multiplied by linalg.fq_matmul (a product of several, left to right),
+    or applied to a vector in a chain by linalg.fq_apply.
     """
 
     p: int
@@ -474,8 +474,8 @@ class ResidueSpec:
     def diagonal(self, xs):
         return _read_only(np.diag(self.vector(xs)))
 
-    def mat_mul(self, A, B):
-        return _read_only(linalg.fq_matmul(A, B, self.q))
+    def product(self, mats):
+        return reduce(lambda A, B: _read_only(linalg.fq_matmul(A, B, self.q)), mats)
 
     def apply(self, mats, vec):
         return _read_only(linalg.fq_apply(mats, vec, self.q))

@@ -450,6 +450,12 @@ def h1_order(desc: ManifoldDesc) -> int:
 
 
 _HOM_CHUNK = 1 << 12  # candidate assignments evaluated per numpy batch
+# parents whose runs and tails are evaluated at once, in whole batches.  On
+# the Z/40 CI count (levels up to 2.56 million parents, one BLAS thread)
+# blocks of 2^11, 2^12, 2^14, 2^16 and 2^18 parents took 2.67, 2.62, 2.52,
+# 2.53 and 2.89 s at 41, 41, 44, 56 and 97 MB peak RSS, against 5.35 s and
+# 41 MB for one batch of 102 parents at a time.
+_HOM_BLOCK = 1 << 14
 
 
 def _runs(rel: tuple[int, ...], s: int) -> list:
@@ -471,14 +477,19 @@ def hom_count(pres: GroupPresentation, G: FiniteGroupTable, budget: int = 2_000_
 
     Stage s extends each assignment of x_1 .. x_{s-1} that satisfies the
     relators checkable so far by every value of x_s, and keeps the rows that
-    satisfy the relators whose highest letter is x_s, a batch at a time.
-    Such a relator is cut at its letters +-x_s: each run of lower letters
-    between them is evaluated once per parent row and broadcast to its |G|
-    candidates, and a trailing run R is not multiplied in: the value before
-    it is compared with R^-1.  Values are scaled by |G| on one flat table
-    mul[a*|G| + b] = (a*b)*|G|, so a letter g costs one add and one gather,
+    satisfy the relators whose highest letter is x_s, a batch of
+    _HOM_CHUNK // |G| parents at a time.  Such a relator is cut at its
+    letters +-x_s: each run of lower letters between them is evaluated once
+    per parent row and broadcast to its |G| candidates, and a trailing run
+    R is not multiplied in: the value before it is compared with R^-1.
+    Runs and tails are evaluated for a block of whole batches, about
+    _HOM_BLOCK parents, at once and sliced per batch: a batch of 102
+    parents (|G| = 40) is too short to pay a numpy call per letter, and a
+    whole level of millions of parents too large to hold once per run.
+    Values are scaled by |G| on one flat table mul[a*|G| + b] =
+    (a*b)*|G|, so a letter g costs one add and one gather,
     acc = mul[acc + g].  Levels are stored as uint8 while |G| <= 256; a
-    batch widens only its parents' columns to intp.  Stages after the last
+    block widens only its parents' columns to intp.  Stages after the last
     relator multiply the count by |G|.  The node count is that of a
     depth-first search with relator pruning: one root plus the survivors of
     every stage.  Raises BudgetExceededError as soon as it exceeds the
@@ -510,31 +521,37 @@ def hom_count(pres: GroupPresentation, G: FiniteGroupTable, budget: int = 2_000_
     visit(1)
     level = np.zeros((1, 0), dtype=dtype)
     per = max(1, _HOM_CHUNK // order)
+    span = per * max(1, _HOM_BLOCK // per)
     for s in range(1, last + 1):
         rels = [_runs(rel, s) for rel in by_stage[s]]
         tails = [free_inverse(r.pop()) if isinstance(r[-1], tuple) else () for r in rels]
+        runs = {seg for segments in rels for seg in segments if isinstance(seg, tuple)}
         # survivors cannot outrun the budget by more than one batch
         kept = np.empty((min(len(level) * order, budget - nodes + per * order), s), dtype=dtype)
         filled = 0
-        for start in range(0, len(level), per):
-            parents = level[start : start + per]
-            cols = np.ascontiguousarray(parents.T, dtype=np.intp)
-            values = {s: top, -s: inverse}  # of each letter and run, per parent or per x_s
-            values.update(zip(range(1, s), cols))
+        for first in range(0, len(level), span):
+            block = level[first : first + span]
+            cols = np.ascontiguousarray(block.T, dtype=np.intp)
+            values = dict(zip(range(1, s), cols))
             values.update(zip(range(-1, -s, -1), inverse[cols]))
-            keep = np.ones((len(parents), order), dtype=bool)  # parent x x_s
-            for segments, tail in zip(rels, tails):
-                acc = one
-                for seg in segments:
-                    if seg not in values:  # a run: one value per parent, broadcast
-                        values[seg] = (product(seg, values) // order)[:, None]
-                    acc = mul[acc + values[seg]]
-                keep &= acc == np.reshape(product(tail, values), (-1, 1))
-            idx = np.flatnonzero(keep)
-            rows = kept[filled : filled + len(idx)]
-            rows[:, :-1], rows[:, -1] = parents[idx // order], idx % order
-            filled += len(idx)
-            visit(len(idx))
+            # each run and tail once per parent of the block, as a column
+            # broadcast to the parent's |G| candidates
+            run_at = {seg: (product(seg, values) // order)[:, None] for seg in runs}
+            tail_at = [np.broadcast_to(product(t, values), len(block))[:, None] for t in tails]
+            for start in range(0, len(block), per):
+                parents, batch = block[start : start + per], slice(start, start + per)
+                got = {s: top, -s: inverse, **{seg: v[batch] for seg, v in run_at.items()}}
+                keep = np.ones((len(parents), order), dtype=bool)  # parent x x_s
+                for segments, tail in zip(rels, tail_at):
+                    acc = one
+                    for seg in segments:
+                        acc = mul[acc + got[seg]]
+                    keep &= acc == tail[batch]
+                idx = np.flatnonzero(keep)
+                rows = kept[filled : filled + len(idx)]
+                rows[:, :-1], rows[:, -1] = parents[idx // order], idx % order
+                filled += len(idx)
+                visit(len(idx))
         level = kept[:filled]
     count = len(level)
     for _ in range(last, n):
@@ -689,7 +706,11 @@ def compressed_walks(desc: BoundedHeegaard, r, words):
 # -- SO(3) quantum invariants ------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _lens_rt(p: int, b: int) -> CycElem:
+    """RT of the lens surgery on the b-framed unknot, cached: S^3 is
+    lens:1, an obstruction computes its target's RT, and re-derivation
+    computes it again."""
     acc = CycElem.zero(p)
     for n in colors(p):
         acc = acc + quantum_dim(p, n) ** 2 * twist(p, n) ** b

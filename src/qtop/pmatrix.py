@@ -11,19 +11,45 @@ only when read.  Quantum representations are projective, and their
 anomaly phases are never normalized away silently: proj_equal compares
 two matrices up to one global scalar, equal_exact entry by entry.
 
-There is one product, of a square matrix by a matrix or a column, and it
-is multi-modular (von zur Gathen and Gerhard, Modern Computer Algebra,
-ch. 5).  Every numerator of a product is at most n max|a| max|b| c_p in
-absolute value (c_p is product_spread(p)), so it is fixed by its
-residues modulo enough primes q = 1 mod 4p of word size.  Modulo such a
-q, Phi_4p splits into deg linear factors: both tensors are evaluated at
-its deg roots (one product by the Vandermonde matrix), multiplied as deg
-independent matrix products over F_q, and interpolated back by the
-inverse Vandermonde matrix, which gives the product already reduced mod
-Phi_4p.  Every product runs on linalg.fq_matmul's float64 tier.
+There is one product, product(mats) = mats[0] ... mats[-1] over
+compatible shapes, and PMatrix.__mul__ is its two-factor case.  It is
+multi-modular (von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 5).  Modulo a prime q = 1 mod 4p of word size, Phi_4p splits into
+deg linear factors: a tensor is evaluated at its deg roots (one product
+by the Vandermonde matrix), a product is deg independent matrix products
+of such values over F_q, and the inverse Vandermonde matrix interpolates
+values back to numerators already reduced mod Phi_4p.  Every product
+runs in float64, exact because the primes satisfy width (q - 1)^2 <
+2^53 (moduli).
+
+The chain is carried right to left as values at the roots, and lifted
+to numerators only when its primes run out; this is the delayed
+reduction of linalg.fq_apply, with lifts in place of reductions.  Every
+numerator of A B is at most n max|a| max|b| c_p in absolute value (c_p
+is product_spread(p)), and at most K N(A) N(B), where N is the largest
+sum of coefficient absolute values over a row and K is l1_spread(p);
+N(A B) <= K N(A) N(B) as well.  A run starts from an exact matrix X
+(the last factor, or the previous run's product) and the factor M left
+of it.  The bound n max|M| max|X| c_p of M X sets the run's primes:
+enough that their product Q exceeds twice it, so a product of two
+matrices takes the primes it always did.  Each further factor grows the
+bounds by both rules, and joins the run while the least bound on its
+numerators stays within (Q - 1)/2.  The run then interpolates and lifts
+once.  Restarting the bounds from exact numerators keeps the prime count
+small, as numerators grow far more slowly than their bounds: the product
+of the 8-letter word c1 c2 c3 c4 c5 s c3^-1 c1 at p = 17 has 47-bit
+numerators, and a bound carried through the whole word asks for 7
+primes.  Lifting once per word on those primes took that rho from 1.57
+to 1.93 s (warm letters, one BLAS thread, a 2-vCPU VM), and a 12-letter
+word's at p = 13 from 0.15 to 0.31 s and from 104 to 176 MB peak RSS.
 Garner's method recombines the residues into balanced mixed-radix
-digits, and each numerator is assembled in int64 from its low digits, in
-Python ints only where a higher digit is nonzero.
+digits, and each numerator is assembled in int64 from its low digits,
+in Python ints only where a higher digit is nonzero.
+
+A matrix that lives long, such as a letter cached by rep, can keep its
+values at the roots per prime (keep_values), so that a word evaluates
+each letter once per prime rather than once per product; a memory rule
+on the size of the values decides which matrices keep them.
 """
 
 from __future__ import annotations
@@ -34,10 +60,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .cyclotomic import CycElem, ResidueSpec, RingSpec, RingUsageError, is_prime, power, ring
-from .linalg import fq_dtype, fq_matmul, fq_rref
+from .linalg import _residues, fq_dtype, fq_rref
 
 # int64 tensors hold numerators below this bound, so a sum of two fits
 _INT64_BOUND = 2**62
+
+# the most bytes of values at the roots, per prime, that keep_values keeps
+_KEPT_BYTES = 1 << 21
 
 
 @lru_cache(maxsize=None)
@@ -82,19 +111,43 @@ def prime_count(p: int, width: int, bound: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def l1_spread(p: int) -> int:
+    """K = max_s ||x^s mod Phi_4p||_1 over s <= 2 deg - 2, so that
+    ||a b mod Phi_4p||_1 <= K ||a||_1 ||b||_1 for every pair of elements.
+    It equals p - 1 for every p from 5 to 19."""
+    spec = ring(p)
+    return max(sum(map(abs, spec.monomial[s])) for s in range(2 * spec.degree - 1))
+
+
+@lru_cache(maxsize=None)
 def _vandermonde(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(V, V^-1) mod q, V[k, r] = w_r^k over the deg roots w_r of Phi_4p
-    in F_q (the primitive 4p-th roots of unity)."""
+    """(V, V^-1) mod q as float64 arrays, V[k, r] = w_r^k over the deg
+    roots w_r of Phi_4p in F_q (the primitive 4p-th roots of unity)."""
     m, deg = 4 * p, ring(p).degree
     root = ResidueSpec.for_primes(p, q).root
     roots = [pow(root, t, q) for t in range(1, m) if math.gcd(t, m) == 1]
     V = np.array([[pow(w, k, q) for w in roots] for k in range(deg)], dtype=np.int64)
-    augmented = np.hstack([V, np.eye(deg, dtype=np.int64)])
-    return V, fq_rref(augmented, q)[:, deg:]
+    Vinv = fq_rref(np.hstack([V, np.eye(deg, dtype=np.int64)]), q)[:, deg:]
+    return V.astype(np.float64), Vinv.astype(np.float64)
 
 
-def _max_abs(num) -> int:
-    return int(np.abs(num).max())
+def _evaluate(p: int, num, q: int) -> np.ndarray:
+    """The values of a numerator tensor (rows, cols, deg) at the roots of
+    Phi_4p mod q, one product by the Vandermonde matrix: residues in a
+    float64 (deg, rows, cols) array."""
+    rows, cols, deg = num.shape
+    residues = np.asarray(num.reshape(-1, deg) % q, dtype=np.float64)
+    at = _residues(residues @ _vandermonde(p, q)[0], q)
+    return np.ascontiguousarray(at.reshape(rows, cols, deg).transpose(2, 0, 1), dtype=np.float64)
+
+
+def _interpolate(p: int, q: int, values) -> np.ndarray:
+    """The numerator residues mod q, (rows, cols, deg) in int64, whose
+    values at the roots are the residues values (deg, rows, cols): one
+    product by the inverse Vandermonde matrix."""
+    deg, rows, cols = values.shape
+    flat = np.asarray(values.transpose(1, 2, 0).reshape(-1, deg), dtype=np.float64)
+    return _residues(flat @ _vandermonde(p, q)[1], q).reshape(rows, cols, deg)
 
 
 def _tensor(values):
@@ -161,28 +214,62 @@ def _symmetric_lift(residues, primes):
     return value
 
 
-def _product(p: int, a, b):
-    """Numerators of a b reduced mod Phi_4p, for integer tensors a of
-    shape (rows, n, deg) and b of shape (n, m, deg), by evaluation at the
-    roots of Phi_4p modulo prime_count primes."""
-    rows, (n, m, deg) = a.shape[0], b.shape
-    bound = n * _max_abs(a) * _max_abs(b) * product_spread(p)
-    if not bound:
-        return np.zeros((rows, m, deg), dtype=np.int64)
-    width = max(n, deg)
-    primes = moduli(p, width, prime_count(p, width, bound))
+def product(mats) -> "PMatrix":
+    """mats[0] mats[1] ... mats[-1], over compatible shapes, carried right
+    to left in runs of products at the roots (see the module docstring);
+    one matrix is returned as it is."""
+    mats = list(mats)
+    for A, B in zip(mats, mats[1:]):
+        if A.p != B.p or A.num.shape[1] != B.num.shape[0]:
+            raise RingUsageError("incompatible matrices")
+    out = mats.pop()
+    p, deg = out.p, out.num.shape[2]
+    width = max([deg] + [M.num.shape[1] for M in mats])
+    while mats:
+        if not (out.bounds[0] and mats[-1].bounds[0]):  # a zero factor
+            shape = (mats[0].num.shape[0], out.num.shape[1], deg)
+            return PMatrix(p, 0, np.zeros(shape, dtype=np.int64))
+        out = _run(width, mats, out)
+    return out
+
+
+def _run(width: int, mats: list, P: "PMatrix") -> "PMatrix":
+    """The product mats[-j] ... mats[-1] P of one run, lifted, with its j
+    factors popped from mats.
+
+    grow(M, top, rows) takes bounds top >= max|c| and rows >= N of a
+    running product X to those of M X (n is M's column count and cols
+    X's): rows' = K N(M) rows, top' = min(n max|M| top c_p, rows'), and
+    rows' is then capped by cols deg top'.  The residues are computed one
+    prime at a time, as _symmetric_lift reads them, so only one prime's
+    values are held at once.
+    """
+    p, (cols, deg) = P.p, P.num.shape[1:]
+    spread, K = product_spread(p), l1_spread(p)
+
+    def grow(M, top, rows):
+        (m_top, m_rows), n = M.bounds, M.num.shape[1]
+        rows = K * m_rows * rows
+        top = min(n * m_top * top * spread, rows)
+        return top, min(rows, cols * deg * top)
+
+    run = [mats.pop()]
+    start = run[0].num.shape[1] * run[0].bounds[0] * P.bounds[0] * spread
+    primes = moduli(p, width, prime_count(p, width, start))
+    half = (math.prod(primes) - 1) // 2
+    top, rows = grow(run[0], *P.bounds)
+    while mats and grow(mats[-1], top, rows)[0] <= half:
+        run.append(mats.pop())
+        top, rows = grow(run[-1], top, rows)
 
     def residue(q):
-        V, Vinv = _vandermonde(p, q)
-        # (deg, rows, cols): the tensor's values at each root
-        at, bt = (
-            fq_matmul((x % q).reshape(-1, deg), V, q).reshape(x.shape).transpose(2, 0, 1)
-            for x in (a, b)
-        )
-        values = fq_matmul(at, bt, q).transpose(1, 2, 0).reshape(-1, deg)
-        return fq_matmul(values, Vinv, q).reshape(rows, m, deg)
+        values = P.at_root(q)
+        for M in run:
+            values = _residues(M.at_root(q) @ values, q).astype(np.float64)
+        return _interpolate(p, q, values)
 
-    return _symmetric_lift(map(residue, primes), primes)
+    e = P.e + sum(M.e for M in run)
+    return PMatrix(p, e, _symmetric_lift(map(residue, primes), primes))
 
 
 class PMatrix:
@@ -192,6 +279,7 @@ class PMatrix:
         while e and not (num % p).any():
             num, e = num // p, e - 1
         self.p, self.e, self.num = p, e, _tensor(num)
+        self._kept = None  # values at the roots per prime, for keep_values
 
     @property
     def n(self) -> int:
@@ -201,6 +289,45 @@ class PMatrix:
     def entries(self) -> tuple[tuple[CycElem, ...], ...]:
         p, e = self.p, self.e
         return tuple(tuple(CycElem.make(p, c, e) for c in row) for row in self.num.tolist())
+
+    @cached_property
+    def bounds(self) -> tuple[int, int]:
+        """(max|c|, N): the largest numerator coefficient in absolute value,
+        and the largest sum of them over one row's entries."""
+        a = np.abs(self.num)
+        top = int(a.max())
+        if a.dtype != object and top * a.shape[1] * a.shape[2] >= 2**63:
+            a = a.astype(object)
+        return top, int(a.sum(axis=(1, 2)).max())
+
+    def keep_values(self) -> "PMatrix":
+        """Mark a matrix that lives long, such as a cached letter: its
+        values at the roots are then kept per prime, where one prime's take
+        at most _KEPT_BYTES.  Returns the matrix.
+
+        One prime's values are n^2 deg float64s for a genus-2 letter: 18 KB
+        at p = 7, 0.5 MB at p = 11, 1.6 MB at p = 13 (n = 91) and 10.7 MB
+        at p = 17 (n = 204).  The mapping-torus and gluing invariants of
+        12-letter words with warm letters (one BLAS thread, a 2-vCPU VM)
+        took, per word, without and with kept values: 1.56 and 1.09 ms at
+        p = 7; 39 and 20 ms at p = 11, peak RSS +16 MB; 169 and 96 ms at
+        p = 13, +53 MB; 2.3 and 1.3 s at p = 17, but a peak of 747 MB
+        against 370, where a one-shot 8-letter torus had peaked at 310 MB.
+        The 2 MB bound keeps them through p = 13 and not from p = 17.
+        """
+        if self.num.size * 8 <= _KEPT_BYTES:
+            self._kept = {}
+        return self
+
+    def at_root(self, q: int) -> np.ndarray:
+        """The values at the roots mod q, as _evaluate gives them; kept per
+        prime after keep_values."""
+        if self._kept is None:
+            return _evaluate(self.p, self.num, q)
+        if q not in self._kept:
+            self._kept[q] = _evaluate(self.p, self.num, q)
+            self._kept[q].setflags(write=False)
+        return self._kept[q]
 
     @staticmethod
     def from_rows(p: int, rows) -> "PMatrix":
@@ -224,9 +351,7 @@ class PMatrix:
         return isinstance(other, PMatrix) and self.equal_exact(other)
 
     def __mul__(self, other: "PMatrix") -> "PMatrix":
-        if self.p != other.p or self.num.shape[1] != other.num.shape[0]:
-            raise RingUsageError("incompatible matrices")
-        return PMatrix(self.p, self.e + other.e, _product(self.p, self.num, other.num))
+        return product((self, other))
 
     def __pow__(self, k: int) -> "PMatrix":
         if k < 0:
@@ -287,15 +412,14 @@ class ExactRing(RingSpec):
     def vector(self, xs) -> PMatrix:
         return self.matrix([[x] for x in xs])
 
-    @staticmethod
-    def mat_mul(A: PMatrix, B: PMatrix) -> PMatrix:
-        return A * B
+    product = staticmethod(product)
 
     @staticmethod
     def apply(mats, vec: PMatrix) -> PMatrix:
-        for M in reversed(mats):
-            vec = M * vec
-        return vec
+        """mats[0] ... mats[-1] vec: the vector is the chain's last factor,
+        so the chain runs on one column, and lifts only when its primes
+        run out."""
+        return product([*mats, vec])
 
     @staticmethod
     def column(vec: PMatrix) -> tuple[CycElem, ...]:
@@ -310,9 +434,12 @@ def scalar_ring(R):
     Either provides p; zero, one and root_power(k) = zeta^k, its elements
     (CycElem or FqElem); matrix(rows), diagonal(xs) and vector(xs), its
     dense matrix type (PMatrix, or read-only numpy arrays of residues);
-    mat_mul(A, B), the one product of two matrices; apply(mats, vec), the
-    product mats[0] ... mats[-1] vec carried right to left as a vector;
-    and column(vec), the coordinates of a vector as elements.  Element
-    arithmetic is the elements' own operators.
+    product(mats), the one product of matrices, mats[0] ... mats[-1]
+    (exactly, pmatrix's chain product; over F_q, linalg.fq_matmul left
+    to right); apply(mats, vec), the product mats[0] ... mats[-1] vec
+    carried right to left as a vector (exactly, the chain with vec as
+    its last factor; over F_q, linalg.fq_apply); and column(vec), the
+    coordinates of a vector as elements.  Element arithmetic is the
+    elements' own operators.
     """
     return R if isinstance(R, ResidueSpec) else ExactRing(R)

@@ -26,17 +26,20 @@ p for exact PMatrices, a ResidueSpec for read-only numpy arrays of
 residues.  Each block comes with its inverse from an identity of the move
 (see _twist_conjugators), so nothing is inverted by a general method.
 twist_power_matrix is the one letter formula, Q D^k Q^-1, and rho(word, R)
-the one product of the cached letters, left to right, over either ring.
-Exactly, every letter, diagonal (c2, c4, s) or not, multiplies by
-pmatrix's one multi-modular product; over F_q the letters (equal to the
-reductions of the exact ones) multiply by linalg.fq_matmul.  rho_mod is
+the one product of the cached letters over either ring, the ring's
+product.  Exactly, the letters, diagonal (c2, c4, s) or not, go to
+pmatrix's one chain product, which carries the word right to left as
+values at the roots of Phi_4p and lifts only when its primes run out;
+each cached letter keeps its values at the roots per prime
+(PMatrix.keep_values).  Over F_q the letters (equal to the reductions of
+the exact ones) multiply by linalg.fq_matmul, left to right.  rho_mod is
 the list edge for output, rho(word, r) as a tuple of rows of ints.
 rho_apply carries a vector right to left through the letters over either
 ring, for callers that read a single column such as the vacuum column.
-The letters go to the ring's apply as one chain: exactly, each multiplies
-a one-column PMatrix; over F_q, linalg.fq_apply multiplies in int64 (or
-Python ints past it) and reduces mod q only when the next product could
-leave int64.
+The letters go to the ring's apply as one chain: exactly, the same chain
+product with the one-column PMatrix as its last factor; over F_q,
+linalg.fq_apply multiplies in int64 (or Python ints past it) and reduces
+mod q only when the next product could leave int64.
 """
 
 from __future__ import annotations
@@ -216,8 +219,8 @@ def _twist_conjugators(genus: int, R, curve: str):
         BL, BLi = _left_s_operator(R)
         BR, BRi = _right_s_operator(R)
         F, Fi = _bridge_f_matrix(R)
-        Q = S.mat_mul(S.mat_mul(BL, BR), Fi)
-        Qinv = S.mat_mul(S.mat_mul(F, BRi), BLi)
+        Q = S.product([BL, BR, Fi])
+        Qinv = S.product([F, BRi, BLi])
         diag = tuple(twist(R, f) for a, f, b in _theta_labels(p))
         return Q, Qinv, diag
     raise WordError(f"unknown genus-2 curve {curve!r}")
@@ -231,12 +234,12 @@ def twist_power_matrix(genus: int, R, curve: str, k: int):
     D = S.diagonal([x ** k for x in diag])
     if Q is None:
         return D
-    return S.mat_mul(S.mat_mul(Q, D), Qinv)
+    return S.product([Q, D, Qinv])
 
 
 @lru_cache(maxsize=None)
 def _letter_matrix(genus: int, p: int, curve: str, k: int) -> PMatrix:
-    return twist_power_matrix(genus, p, curve, k)
+    return twist_power_matrix(genus, p, curve, k).keep_values()
 
 
 @lru_cache(maxsize=None)
@@ -253,16 +256,12 @@ def letter_matrix(genus: int, R, curve: str, k: int):
 
 
 def rho(word: TwistWord, R):
-    """The quantum representation over R: the product of the cached
-    twist-power letters, left to right."""
+    """The quantum representation over R: the ring's product of the cached
+    twist-power letters."""
     S = scalar_ring(R)
     if not word.letters:
         return S.diagonal([S.one] * rep_dim(word.genus, S.p))
-    (curve, exp), *rest = word.letters
-    out = letter_matrix(word.genus, R, curve, exp)
-    for curve, exp in rest:
-        out = S.mat_mul(out, letter_matrix(word.genus, R, curve, exp))
-    return out
+    return S.product([letter_matrix(word.genus, R, *letter) for letter in word.letters])
 
 
 # -- mod-q reductions -------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qtop import manifolds
 from qtop.cyclotomic import CycElem, ResidueSpec, elem_A, elem_u, eta
 from qtop.groups import FiniteGroupTable, GroupTableError, builtin_group
 from qtop.manifolds import (
@@ -302,6 +303,23 @@ def test_hom_count_budget_at_the_search_node_count():
         (LensSurgery(5), "Z/5"),
     ):
         pres, G = presentation(desc), builtin_group(group)
+        count, nodes = dfs_hom_count(pres, G)
+        assert hom_count(pres, G, budget=nodes) == count
+        with pytest.raises(BudgetExceededError):
+            hom_count(pres, G, budget=nodes - 1)
+
+
+@pytest.mark.parametrize("block", (1, 5, 7))
+def test_hom_count_blocks_of_batches_keep_counts_and_budget(monkeypatch, block):
+    """Batches of two parents (|G| = 8 on a chunk of 16), their runs and
+    tails evaluated for blocks of one, two and three batches: the count
+    and the node budget are those of the depth-first search."""
+    monkeypatch.setattr(manifolds, "_HOM_CHUNK", 16)
+    monkeypatch.setattr(manifolds, "_HOM_BLOCK", block)
+    balanced = MappingTorus(2, parse_word(2, "c2*s*c2*c5*c1*c3^-1*c4*s*c4^-1*c1*c5^-1*c3^-1"))
+    others = (MappingTorus(2, parse_word(2, "c1*c3*s^-1*c2*c5")), HeegaardGluing(2, parse_word(2, "c1*c3")))
+    for desc in (balanced, *others):
+        pres, G = presentation(desc), builtin_group("Q8")
         count, nodes = dfs_hom_count(pres, G)
         assert hom_count(pres, G, budget=nodes) == count
         with pytest.raises(BudgetExceededError):

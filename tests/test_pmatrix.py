@@ -1,6 +1,7 @@
 """The multi-modular exact matrix kernel against the schoolbook product,
 the packed Kronecker product and sympy."""
 
+from functools import reduce
 from operator import mul
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qtop import pmatrix
 from qtop.cyclotomic import CycElem, ResidueSpec, RingUsageError, residue_primes, ring
-from qtop.pmatrix import PMatrix, moduli, prime_count, product_spread, scalar_ring
+from qtop.pmatrix import PMatrix, l1_spread, moduli, prime_count, product, product_spread, scalar_ring
 
 
 def schoolbook_mul(A: PMatrix, B: PMatrix) -> PMatrix:
@@ -329,6 +330,106 @@ def test_a_product_just_past_k_primes_takes_k_plus_one(monkeypatch):
         B = PMatrix.from_rows(p, [[CycElem.make(p, [1] * deg)]])
         assert (A * B).entries == schoolbook_mul(A, B).entries
         assert used[-1] == k + 1
+
+
+@st.composite
+def chains(draw):
+    """1 to 8 n x n matrices over one p, with coefficients up to 2^200 and
+    denominators up to p^3; the last factor is a matrix or one column."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 3))
+    mats = draw(st.lists(matrices(p, n), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        mats[-1] = column(mats[-1], draw(st.integers(0, n - 1)))
+    return mats
+
+
+@settings(max_examples=40, deadline=None)
+@given(chains())
+def test_chain_product_equals_the_folded_oracles(mats):
+    got = product(mats)
+    assert got.entries == reduce(schoolbook_mul, mats).entries == reduce(kronecker_mul, mats).entries
+    assert got.equal_exact(reduce(mul, mats))
+
+
+def test_a_zero_factor_anywhere_gives_the_zero_product():
+    p, n = 7, 3
+    x = CycElem.make(p, list(range(-5, 7)), 2)
+    A = PMatrix.from_rows(p, [[x * CycElem.root_power(p, i + 2 * j) for j in range(n)] for i in range(n)])
+    zero = PMatrix(p, 0, np.zeros((n, n, ring(p).degree), dtype=np.int64))
+    for last in (A, column(A, 1)):
+        for at in range(4):
+            mats = [A] * 4 + [last]
+            mats[at] = zero
+            got = product(mats)
+            assert got.equal_exact(reduce(schoolbook_mul, mats))
+            assert got.e == 0 and not got.num.any() and got.num.shape == (n, last.num.shape[1], ring(p).degree)
+
+
+def test_a_run_lifts_when_its_primes_run_out(monkeypatch):
+    """Five factors 2 on x = m zeta at p = 7.  The first product's bound
+    2 m c_p sets the run's k primes, and each factor grows the bound on
+    the numerators by 2K (the L1 form, K = l1_spread(p)).  With m the half
+    product of the primes over (2K)^3, the first run takes three factors
+    and lifts, and the second takes the last two on k primes again.  From
+    m + 1 on, the third factor no longer fits: three runs of two, two and
+    one factors."""
+    used = []
+    lift = pmatrix._symmetric_lift
+    monkeypatch.setattr(pmatrix, "_symmetric_lift", lambda res, qs: used.append(len(qs)) or lift(res, qs))
+    p = 7
+    deg, grow = ring(p).degree, 2 * l1_spread(p)
+    two = PMatrix.from_rows(p, [[CycElem.from_int(p, 2)]])
+    Q = 1
+    for k in range(1, 4):
+        Q *= moduli(p, deg, k)[-1]
+        m = (Q - 1) // 2 // grow**3
+        for x_m, runs in ((m, 2), (m + 1, 3)):
+            x = PMatrix.from_rows(p, [[CycElem.make(p, [0, x_m] + [0] * (deg - 2))]])
+            used.clear()
+            mats = [two] * 5 + [x]
+            assert product(mats).entries == reduce(schoolbook_mul, mats).entries
+            assert used == [k] * runs
+
+
+def test_kept_values_belong_to_one_matrix_and_one_prime(monkeypatch):
+    """A kept matrix holds its values at the roots per prime, read-only,
+    each equal to its reduction at that root (times p^e) and sharing no
+    memory with another prime's or matrix's; a matrix not kept, and every
+    run's lifted product, holds none."""
+    p = 7
+    deg = ring(p).degree
+    lifted = []
+    run = pmatrix._run
+    monkeypatch.setattr(pmatrix, "_run", lambda *args: lifted.append(run(*args)) or lifted[-1])
+    big = [CycElem.make(p, [(-1) ** (i + k) * 2**40 + i * k for k in range(deg)], i % 2) for i in range(4)]
+    A = PMatrix.from_rows(p, [[big[i], big[3 - i]] for i in range(2)]).keep_values()
+    B = PMatrix.from_rows(p, [[big[2], CycElem.root_power(p, 5)], [big[1], big[0]]]).keep_values()
+    C = PMatrix.from_rows(p, [[big[3], big[2]], [big[0], big[1]]])
+    got = product([A, C, B, A, B])
+    assert got.equal_exact(reduce(schoolbook_mul, [A, C, B, A, B]))
+    assert len(lifted) > 1 and all(X._kept is None for X in lifted + [got, C])
+    assert len(A._kept) > 1 and B._kept
+    arrays = []
+    for M in (A, B):
+        for q, values in M._kept.items():
+            assert not values.flags.writeable and values.shape == (deg, 2, 2)
+            root = ResidueSpec.for_primes(p, q).root
+            roots = [pow(root, t, q) for t in range(1, 4 * p) if t % 2 and t % p]
+            scale = p**M.e % q
+            for values_at, w in zip(values, roots):
+                expected = np.array(M.reduce(ResidueSpec(p, q, w)), dtype=object) * scale % q
+                assert values_at.tolist() == expected.tolist()
+            arrays.append(values)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+def test_values_are_kept_up_to_two_megabytes_per_prime():
+    """n^2 deg float64 values per prime: n = 140 at p = 7 is 1.9 MB and is
+    kept, n = 150 is 2.2 MB and is not."""
+    for n, kept in ((140, True), (150, False)):
+        M = PMatrix(7, 0, np.zeros((n, n, 12), dtype=np.int64)).keep_values()
+        assert (M._kept is not None) == kept
 
 
 def test_int64_and_object_garner_paths_agree_at_the_int64_edge():

@@ -1,5 +1,7 @@
 import itertools
 import random
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from qtop.mcg import GENUS_CURVES, empty_word, letter, parse_word, random_word
 from qtop.pmatrix import PMatrix, scalar_ring
 from qtop.rep import (
     _bridge_f_block,
+    _letter_matrix,
     _bridge_f_matrix,
     _left_s_operator,
     _letter_matrix_mod,
@@ -236,12 +239,12 @@ def test_conjugator_blocks_are_inverted_by_their_identities(R):
         if exact:
             assert same(inv, ring_inverse(block, S))
     Smat = s_matrix(R)
-    assert equal(S.mat_mul(Smat, Smat), S.matrix(eye(len(colors(p)))))
+    assert equal(S.product([Smat, Smat]), S.matrix(eye(len(colors(p)))))
     if p <= 7:
         for curve in ("c1", "c3", "c5"):
             Q, Qinv, _d = _twist_conjugators(2, R, curve)
-            assert equal(S.mat_mul(Q, Qinv), S.matrix(eye(len(basis))))
-            assert equal(S.mat_mul(Qinv, Q), S.matrix(eye(len(basis))))
+            assert equal(S.product([Q, Qinv]), S.matrix(eye(len(basis))))
+            assert equal(S.product([Qinv, Q]), S.matrix(eye(len(basis))))
 
 
 # smallest-root specs, and one at the inverse of the smallest root
@@ -271,6 +274,44 @@ def test_rho_apply_is_a_column_of_rho(p, genus, data):
         assert np.array_equal(rho_apply(w, r, e_j), [Mq[i][j] for i in range(n)])
         vac = vacuum_index(genus, p)
         assert np.array_equal(rho_apply(w, r, vacuum_vector(genus, r)), [Mq[i][vac] for i in range(n)])
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_rho_and_rho_apply_equal_the_letter_by_letter_fold(p):
+    """The chain product of the cached letters against freshly built
+    letters multiplied one at a time by *, for random words of up to 12
+    letters with exponents up to 3, on the vacuum vector and a vector with
+    denominators."""
+    rng = random.Random(p)
+    deg = 2 * (p - 1)
+    for genus in (1, 2):
+        n = rep_dim(genus, p)
+        for _ in range(8):
+            w = empty_word(genus)
+            for _ in range(rng.randint(1, 12)):
+                w = w * letter(genus, rng.choice(GENUS_CURVES[genus]), rng.choice((-3, -2, -1, 1, 2, 3)))
+            mats = [twist_power_matrix(genus, p, c, k) for c, k in w.letters] or [PMatrix.identity(p, n)]
+            assert rho(w, p).equal_exact(reduce(mul, mats))
+            v = PMatrix.from_rows(
+                p, [[CycElem.make(p, [rng.randint(-9, 9) for _ in range(deg)], rng.randint(0, 2))] for _ in range(n)]
+            )
+            for vec in (vacuum_vector(genus, p), v):
+                assert rho_apply(w, p, vec).equal_exact(reduce(lambda x, M: M * x, reversed(mats), vec))
+
+
+def test_cached_letters_keep_values_and_products_do_not():
+    """The letters of a word keep their values at the roots after rho and
+    rho_apply, read-only and distinct arrays per letter and prime; the two
+    results and the vector keep none."""
+    p = 7
+    word = parse_word(2, "c1*c3^-1*s^2*c3*c1^-1*c5*c2")
+    vec = vacuum_vector(2, p)
+    results = [rho(word, p), rho_apply(word, p, vec), vec]
+    assert all(X._kept is None for X in results)
+    letters = [_letter_matrix(2, p, c, k) for c, k in set(word.letters)]
+    arrays = [values for L in letters for values in L._kept.values()]
+    assert all(L._kept for L in letters) and all(not a.flags.writeable for a in arrays)
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
 
 
 @pytest.mark.parametrize("r, dtype", [(R41, np.int64), (ResidueSpec(5, 3000000361, 2562159243), object)])
