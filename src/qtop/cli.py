@@ -232,7 +232,7 @@ def _cmd_walk_mix(args) -> int:
     if not closure.complete:
         raise CliError("budget", f"group closure exceeded cap {args.cap}")
     spec = WalkSpec.uniform(gens, args.steps, 0)  # the exact law draws nothing
-    report = tv_to_uniform(spec, closure, q, args.steps, lazy=not args.raw)
+    report = tv_to_uniform(spec, closure, q, lazy=not args.raw)
     doc = report.to_json()
     doc["text"] = f"|G| = {report.group_order}, TV({args.steps}) = {float(report.final_tv()):.3e}"
     _emit(args, doc, csv_text=report.to_csv())

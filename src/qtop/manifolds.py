@@ -637,13 +637,6 @@ def dw_invariant_tqft(desc: ManifoldDesc, G: FiniteGroupTable) -> Fraction:
 # -- boundary vectors of compression pieces ------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryVector:
-    p: int
-    boundary_genus: int
-    coords: tuple  # CycElems exactly, FqElems over a ResidueSpec
-
-
 @lru_cache(maxsize=None)
 def surviving_indices(p: int, boundary_genus: int) -> tuple[int, ...]:
     """Dumbbell coordinates that survive the compression projection.
@@ -661,9 +654,11 @@ def surviving_indices(p: int, boundary_genus: int) -> tuple[int, ...]:
     raise DescError("boundary genus must be 0 or 1")
 
 
-def boundary_vector(desc: BoundedHeegaard, R) -> BoundaryVector:
+def boundary_vector(desc: BoundedHeegaard, R) -> tuple:
     """Compression projection of rho(word) applied to the handlebody vector,
-    over R: p exactly, or a ResidueSpec for its reduction mod J.
+    over R: p exactly, or a ResidueSpec for its reduction mod J.  The
+    coordinates are returned as a tuple, CycElems exactly and FqElems over
+    a ResidueSpec.
 
     Each compressed handle contributes a factor eta^{-1} in the TQFT
     normalization (so capping the result reproduces the closed Heegaard
@@ -673,8 +668,7 @@ def boundary_vector(desc: BoundedHeegaard, R) -> BoundaryVector:
     S = scalar_ring(R)
     column = S.column(rho_apply(desc.word, R, vacuum_vector(2, R)))
     scale = eta_inv(R) ** (2 - desc.boundary_genus)
-    coords = tuple(scale * column[i] for i in surviving_indices(S.p, desc.boundary_genus))
-    return BoundaryVector(S.p, desc.boundary_genus, coords)
+    return tuple(scale * column[i] for i in surviving_indices(S.p, desc.boundary_genus))
 
 
 def compressed_walks(desc: BoundedHeegaard, r, words):
@@ -744,9 +738,8 @@ def rt_closed(desc: ManifoldDesc, p: int) -> CycElem:
     if isinstance(desc, Double):
         # RT(DM) = ||RT(M)||^2: genus-1 boundary pairing is the identity,
         # the sphere pairing weighs the ball vector by eta
-        bv = boundary_vector(desc.half, p)
         acc = CycElem.zero(p)
-        for x in bv.coords:
+        for x in boundary_vector(desc.half, p):
             acc = acc + x * x.conjugate()
         if desc.half.boundary_genus == 0:
             acc = acc * eta(p)

@@ -28,7 +28,6 @@ from .cyclotomic import (
     residue_primes,
 )
 from .manifolds import (
-    BoundaryVector,
     BoundedHeegaard,
     DescError,
     ManifoldDesc,
@@ -100,11 +99,11 @@ def _genus1_words_upto(length: int):
     return unique
 
 
-def _filling_value(bv: BoundaryVector, w: TwistWord, p: int) -> CycElem:
+def _filling_value(bv: tuple, w: TwistWord, p: int) -> CycElem:
     """Closed invariant of the filling glued by w: <bv, rho(w) e_vac>."""
     col = rho_apply(w, p, vacuum_vector(1, p)).entries
     acc = CycElem.zero(p)
-    for x, (y,) in zip(bv.coords, col):
+    for x, (y,) in zip(bv, col):
         acc = acc + x * y
     return acc
 
@@ -135,7 +134,7 @@ class ObstructionReport:
 
 def _candidate_residues(desc: ManifoldDesc, p: int, r: ResidueSpec) -> list[int]:
     if isinstance(desc, BoundedHeegaard):
-        return [x.v for x in boundary_vector(desc, r).coords]
+        return [x.v for x in boundary_vector(desc, r)]
     if is_closed(desc):
         return [r.reduce(rt_closed(desc, p))]
     raise DescError(f"cannot form a vector for {desc!r}")

@@ -19,30 +19,34 @@ deg linear factors: a tensor is evaluated at its deg roots (one product
 by the Vandermonde matrix), a product is deg independent matrix products
 of such values over F_q, and the inverse Vandermonde matrix interpolates
 values back to numerators already reduced mod Phi_4p.  Every product
-runs in float64, exact because the primes satisfy width (q - 1)^2 <
-2^53 (moduli).
+mod q is linalg.fq_matmul, on its float64 tier as the primes satisfy
+width (q - 1)^2 < 2^53 (moduli).
 
 The chain is carried right to left as values at the roots, and lifted
 to numerators only when its primes run out; this is the delayed
-reduction of linalg.fq_apply, with lifts in place of reductions.  Every
-numerator of A B is at most n max|a| max|b| c_p in absolute value (c_p
-is product_spread(p)), and at most K N(A) N(B), where N is the largest
-sum of coefficient absolute values over a row and K is l1_spread(p);
-N(A B) <= K N(A) N(B) as well.  A run starts from an exact matrix X
-(the last factor, or the previous run's product) and the factor M left
-of it.  The bound n max|M| max|X| c_p of M X sets the run's primes:
-enough that their product Q exceeds twice it, so a product of two
-matrices takes the primes it always did.  Each further factor grows the
-bounds by both rules, and joins the run while the least bound on its
-numerators stays within (Q - 1)/2.  The run then interpolates and lifts
-once.  Restarting the bounds from exact numerators keeps the prime count
-small, as numerators grow far more slowly than their bounds: the product
-of the 8-letter word c1 c2 c3 c4 c5 s c3^-1 c1 at p = 17 has 47-bit
-numerators, and a bound carried through the whole word asks for 7
-primes.  Lifting once per word on those primes took that rho from 1.57
-to 1.93 s (warm letters, one BLAS thread, a 2-vCPU VM), and a 12-letter
-word's at p = 13 from 0.15 to 0.31 s and from 104 to 176 MB peak RSS.
-Garner's method recombines the residues into balanced mixed-radix
+reduction of linalg.fq_apply, with lifts in place of reductions.  A run
+starts from an exact matrix X (the last factor, or the previous run's
+product) and the factor M left of it.  Every numerator of M X is at
+most n max|M| max|X| c_p in absolute value (n is M's column count and
+c_p is product_spread(p)), and that bound sets the run's primes: enough
+that their product Q exceeds twice it, so a product of two matrices
+takes the primes it always did.  From there the run carries one bound,
+the L1 form: with N the largest sum of coefficient absolute values over
+a row and K = l1_spread(p), N(A B) <= K N(A) N(B), and N bounds every
+numerator.  The bound starts at K N(M) N(X), each further factor M'
+multiplies it by K N(M'), and M' joins the run while it stays within
+(Q - 1)/2.  The run then interpolates and lifts once.  Carrying the
+max-coefficient bound as well, and taking the smaller, scheduled the
+same lifts on the same primes for 900 RT chains of the exact
+benchmark's p = 7 words, for 12-letter words at p = 11 and 13, and for
+three words at p = 17.  Restarting the bound from exact numerators
+keeps the prime count small, as numerators grow far more slowly than
+their bounds: the product of the 8-letter word c1 c2 c3 c4 c5 s c3^-1
+c1 at p = 17 has 47-bit numerators, and a bound carried through the
+whole word asks for 7 primes.  Lifting once per word on those primes
+took that rho from 1.57 to 1.93 s (warm letters, one BLAS thread, a
+2-vCPU VM), and a 12-letter word's at p = 13 from 0.15 to 0.31 s and
+from 104 to 176 MB peak RSS.  Garner's method recombines the residues into balanced mixed-radix
 digits, and each numerator is assembled in int64 from its low digits,
 in Python ints only where a higher digit is nonzero.
 
@@ -60,7 +64,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .cyclotomic import CycElem, ResidueSpec, RingSpec, RingUsageError, is_prime, power, ring
-from .linalg import _residues, fq_dtype, fq_rref
+from .linalg import _product_dtype, fq_dtype, fq_matmul, fq_rref
 
 # int64 tensors hold numerators below this bound, so a sum of two fits
 _INT64_BOUND = 2**62
@@ -121,24 +125,25 @@ def l1_spread(p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _vandermonde(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(V, V^-1) mod q as float64 arrays, V[k, r] = w_r^k over the deg
+    """(V, V^-1) mod q as int64 arrays, V[k, r] = w_r^k over the deg
     roots w_r of Phi_4p in F_q (the primitive 4p-th roots of unity)."""
     m, deg = 4 * p, ring(p).degree
     root = ResidueSpec.for_primes(p, q).root
     roots = [pow(root, t, q) for t in range(1, m) if math.gcd(t, m) == 1]
     V = np.array([[pow(w, k, q) for w in roots] for k in range(deg)], dtype=np.int64)
-    Vinv = fq_rref(np.hstack([V, np.eye(deg, dtype=np.int64)]), q)[:, deg:]
-    return V.astype(np.float64), Vinv.astype(np.float64)
+    return V, fq_rref(np.hstack([V, np.eye(deg, dtype=np.int64)]), q)[:, deg:]
 
 
 def _evaluate(p: int, num, q: int) -> np.ndarray:
     """The values of a numerator tensor (rows, cols, deg) at the roots of
     Phi_4p mod q, one product by the Vandermonde matrix: residues in a
-    float64 (deg, rows, cols) array."""
+    contiguous (deg, rows, cols) array, in the dtype that fq_matmul
+    multiplies them in (the moduli put every inner dimension up to the
+    chain's width on one tier), so that no product copies them again."""
     rows, cols, deg = num.shape
-    residues = np.asarray(num.reshape(-1, deg) % q, dtype=np.float64)
-    at = _residues(residues @ _vandermonde(p, q)[0], q)
-    return np.ascontiguousarray(at.reshape(rows, cols, deg).transpose(2, 0, 1), dtype=np.float64)
+    at = fq_matmul(num.reshape(-1, deg) % q, _vandermonde(p, q)[0], q)
+    dtype = _product_dtype(cols, q)
+    return np.ascontiguousarray(at.reshape(rows, cols, deg).transpose(2, 0, 1), dtype=dtype)
 
 
 def _interpolate(p: int, q: int, values) -> np.ndarray:
@@ -146,8 +151,8 @@ def _interpolate(p: int, q: int, values) -> np.ndarray:
     values at the roots are the residues values (deg, rows, cols): one
     product by the inverse Vandermonde matrix."""
     deg, rows, cols = values.shape
-    flat = np.asarray(values.transpose(1, 2, 0).reshape(-1, deg), dtype=np.float64)
-    return _residues(flat @ _vandermonde(p, q)[1], q).reshape(rows, cols, deg)
+    flat = values.transpose(1, 2, 0).reshape(-1, deg)
+    return fq_matmul(flat, _vandermonde(p, q)[1], q).reshape(rows, cols, deg)
 
 
 def _tensor(values):
@@ -237,35 +242,28 @@ def _run(width: int, mats: list, P: "PMatrix") -> "PMatrix":
     """The product mats[-j] ... mats[-1] P of one run, lifted, with its j
     factors popped from mats.
 
-    grow(M, top, rows) takes bounds top >= max|c| and rows >= N of a
-    running product X to those of M X (n is M's column count and cols
-    X's): rows' = K N(M) rows, top' = min(n max|M| top c_p, rows'), and
-    rows' is then capped by cols deg top'.  The residues are computed one
-    prime at a time, as _symmetric_lift reads them, so only one prime's
-    values are held at once.
+    The run's primes cover the bound n max|M| max|P| c_p of its first
+    product M P.  From there one bound N >= N(M ... P) grows to K N(M') N
+    with each further factor M', which joins while N stays within
+    (Q - 1)/2.  The residues are computed one prime at a time, as
+    _symmetric_lift reads them, so only one prime's values are held at
+    once.
     """
-    p, (cols, deg) = P.p, P.num.shape[1:]
-    spread, K = product_spread(p), l1_spread(p)
-
-    def grow(M, top, rows):
-        (m_top, m_rows), n = M.bounds, M.num.shape[1]
-        rows = K * m_rows * rows
-        top = min(n * m_top * top * spread, rows)
-        return top, min(rows, cols * deg * top)
-
+    p = P.p
+    K = l1_spread(p)
     run = [mats.pop()]
-    start = run[0].num.shape[1] * run[0].bounds[0] * P.bounds[0] * spread
+    start = run[0].num.shape[1] * run[0].bounds[0] * P.bounds[0] * product_spread(p)
     primes = moduli(p, width, prime_count(p, width, start))
     half = (math.prod(primes) - 1) // 2
-    top, rows = grow(run[0], *P.bounds)
-    while mats and grow(mats[-1], top, rows)[0] <= half:
+    bound = K * run[0].bounds[1] * P.bounds[1]
+    while mats and K * mats[-1].bounds[1] * bound <= half:
         run.append(mats.pop())
-        top, rows = grow(run[-1], top, rows)
+        bound *= K * run[-1].bounds[1]
 
     def residue(q):
         values = P.at_root(q)
         for M in run:
-            values = _residues(M.at_root(q) @ values, q).astype(np.float64)
+            values = fq_matmul(M.at_root(q), values, q)
         return _interpolate(p, q, values)
 
     e = P.e + sum(M.e for M in run)

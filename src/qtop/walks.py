@@ -176,10 +176,9 @@ class MixingReport:
         return "\n".join(lines)
 
 
-def tv_to_uniform(
-    spec: WalkSpec, group: GroupClosure, q: int, steps: int, lazy: bool = True
-) -> MixingReport:
-    """Exact law of the walk at every step and its TV distance to uniform.
+def tv_to_uniform(spec: WalkSpec, group: GroupClosure, q: int, lazy: bool = True) -> MixingReport:
+    """Exact law of the walk at every step up to spec.length and its TV
+    distance to uniform.
 
     h -> h g permutes the group, so one sort of the images h g gives each
     generator's transition map, an index array into group.elements.  The
@@ -192,8 +191,6 @@ def tv_to_uniform(
         raise WalkUsageError("group must be fully enumerated")
     if not is_prime(q):
         raise WalkUsageError("q must be prime")
-    if steps < 0:
-        raise WalkUsageError("steps must be >= 0")
     elements = group.elements
     N = len(elements)
     perms = []
@@ -214,7 +211,7 @@ def tv_to_uniform(
         return Fraction(int(np.abs(N * num - den).sum()), 2 * N * den)
 
     curve = [tv()]
-    for _ in range(steps):
+    for _ in range(spec.length):
         nxt = np.zeros(N, dtype=object)
         for ai, perm in zip(a, perms):
             nxt[perm] += ai * num

@@ -198,7 +198,7 @@ def test_criterion_10_mixing():
     c = Criterion(10, 10)
     gens = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, 4), (0, 1)), ((1, 0), (4, 1)))
     closure = enumerate_group(gens[:2], 5)
-    report = tv_to_uniform(WalkSpec.uniform(gens, 200, 0), closure, 5, 200, lazy=True)
+    report = tv_to_uniform(WalkSpec.uniform(gens, 200, 0), closure, 5, lazy=True)
     ok = report.group_order == 60
     ok &= any(t < Fraction(1, 100) for t in report.tv)
     ok &= report.nonincreasing()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fq_oracles import fq_mat_vec, fq_rref as list_fq_rref
-from qtop import linalg
+from qtop import linalg, pmatrix
 from qtop.cyclotomic import CycElem, is_prime, ring
 
 
@@ -400,6 +400,32 @@ def test_fq_matmul_and_walk_exact_at_the_float64_bound(n, q):
         assert got.dtype == np.int64
         assert tuple(map(tuple, got.tolist())) == linalg.fq_mat_mul(a, b, q)
     _check_walk_at_the_bound(n, q, full, near, rng)
+
+
+@pytest.mark.parametrize("p", (5, 7, 13))
+@pytest.mark.parametrize("wide", (False, True), ids=("width=deg", "width=91"))
+def test_stacked_fq_matmul_exact_at_the_chain_moduli(p, wide):
+    """The exact chain's products: a (deg, n, n) stack times a (deg, n, m)
+    stack, mod the largest prime of pmatrix.moduli(p, width, .), with
+    n = width so that n (q - 1)^2 sits just under 2^53.  Residues q - 1
+    (and a stack of q - 2 and q - 1) give every slice its Python-int
+    product."""
+    deg = ring(p).degree
+    n = 91 if wide else deg
+    q = pmatrix.moduli(p, n, 1)[0]
+    assert n * (q - 1) ** 2 < 2 ** 53
+    assert not any(map(is_prime, range(q + 4 * p, math.isqrt((2 ** 53 - 1) // n) + 2, 4 * p)))
+    assert linalg._product_dtype(n, q) is np.float64
+    rng = np.random.default_rng(p)
+    full = np.full((deg, n, n), q - 1, dtype=np.int64)
+    near = rng.choice(np.array([q - 2, q - 1]), size=(deg, n, n))
+    for m in (1, 3):
+        for a, b in ((full, full), (near, full), (full, near)):
+            b = b[:, :, :m]
+            got = linalg.fq_matmul(a, b, q)
+            assert got.dtype == np.int64 and got.shape == (deg, n, m)
+            for x, y, z in zip(a.astype(object), b.astype(object), got):
+                assert np.array_equal(z, (x @ y) % q)
 
 
 def _float32_edge(n):

@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from qtop import pmatrix
+from qtop import manifolds, pmatrix
 from qtop.cyclotomic import CycElem, ResidueSpec, RingUsageError, residue_primes, ring
 from qtop.pmatrix import PMatrix, l1_spread, moduli, prime_count, product, product_spread, scalar_ring
 
@@ -390,6 +390,33 @@ def test_a_run_lifts_when_its_primes_run_out(monkeypatch):
             mats = [two] * 5 + [x]
             assert product(mats).entries == reduce(schoolbook_mul, mats).entries
             assert used == [k] * runs
+
+
+# (p, description, the primes of each lift) of the RT invariant, letters warm
+LIFT_SCHEDULES = [
+    (13, "heegaard:2:c1*c3", [2, 2]),
+    (13, "mtorus:2:c1*c3^-1*c5", [2, 2]),
+    (7, "heegaard:2:c4*c5*c2*c1^-1*s^-1*c1*c4^-1*c3*s*c3*c5*c2^-1", [1] * 6),
+    (7, "mtorus:2:c4*c5*c2*c1^-1*s^-1*c1*c4^-1*c3*s*c3*c5*c2^-1", [1, 1, 2, 1, 1]),
+    (7, "heegaard:2:c5^-1*c4*s*c5^-1*c1^-1*c2*c3*c2*c3*c1^-1*c4^-1*s", [1] * 5),
+    (7, "mtorus:2:c5^-1*c4*s*c5^-1*c1^-1*c2*c3*c2*c3*c1^-1*c4^-1*s", [1] * 6),
+    (7, "heegaard:2:c5*c3*s^-1*c1*s*c1*c2*c4*c2*c5^-1*c4*c3", [1] * 5),
+    (7, "mtorus:2:c5*c3*s^-1*c1*s*c1*c2*c4*c2*c5^-1*c4*c3", [1, 1, 1, 1, 2]),
+]
+
+
+@pytest.mark.parametrize("p, desc, lifts", LIFT_SCHEDULES)
+def test_rt_chains_lift_on_their_pinned_schedule(monkeypatch, p, desc, lifts):
+    """The RT chains of the CI's two p = 13 reports and of three 12-letter
+    words at p = 7 lift as often, and on as many primes, as pinned: a
+    looser run bound would lift less often and a tighter one more."""
+    desc = manifolds.parse_desc(desc)
+    expected = manifolds.rt_closed(desc, p)  # warms the letters
+    used = []
+    lift = pmatrix._symmetric_lift
+    monkeypatch.setattr(pmatrix, "_symmetric_lift", lambda res, qs: used.append(len(qs)) or lift(res, qs))
+    assert manifolds.rt_closed(desc, p) == expected
+    assert used == lifts
 
 
 def test_kept_values_belong_to_one_matrix_and_one_prime(monkeypatch):

@@ -65,7 +65,7 @@ def test_non_prime_q_is_refused():
             enumerate_group(PSL2_GENS[:2], q)
     spec = WalkSpec.uniform(PSL2_GENS[:2], 3, 0)
     with pytest.raises(WalkUsageError, match="q must be prime"):
-        tv_to_uniform(spec, enumerate_group(PSL2_GENS[:2], 5), 6, 3)
+        tv_to_uniform(spec, enumerate_group(PSL2_GENS[:2], 5), 6)
 
 
 def test_cap_exceeded_is_typed_outcome():
@@ -118,7 +118,7 @@ def test_tv_curve_matches_the_fraction_oracle(q, steps, lazy, weights):
     gens = _psl2_generators(q)
     spec = WalkSpec.uniform(gens, steps, 0) if weights is None else WalkSpec(gens, weights, steps, 0)
     closure = enumerate_group(gens[:2], q)
-    report = tv_to_uniform(spec, closure, q, steps, lazy=lazy)
+    report = tv_to_uniform(spec, closure, q, lazy=lazy)
     expect = tv_curve(tuple_closure(gens[:2], q), gens, spec.weights, q, steps, lazy)
     assert list(report.tv) == expect and all(isinstance(t, Fraction) for t in report.tv)
 
@@ -129,14 +129,14 @@ def test_tv_curve_matches_the_fraction_oracle(q, steps, lazy, weights):
 def test_identity_generator_chain_is_stuck():
     closure = enumerate_group(PSL2_GENS[:2], 5)
     spec = WalkSpec.uniform((((1, 0), (0, 1)),), 10, 0)
-    report = tv_to_uniform(spec, closure, 5, 10)
+    report = tv_to_uniform(spec, closure, 5)
     assert report.tv[0] == report.tv[-1] == Fraction(59, 60)
 
 
 def test_lazy_symmetric_mixing_psl2_f5():
     closure = enumerate_group(PSL2_GENS[:2], 5)
     spec = WalkSpec.uniform(PSL2_GENS, 200, 0)
-    report = tv_to_uniform(spec, closure, 5, 200, lazy=True)
+    report = tv_to_uniform(spec, closure, 5, lazy=True)
     assert report.group_order == 60
     assert report.nonincreasing()
     assert any(t < Fraction(1, 100) for t in report.tv[: 200 + 1])
@@ -148,12 +148,12 @@ def test_mixing_requires_generators_in_group():
     closure = enumerate_group(PSL2_GENS[:2], 5)
     bad = (((2, 0), (0, 1)),)  # determinant 2: not in PSL_2(F_5) as canonicalized... still may land outside
     with pytest.raises(WalkUsageError):
-        tv_to_uniform(WalkSpec.uniform(bad, 5, 0), closure, 5, 5)
+        tv_to_uniform(WalkSpec.uniform(bad, 5, 0), closure, 5)
     # a generator of the whole group is outside the closure of a subgroup
     upper = enumerate_group(PSL2_GENS[:1], 5)
     assert upper.count == 5
     with pytest.raises(WalkUsageError, match="outside the enumerated group"):
-        tv_to_uniform(WalkSpec.uniform(PSL2_GENS[:2], 5, 0), upper, 5, 5)
+        tv_to_uniform(WalkSpec.uniform(PSL2_GENS[:2], 5, 0), upper, 5)
 
 
 def test_walkspec_validation():
@@ -167,21 +167,19 @@ def test_walkspec_validation():
 
 def test_negative_walk_sizes_are_refused():
     closure = enumerate_group(PSL2_GENS[:2], 5)
-    with pytest.raises(WalkUsageError, match="steps must be >= 0"):
-        tv_to_uniform(WalkSpec.uniform(PSL2_GENS, 3, 0), closure, 5, -3)
     with pytest.raises(WalkUsageError, match="walk length must be >= 0"):
         default_subgroup_walk(5, -4, 1)
     desc = BoundedHeegaard(2, 0, empty_word(2))
     with pytest.raises(WalkUsageError, match="trials must be >= 0"):
         montecarlo_vanishing(desc, 5, R41, default_subgroup_walk(5, 10, 1), -3)
     # length 0 and zero trials stay valid
-    assert tv_to_uniform(WalkSpec.uniform(PSL2_GENS, 0, 0), closure, 5, 0).tv == (Fraction(59, 60),)
+    assert tv_to_uniform(WalkSpec.uniform(PSL2_GENS, 0, 0), closure, 5).tv == (Fraction(59, 60),)
     assert montecarlo_vanishing(desc, 5, R41, default_subgroup_walk(5, 0, 1), 0).trials == 0
 
 
 def test_mixing_csv_export():
     closure = enumerate_group(PSL2_GENS[:2], 5)
-    report = tv_to_uniform(WalkSpec.uniform(PSL2_GENS, 5, 0), closure, 5, 5)
+    report = tv_to_uniform(WalkSpec.uniform(PSL2_GENS, 5, 0), closure, 5)
     lines = report.to_csv().splitlines()
     assert lines[0] == "step,tv"
     assert len(lines) == 7
