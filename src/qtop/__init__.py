@@ -2,8 +2,9 @@
 
 Everything is exact: cyclotomic ring elements are integer coefficient
 vectors with a p-power denominator, ideals are Hermite-form integer
-lattices, probabilities are rationals.  The only floating point in the
-package is in rendered reports.
+lattices, probabilities are rationals.  Floating point is used only in
+rendered reports and for F_q products on BLAS, whose integer sums are
+exact on the float32/float64 tiers of linalg._product_dtype.
 """
 
 from .cyclotomic import (  # noqa: F401

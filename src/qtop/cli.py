@@ -42,9 +42,9 @@ from .rep import (
     fq_is_scalar,
     fq_projective_order,
     hermitian_check,
+    letter_matrix,
     rep_dim,
     rho,
-    twist_power_matrix,
 )
 from .pmatrix import PMatrix
 from .walks import (
@@ -287,7 +287,7 @@ def _cmd_rep_check(args) -> int:
     if args.words < 1:
         raise CliError("usage", "--words must be >= 1")
     curves = ("a", "b") if genus == 1 else ("c1", "c2", "c3", "c4", "c5", "s")
-    mats = {c: twist_power_matrix(genus, p, c, 1) for c in curves}
+    mats = {c: letter_matrix(genus, p, c, 1) for c in curves}
     braid_pairs = (
         [("a", "b")]
         if genus == 1
@@ -310,7 +310,7 @@ def _cmd_rep_check(args) -> int:
         (mats[x] * mats[y]).proj_equal(mats[y] * mats[x]) for x, y in commute_pairs
     )
     torder_ok = all(
-        twist_power_matrix(genus, p, c, p).equal_exact(PMatrix.identity(p, rep_dim(genus, p)))
+        letter_matrix(genus, p, c, p).equal_exact(PMatrix.identity(p, rep_dim(genus, p)))
         for c in curves
     )
     herm_ok = all(

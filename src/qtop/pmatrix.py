@@ -1,15 +1,17 @@
 """Projective matrices over the cyclotomic ring.
 
-A PMatrix is a matrix over Z[zeta_{4p}, 1/p], held as one exponent e
-and one (n, m, deg) integer tensor num of numerators over p^e: entry
-(i, j) is sum_k num[i, j, k] zeta^k / p^e.  Matrices are square, and an
-exact vector is one column, m = 1.  e is the least exponent that makes
-every numerator integral, and the tensor is int64 while every
-|c| < 2^62 and an object array of Python ints otherwise, so equal
-matrices have equal tensors.  The canonical CycElem entries are built
-only when read.  Quantum representations are projective, and their
-anomaly phases are never normalized away silently: proj_equal compares
-two matrices up to one global scalar, equal_exact entry by entry.
+A PMatrix is a matrix over Z[zeta_{4p}, 1/p], held as one exponent e and
+one coefficient-major (deg, n, m) integer tensor num of numerators over
+p^e: entry (i, j) is sum_k num[k, i, j] zeta^k / p^e, and the values at
+the roots below share that layout, so nothing transposes but entries.
+Matrices are square, and an exact vector is one column, m = 1.  e is the
+least exponent that makes every numerator integral, and the tensor is
+int64 while every |c| < 2^62 and an object array of Python ints
+otherwise, so equal matrices have equal tensors.  The canonical CycElem
+entries are built only when read.  Quantum representations are
+projective, and their anomaly phases are never normalized away silently:
+proj_equal compares two matrices up to one global scalar, equal_exact
+entry by entry.
 
 There is one product, product(mats) = mats[0] ... mats[-1] over
 compatible shapes, and PMatrix.__mul__ is its two-factor case.  It is
@@ -64,7 +66,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .cyclotomic import CycElem, ResidueSpec, RingSpec, RingUsageError, is_prime, power, ring
-from .linalg import _product_dtype, fq_dtype, fq_matmul, fq_rref
+from .linalg import _product_dtype, fq_matmul, fq_rref
 
 # int64 tensors hold numerators below this bound, so a sum of two fits
 _INT64_BOUND = 2**62
@@ -135,24 +137,21 @@ def _vandermonde(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate(p: int, num, q: int) -> np.ndarray:
-    """The values of a numerator tensor (rows, cols, deg) at the roots of
-    Phi_4p mod q, one product by the Vandermonde matrix: residues in a
-    contiguous (deg, rows, cols) array, in the dtype that fq_matmul
-    multiplies them in (the moduli put every inner dimension up to the
-    chain's width on one tier), so that no product copies them again."""
-    rows, cols, deg = num.shape
-    at = fq_matmul(num.reshape(-1, deg) % q, _vandermonde(p, q)[0], q)
-    dtype = _product_dtype(cols, q)
-    return np.ascontiguousarray(at.reshape(rows, cols, deg).transpose(2, 0, 1), dtype=dtype)
+    """The values of a numerator tensor (deg, rows, cols) at the roots of
+    Phi_4p mod q, V^T num with the tensor read as (deg, rows cols):
+    residues in the same layout, in the dtype that fq_matmul multiplies
+    them in (the moduli put every inner dimension up to the chain's width
+    on one tier), so that no product copies them again."""
+    at = fq_matmul(_vandermonde(p, q)[0].T, num.reshape(len(num), -1) % q, q)
+    return at.reshape(num.shape).astype(_product_dtype(num.shape[2], q))
 
 
 def _interpolate(p: int, q: int, values) -> np.ndarray:
-    """The numerator residues mod q, (rows, cols, deg) in int64, whose
-    values at the roots are the residues values (deg, rows, cols): one
-    product by the inverse Vandermonde matrix."""
-    deg, rows, cols = values.shape
-    flat = values.transpose(1, 2, 0).reshape(-1, deg)
-    return fq_matmul(flat, _vandermonde(p, q)[1], q).reshape(rows, cols, deg)
+    """The numerator residues mod q, (deg, rows, cols) in int64, whose
+    values at the roots are the residues values, in the same layout: one
+    product V^-T values by the inverse Vandermonde matrix."""
+    flat = values.reshape(len(values), -1)
+    return fq_matmul(_vandermonde(p, q)[1].T, flat, q).reshape(values.shape)
 
 
 def _tensor(values):
@@ -176,13 +175,14 @@ def _numerators(p: int, rows) -> tuple[int, np.ndarray]:
     so a sparse block matrix costs its nonzeros."""
     E = max(x.e for row in rows for x in row)
     where = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if any(x.coeffs)]
-    num = np.zeros((len(rows), len(rows[0]), ring(p).degree), dtype=np.int64)
+    num = np.zeros((ring(p).degree, len(rows), len(rows[0])), dtype=np.int64)
     if where:
         xs = (rows[i][j] for i, j in where)
         scaled = _tensor([x.coeffs if x.e == E else [c * p ** (E - x.e) for c in x.coeffs]
                           for x in xs])
         num = num.astype(scaled.dtype)
-        num[tuple(zip(*where))] = scaled
+        I, J = zip(*where)
+        num[:, I, J] = scaled.T
     return E, num
 
 
@@ -225,14 +225,14 @@ def product(mats) -> "PMatrix":
     one matrix is returned as it is."""
     mats = list(mats)
     for A, B in zip(mats, mats[1:]):
-        if A.p != B.p or A.num.shape[1] != B.num.shape[0]:
+        if A.p != B.p or A.num.shape[2] != B.num.shape[1]:
             raise RingUsageError("incompatible matrices")
     out = mats.pop()
-    p, deg = out.p, out.num.shape[2]
-    width = max([deg] + [M.num.shape[1] for M in mats])
+    p, deg = out.p, len(out.num)
+    width = max([deg] + [M.num.shape[2] for M in mats])
     while mats:
         if not (out.bounds[0] and mats[-1].bounds[0]):  # a zero factor
-            shape = (mats[0].num.shape[0], out.num.shape[1], deg)
+            shape = (deg, mats[0].num.shape[1], out.num.shape[2])
             return PMatrix(p, 0, np.zeros(shape, dtype=np.int64))
         out = _run(width, mats, out)
     return out
@@ -252,7 +252,7 @@ def _run(width: int, mats: list, P: "PMatrix") -> "PMatrix":
     p = P.p
     K = l1_spread(p)
     run = [mats.pop()]
-    start = run[0].num.shape[1] * run[0].bounds[0] * P.bounds[0] * product_spread(p)
+    start = run[0].num.shape[2] * run[0].bounds[0] * P.bounds[0] * product_spread(p)
     primes = moduli(p, width, prime_count(p, width, start))
     half = (math.prod(primes) - 1) // 2
     bound = K * run[0].bounds[1] * P.bounds[1]
@@ -281,12 +281,13 @@ class PMatrix:
 
     @property
     def n(self) -> int:
-        return self.num.shape[0]
+        return self.num.shape[1]
 
     @cached_property
     def entries(self) -> tuple[tuple[CycElem, ...], ...]:
         p, e = self.p, self.e
-        return tuple(tuple(CycElem.make(p, c, e) for c in row) for row in self.num.tolist())
+        rows = self.num.transpose(1, 2, 0).tolist()
+        return tuple(tuple(CycElem.make(p, c, e) for c in row) for row in rows)
 
     @cached_property
     def bounds(self) -> tuple[int, int]:
@@ -294,9 +295,9 @@ class PMatrix:
         and the largest sum of them over one row's entries."""
         a = np.abs(self.num)
         top = int(a.max())
-        if a.dtype != object and top * a.shape[1] * a.shape[2] >= 2**63:
+        if a.dtype != object and top * a.shape[0] * a.shape[2] >= 2**63:
             a = a.astype(object)
-        return top, int(a.sum(axis=(1, 2)).max())
+        return top, int(a.sum(axis=(0, 2)).max())
 
     def keep_values(self) -> "PMatrix":
         """Mark a matrix that lives long, such as a cached letter: its
@@ -333,17 +334,12 @@ class PMatrix:
 
     @staticmethod
     def identity(p: int, n: int) -> "PMatrix":
-        num = np.zeros((n, n, ring(p).degree), dtype=np.int64)
-        num[range(n), range(n), 0] = 1
-        return PMatrix(p, 0, num)
+        return PMatrix.diagonal(p, [CycElem.one(p)] * n)
 
     @staticmethod
     def diagonal(p: int, diag: list[CycElem]) -> "PMatrix":
-        zero = CycElem.zero(p)
-        n = len(diag)
-        return PMatrix.from_rows(
-            p, [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
-        )
+        E, col = _numerators(p, [[x] for x in diag])
+        return PMatrix(p, E, col * np.eye(len(diag), dtype=col.dtype))
 
     def __eq__(self, other):
         return isinstance(other, PMatrix) and self.equal_exact(other)
@@ -357,10 +353,11 @@ class PMatrix:
         return power(self, k) if k else PMatrix.identity(self.p, self.n)
 
     def scale(self, c: CycElem) -> "PMatrix":
-        return PMatrix.from_rows(self.p, [[c * x for x in row] for row in self.entries])
+        return product([PMatrix.diagonal(self.p, [c] * self.n), self])
 
     def trace(self) -> CycElem:
-        return CycElem.make(self.p, [sum(c) for c in self.num.diagonal().tolist()], self.e)
+        diagonal = self.num.diagonal(axis1=1, axis2=2).tolist()
+        return CycElem.make(self.p, [sum(c) for c in diagonal], self.e)
 
     def conj_transpose(self) -> "PMatrix":
         rows = [[x.conjugate() for x in col] for col in zip(*self.entries)]
@@ -375,26 +372,24 @@ class PMatrix:
         nonzero entries a0 of self and b0 of other."""
         if self.p != other.p or self.num.shape != other.num.shape:
             return False
-        support = self.num.any(axis=2)
-        if not np.array_equal(support, other.num.any(axis=2)):
+        support = self.num.any(axis=0)
+        if not np.array_equal(support, other.num.any(axis=0)):
             return False
         if not support.any():
             return True  # both zero
         i, j = np.argwhere(support)[0]
-        return self.scale(other.entries[i][j]).equal_exact(other.scale(self.entries[i][j]))
+        a0, b0 = (CycElem.make(M.p, M.num[:, i, j].tolist(), M.e) for M in (self, other))
+        return self.scale(b0).equal_exact(other.scale(a0))
 
     def reduce(self, r: ResidueSpec) -> tuple[tuple[int, ...], ...]:
-        """Every entry's image in F_q (zeta -> r.root): the numerators
-        evaluated by Horner's rule along the coefficient axis, times
-        p^-e mod q."""
+        """Every entry's image in F_q (zeta -> r.root): one product of the
+        root's powers with the numerators, times p^-e mod q."""
         if r.p != self.p:
             raise RingUsageError("matrix and residue spec use different p")
-        q, dtype = r.q, fq_dtype(1, r.q)
-        num = (self.num.astype(object) if dtype is object else self.num) % q
-        acc = np.zeros(num.shape[:2], dtype=dtype)
-        for k in reversed(range(num.shape[2])):
-            acc = (acc * r.root % q + num[:, :, k]) % q
-        return tuple(map(tuple, (acc * pow(self.p, -self.e, q) % q).tolist()))
+        q, deg = r.q, len(self.num)
+        at = fq_matmul([[pow(r.root, k, q) for k in range(deg)]], self.num.reshape(deg, -1) % q, q)
+        at = at * pow(self.p, -self.e, q) % q
+        return tuple(map(tuple, at.reshape(self.num.shape[1:]).tolist()))
 
 
 class ExactRing(RingSpec):

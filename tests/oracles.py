@@ -6,6 +6,7 @@ from sympy import Poly, cyclotomic_poly, resultant, symbols
 
 from qtop.cyclotomic import CycElem, split_p_part
 from qtop.mcg import GENUS_CURVES
+from qtop.pmatrix import PMatrix
 
 _T = symbols("t")
 
@@ -42,3 +43,8 @@ def exponent_sums(word) -> dict[str, int]:
     for c, e in word.letters:
         sums[c] += e
     return sums
+
+
+def scale_entrywise(M: PMatrix, c: CycElem) -> PMatrix:
+    """c M, one CycElem product per entry: the oracle for PMatrix.scale."""
+    return PMatrix.from_rows(M.p, [[c * x for x in row] for row in M.entries])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from oracles import scale_entrywise
 
 from qtop import manifolds, pmatrix
 from qtop.cyclotomic import CycElem, ResidueSpec, RingUsageError, residue_primes, ring
@@ -136,7 +137,7 @@ def test_packed_product_equals_schoolbook(pair):
     for j in range(A.n):
         b = column(B, j)
         Ab = A * b
-        assert Ab.num.shape == (A.n, 1, ring(A.p).degree)
+        assert Ab.num.shape == (ring(A.p).degree, A.n, 1)
         assert Ab.entries == column(AB, j).entries == schoolbook_mul(A, b).entries
         assert Ab.entries == kronecker_mul(A, b).entries
 
@@ -356,14 +357,14 @@ def test_a_zero_factor_anywhere_gives_the_zero_product():
     p, n = 7, 3
     x = CycElem.make(p, list(range(-5, 7)), 2)
     A = PMatrix.from_rows(p, [[x * CycElem.root_power(p, i + 2 * j) for j in range(n)] for i in range(n)])
-    zero = PMatrix(p, 0, np.zeros((n, n, ring(p).degree), dtype=np.int64))
+    zero = PMatrix(p, 0, np.zeros((ring(p).degree, n, n), dtype=np.int64))
     for last in (A, column(A, 1)):
         for at in range(4):
             mats = [A] * 4 + [last]
             mats[at] = zero
             got = product(mats)
             assert got.equal_exact(reduce(schoolbook_mul, mats))
-            assert got.e == 0 and not got.num.any() and got.num.shape == (n, last.num.shape[1], ring(p).degree)
+            assert got.e == 0 and not got.num.any() and got.num.shape == (ring(p).degree, n, last.num.shape[2])
 
 
 def test_a_run_lifts_when_its_primes_run_out(monkeypatch):
@@ -455,7 +456,7 @@ def test_values_are_kept_up_to_two_megabytes_per_prime():
     """n^2 deg float64 values per prime: n = 140 at p = 7 is 1.9 MB and is
     kept, n = 150 is 2.2 MB and is not."""
     for n, kept in ((140, True), (150, False)):
-        M = PMatrix(7, 0, np.zeros((n, n, 12), dtype=np.int64)).keep_values()
+        M = PMatrix(7, 0, np.zeros((12, n, n), dtype=np.int64)).keep_values()
         assert (M._kept is not None) == kept
 
 
@@ -499,6 +500,57 @@ def test_reduce_is_the_entrywise_residue_map(p, data):
     for q in (residue_primes(p, 2)[1], big_q):
         r = ResidueSpec.for_primes(p, q)
         assert M.reduce(r) == tuple(tuple(r.reduce(x) for x in row) for row in M.entries)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((5, 7)), st.data())
+def test_tensor_methods_equal_their_entry_by_entry_forms(p, data):
+    """scale (one product by a diagonal), diagonal and identity (written
+    onto the tensor) and proj_equal (pivots read from the tensor) against
+    entry-by-entry CycElem arithmetic, on n x n and one-column matrices
+    with denominators up to p^3 and numerators past 2^62."""
+    deg, n = ring(p).degree, data.draw(st.integers(1, 3))
+    big = CycElem.make(p, [2**62 + 1] + [0] * (deg - 2) + [-(2**70)], 1)
+    M = data.draw(matrices(p, n))
+    if data.draw(st.booleans()):
+        M = PMatrix.from_rows(p, [[big, *M.entries[0][1:]], *M.entries[1:]])
+    if data.draw(st.booleans()):
+        M = column(M, data.draw(st.integers(0, n - 1)))
+    k = data.draw(st.integers(0, 4 * p - 1))
+    zeta_over_p2 = CycElem.make(p, [0, 1] + [0] * (deg - 2), 2)
+    scalars = [CycElem.zero(p), CycElem.root_power(p, k), CycElem.from_int(p, 2), zeta_over_p2, big]
+    for c in scalars:
+        assert M.scale(c).equal_exact(scale_entrywise(M, c))
+
+    xs = data.draw(st.lists(elements(p), min_size=1, max_size=4)) + [big]
+    zero = CycElem.zero(p)
+    rows = [[x if i == j else zero for j in range(len(xs))] for i, x in enumerate(xs)]
+    assert PMatrix.diagonal(p, xs).equal_exact(PMatrix.from_rows(p, rows))
+    one = CycElem.one(p)
+    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    assert PMatrix.identity(p, n).equal_exact(PMatrix.from_rows(p, rows))
+
+    entries = [list(row) for row in M.entries]
+    nonzero = [(i, j) for i, row in enumerate(entries) for j, x in enumerate(row) if not x.is_zero()]
+    for c in scalars[1:]:
+        assert scale_entrywise(M, c).proj_equal(M) and M.proj_equal(scale_entrywise(M, c))
+    if len(nonzero) >= 2:  # one entry doubled: the others pin the scalar at 1
+        i, j = nonzero[-1]
+        changed = [row[:] for row in entries]
+        changed[i][j] = changed[i][j] * CycElem.from_int(p, 2)
+        changed = PMatrix.from_rows(p, changed)
+        assert not changed.proj_equal(M) and not scale_entrywise(changed, big).proj_equal(M)
+    if nonzero:  # one entry zeroed, and one zero entry filled when there is one
+        i, j = nonzero[0]
+        changed = [row[:] for row in entries]
+        changed[i][j] = zero
+        assert not PMatrix.from_rows(p, changed).proj_equal(M)
+        holes = [(i, j) for i, row in enumerate(entries) for j, x in enumerate(row) if x.is_zero()]
+        if holes:
+            i, j = holes[0]
+            changed = [row[:] for row in entries]
+            changed[i][j] = one
+            assert not M.proj_equal(PMatrix.from_rows(p, changed))
 
 
 def test_trace_sums_the_diagonal():
