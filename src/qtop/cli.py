@@ -366,7 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     dw = invsub.add_parser("dw", help="Dijkgraaf-Witten invariant")
     dw.add_argument("--desc", required=True)
     dw.add_argument("--group", required=True, help="builtin (Z2, Z3, S3, Q8, Z/n) or @table.csv")
-    dw.add_argument("--budget", type=int, default=2_000_000)
+    dw.add_argument(
+        "--budget", type=int, default=2_000_000,
+        help="the most states Hom(pi1 Sigma_2, G) of a genus-2 gluing or mapping torus, "
+        "and the most search nodes of any other description",
+    )
     dw.set_defaults(func=_cmd_invariant_dw, name="invariant dw")
 
     hom = sub.add_parser("homology", help="first homology from a presentation")

@@ -56,19 +56,20 @@ def split_p_part(n: int, p: int) -> tuple[int, int]:
     return k, n
 
 
-def power(x, n: int):
-    """x^n for n >= 1 and any associative *, by square-and-multiply from
-    the low bit: no product by an identity, no squaring after the top bit."""
+def power(x, n: int, mul=operator.mul):
+    """x^n for n >= 1 and any associative product mul (default *), by
+    square-and-multiply from the low bit: no product by an identity, no
+    squaring after the top bit."""
     if n < 1:
         raise ValueError(f"power needs n >= 1, got {n}")
     result = None
     while True:
         if n & 1:
-            result = x if result is None else result * x
+            result = x if result is None else mul(result, x)
         n >>= 1
         if not n:
             return result
-        x = x * x
+        x = mul(x, x)
 
 
 def is_prime(n: int) -> bool:

@@ -91,6 +91,17 @@ def product_spread(p: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _conjugation(p: int) -> tuple[np.ndarray, int]:
+    """(C, spread): C[c, k] = [x^c] (x^(4p - k) mod Phi_4p), so C num is
+    the numerator tensor of the conjugates, and spread = max_c sum_k
+    |C[c, k]|."""
+    spec = ring(p)
+    C = np.array([spec.monomial[-k % spec.m] for k in range(spec.degree)], dtype=np.int64).T
+    C.setflags(write=False)
+    return C, int(np.abs(C).sum(axis=1).max())
+
+
+@lru_cache(maxsize=None)
 def moduli(p: int, width: int, k: int) -> tuple[int, ...]:
     """The k largest primes q = 1 mod 4p with width (q - 1)^2 < 2^53,
     descending.  Every sum of `width` products of residues mod q is then
@@ -360,8 +371,15 @@ class PMatrix:
         return CycElem.make(self.p, [sum(c) for c in diagonal], self.e)
 
     def conj_transpose(self) -> "PMatrix":
-        rows = [[x.conjugate() for x in col] for col in zip(*self.entries)]
-        return PMatrix.from_rows(self.p, rows)
+        """The conjugate transpose: conjugation zeta -> zeta^-1 is one
+        integer matrix C on the coefficient axis, then the last two axes
+        swap.  Each output coefficient sums at most `spread` of the input
+        ones, which decides whether int64 holds it."""
+        C, spread = _conjugation(self.p)
+        num = self.num
+        if num.dtype != object and self.bounds[0] * spread >= _INT64_BOUND:
+            num = num.astype(object)
+        return PMatrix(self.p, self.e, np.tensordot(C, num, axes=1).transpose(0, 2, 1))
 
     def equal_exact(self, other: "PMatrix") -> bool:
         return (self.p, self.e) == (other.p, other.e) and np.array_equal(self.num, other.num)

@@ -48,3 +48,9 @@ def exponent_sums(word) -> dict[str, int]:
 def scale_entrywise(M: PMatrix, c: CycElem) -> PMatrix:
     """c M, one CycElem product per entry: the oracle for PMatrix.scale."""
     return PMatrix.from_rows(M.p, [[c * x for x in row] for row in M.entries])
+
+
+def conj_transpose_entrywise(M: PMatrix) -> PMatrix:
+    """The conjugate transpose, one CycElem.conjugate per entry: the oracle
+    for PMatrix.conj_transpose."""
+    return PMatrix.from_rows(M.p, [[x.conjugate() for x in col] for col in zip(*M.entries)])

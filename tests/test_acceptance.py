@@ -14,7 +14,7 @@ from qtop.cyclotomic import CycElem, ResidueSpec, elem_A, elem_u, eta
 from qtop.groups import builtin_group
 from qtop.manifolds import (
     BoundedHeegaard,
-    DwTorusTheory,
+    DwTheory,
     HeegaardGluing,
     LensSurgery,
     MappingTorus,
@@ -143,11 +143,11 @@ def test_criterion_06_tn_kernel_lemma():
     ok = True
     for name in ("Z2", "Z3", "S3", "Q8"):
         G = builtin_group(name)
-        theory = DwTorusTheory(G)
-        ident = tuple(range(theory.dim()))
+        theory = DwTheory(G, 1)
+        ident = list(range(theory.dim()))
         n = G.exponent
-        ok &= theory.permutation(letter(1, "a", n)) == ident
-        ok &= theory.permutation(letter(1, "b", n)) == ident
+        ok &= theory.permutation(letter(1, "a", n)).tolist() == ident
+        ok &= theory.permutation(letter(1, "b", n)).tolist() == ident
     c.finish(ok)
 
 

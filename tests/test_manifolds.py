@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +19,7 @@ from qtop.manifolds import (
     ConnectedSum,
     DescError,
     Double,
-    DwTorusTheory,
+    DwTheory,
     GroupPresentation,
     HeegaardGluing,
     LensSurgery,
@@ -422,7 +424,7 @@ def test_dw_lens_surgery_matches_heegaard_word():
 
 class LoopTorusTheory:
     """The genus-1 Dijkgraaf-Witten theory element by element: the oracle
-    for the whole-array DwTorusTheory."""
+    for the whole-array DwTheory(G, 1)."""
 
     def __init__(self, G):
         self.G = G
@@ -470,13 +472,13 @@ ORACLE_GROUPS = GROUPS + [
 
 @pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda G: G.name)
 def test_dw_torus_theory_equals_the_element_loop(G):
-    oracle, theory = LoopTorusTheory(G), DwTorusTheory(G)
-    assert [divmod(int(k), G.order) for k in theory.classes] == oracle.classes
+    oracle, theory = LoopTorusTheory(G), DwTheory(G, 1)
+    assert [divmod(int(k), G.order) for k in theory.states] == oracle.classes
     words = [random_word(1, 8, seed) for seed in range(20)]
     words.append(parse_word(1, "a^1000003 * b^-77"))
     for w in words:
         perm = oracle.permutation(w)
-        assert theory.permutation(w) == perm
+        assert theory.permutation(w).tolist() == list(perm)
         assert theory.trace(w) == sum(i == j for i, j in enumerate(perm))
         assert theory.pairing_invariant(w) == oracle.pairing(w)
 
@@ -485,7 +487,7 @@ def test_dw_three_torus():
     t3 = MappingTorus(1, empty_word(1))
     G = builtin_group("Z2")
     assert dw_invariant(t3, G) == 4
-    theory = DwTorusTheory(G)
+    theory = DwTheory(G, 1)
     assert theory.trace(empty_word(1)) == theory.dim() == 4
 
 
@@ -500,15 +502,117 @@ def test_dw_connected_sum_identity():
 def test_tn_kernel_lemma_genus1():
     # t^n acts as the identity permutation once n is a multiple of e(G)
     for G in GROUPS:
-        theory = DwTorusTheory(G)
+        theory = DwTheory(G, 1)
         n = G.exponent
-        ident = tuple(range(theory.dim()))
+        ident = list(range(theory.dim()))
         for c in ("a", "b"):
             for k in (1, 2):
-                assert theory.permutation(letter(1, c, n * k)) == ident
+                assert theory.permutation(letter(1, c, n * k)).tolist() == ident
         # and a smaller power is generically nontrivial
-    theory = DwTorusTheory(builtin_group("Z3"))
-    assert theory.permutation(letter(1, "a", 1)) != tuple(range(theory.dim()))
+    theory = DwTheory(builtin_group("Z3"), 1)
+    assert theory.permutation(letter(1, "a", 1)).tolist() != list(range(theory.dim()))
+
+
+A4 = ORACLE_GROUPS[-1]
+GENUS2_GROUPS = [builtin_group(f"Z/{n}") for n in (2, 3, 4, 5, 6, 12)] + [
+    builtin_group("S3"),
+    builtin_group("Q8"),
+    A4,
+]
+# the degrees of the irreducible characters, for Mednykh's formula
+CHARACTER_DEGREES = {"S3": (1, 1, 2), "Q8": (1, 1, 1, 1, 2), "A4": (1, 1, 1, 3)}
+
+
+def genus2_words(count: int, seed: int):
+    """Words of 0 to 12 letters over the genus-2 catalogue, with exponents
+    from -3 to 3."""
+    rng = random.Random(seed)
+    curves = ("c1", "c2", "c3", "c4", "c5", "s")
+    return [
+        word_product(2, [letter(2, rng.choice(curves), rng.choice((-3, -2, -1, 1, 2, 3)))
+                         for _ in range(rng.randint(0, 12))])
+        for _ in range(count)
+    ]
+
+
+def hom_count_value(desc, G) -> Fraction:
+    return Fraction(hom_count(presentation(desc), G, budget=10**9), G.order)
+
+
+@pytest.mark.parametrize("G", GENUS2_GROUPS, ids=lambda G: G.name)
+def test_dw_genus2_theory_equals_the_homomorphism_count(G):
+    theory = DwTheory(G, 2)
+    words = [parse_word(2, w) for w in MAPPING_TORUS_PINS] + genus2_words(8, G.order)
+    words += [random_word(2, 12, seed) for seed in range(4)]
+    for w in words:
+        for desc in (HeegaardGluing(2, w), MappingTorus(2, w)):
+            want = hom_count_value(desc, G)
+            value = theory.trace(w) if isinstance(desc, MappingTorus) else theory.pairing_invariant(w)
+            assert value == want, desc
+            assert dw_invariant(desc, G) == want, desc
+
+
+@pytest.mark.parametrize("G", GENUS2_GROUPS, ids=lambda G: G.name)
+def test_dw_genus2_states_are_the_homomorphisms_mednykh_counts(G):
+    """|Hom(pi1 Sigma_2, G)| = |G|^3 sum_chi chi(1)^-2 (Mednykh, 1978):
+    486 for S3, 2 176 for Q8, 5 376 for A4 and n^4 for Z/n; the keys are
+    sorted and every state satisfies [a1,b1][a2,b2] = 1."""
+    theory, n = DwTheory(G, 2), G.order
+    degrees = CHARACTER_DEGREES.get(G.name, (1,) * n)
+    assert theory.dim() == n**3 * sum(Fraction(1, d * d) for d in degrees)
+    assert {"S3": 486, "Q8": 2176, "A4": 5376}.get(G.name, n**4) == theory.dim()
+    assert (np.diff(theory.states.astype(np.int64)) > 0).all()
+    a1, b1, a2, b2 = theory.values.astype(np.intp)
+    T, inv = G.table, G.inverse
+    c1 = T[T[T[a1, b1], inv[a1]], inv[b1]]
+    c2 = T[T[T[a2, b2], inv[a2]], inv[b2]]
+    assert (T[c1, c2] == G.identity).all()
+    assert theory.states.tolist() == (((a1 * n + b1) * n + a2) * n + b2).tolist()
+
+
+def test_dw_genus2_budget_refuses_before_allocating():
+    for G in (builtin_group("S3"), builtin_group("Q8"), A4):
+        states = DwTheory(G, 2).dim()
+        assert DwTheory(G, 2, budget=states).dim() == states
+        with pytest.raises(BudgetExceededError):
+            DwTheory(G, 2, budget=states - 1)
+        with pytest.raises(BudgetExceededError):
+            dw_invariant(MappingTorus(2, empty_word(2)), G, budget=states - 1)
+    # 2 560 000 states of Z/40: refused with far less than one byte per state allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            DwTheory(builtin_group("Z/40"), 2, budget=40**4 - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40**4 // 10
+
+
+@pytest.mark.parametrize("name", ("S3", "Q8", "Z/12", "A4"))
+def test_dw_genus2_exponents_act_mod_the_group_exponent(name):
+    G = A4 if name == "A4" else builtin_group(name)
+    e = G.exponent
+    for k in (10**12, 10**12 + 1, -(10**12) - 1, 7 * e, e + 2):
+        for rest in ("c3", "c2^-1*s*c5"):
+            full = parse_word(2, f"c1^{k}*{rest}")
+            reduced = parse_word(2, f"c1^{k % e}*{rest}" if k % e else rest)
+            for cls in (HeegaardGluing, MappingTorus):
+                assert dw_invariant(cls(2, full), G) == hom_count_value(cls(2, reduced), G)
+
+
+def test_dw_genus2_huge_exponent_values():
+    S3_group = builtin_group("S3")
+    gluing = parse_desc("heegaard:2:c1^1000000000000*c3")
+    assert dw_invariant(gluing, S3_group) == Fraction(2, 3)
+    assert dw_invariant(gluing, S3_group) == hom_count_value(parse_desc("heegaard:2:c1^4*c3"), S3_group)
+    torus = parse_desc("mtorus:2:c1^1000000000000*c3")
+    assert dw_invariant(torus, S3_group) == hom_count_value(parse_desc("mtorus:2:c1^4*c3"), S3_group)
+
+
+def test_dw_theory_genus_is_one_or_two():
+    with pytest.raises(DescError):
+        DwTheory(builtin_group("Z2"), 3)
 
 
 def test_dw_closed_only():

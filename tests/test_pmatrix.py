@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from oracles import scale_entrywise
+from oracles import conj_transpose_entrywise, scale_entrywise
 
 from qtop import manifolds, pmatrix
 from qtop.cyclotomic import CycElem, ResidueSpec, RingUsageError, residue_primes, ring
@@ -506,7 +506,8 @@ def test_reduce_is_the_entrywise_residue_map(p, data):
 @given(st.sampled_from((5, 7)), st.data())
 def test_tensor_methods_equal_their_entry_by_entry_forms(p, data):
     """scale (one product by a diagonal), diagonal and identity (written
-    onto the tensor) and proj_equal (pivots read from the tensor) against
+    onto the tensor), proj_equal (pivots read from the tensor) and
+    conj_transpose (one integer matrix on the coefficient axis) against
     entry-by-entry CycElem arithmetic, on n x n and one-column matrices
     with denominators up to p^3 and numerators past 2^62."""
     deg, n = ring(p).degree, data.draw(st.integers(1, 3))
@@ -521,6 +522,11 @@ def test_tensor_methods_equal_their_entry_by_entry_forms(p, data):
     scalars = [CycElem.zero(p), CycElem.root_power(p, k), CycElem.from_int(p, 2), zeta_over_p2, big]
     for c in scalars:
         assert M.scale(c).equal_exact(scale_entrywise(M, c))
+
+    # int64 numerators of 2^61, whose conjugates outgrow int64
+    near = PMatrix.from_rows(p, [[CycElem.make(p, [2**61] * deg)]])
+    for A in (M, near):
+        assert A.conj_transpose().equal_exact(conj_transpose_entrywise(A))
 
     xs = data.draw(st.lists(elements(p), min_size=1, max_size=4)) + [big]
     zero = CycElem.zero(p)
