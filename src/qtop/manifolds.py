@@ -12,12 +12,13 @@ A ManifoldDesc is one of
                                   the right handle (then both handles) are
                                   compressed for boundary genus 1 (then 0)
 
-Every variant has a derivable fundamental-group presentation; closed
+Every variant has a derivable fundamental-group presentation, built at
+genus 1 and 2 alike from mcg.pi1_action and mcg.SURFACES; closed
 variants have Dijkgraaf-Witten invariants (homomorphisms counted on the
-presentation, or for genus-2 gluings and mapping tori on the states of
-DwTheory; two independent ways at genus 1) and SO(3) quantum invariants
-(defined up to a declared anomaly phase, a power of the Gauss-sum unit
-kappa).  A compression piece has a boundary vector, the coordinates of
+presentation, or for genus-2 gluings and mapping tori on the states
+Hom(pi1 Sigma_2, G) of DwTheory; two independent ways at genus 1, where
+DwTheory(G, 1) is the second) and SO(3) quantum invariants (defined up
+to a declared anomaly phase, a power of the Gauss-sum unit kappa).  A compression piece has a boundary vector, the coordinates of
 rho(word) e_vac that the compression keeps (surviving_indices), which
 compressed_walks reads mod J along batches of regluing walks; a double's
 invariant is its half's vector's Hermitian norm.
@@ -26,7 +27,7 @@ invariant is its half's vector's Hermitian norm.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,16 +37,15 @@ from . import linalg
 from .cyclotomic import CycElem, eta, eta_inv, power
 from .groups import FiniteGroupTable
 from .mcg import (
+    SURFACES,
     TwistWord,
     _twist_auto,
     empty_word,
     free_inverse,
     free_reduce,
-    h1_action,
     letter,
     parse_word,
     pi1_action,
-    SURFACE_RELATOR,
 )
 from .pmatrix import scalar_ring
 from .rep import genus2_basis, rho, rho_apply, vacuum_index, vacuum_vector
@@ -322,41 +322,30 @@ def desc_from_json(doc: dict) -> ManifoldDesc:
 # -- fundamental groups ------------------------------------------------------
 
 
-def _rewrite_to_cores(word) -> tuple[int, ...]:
-    """Image of a surface-group word in pi1(handlebody): kill b_i, a_i -> x_i."""
-    core = {1: 1, -1: -1, 3: 2, -3: -2}
-    return free_reduce(tuple(core[x] for x in word if x in core))
+def _rewrite_to_cores(word, meridians) -> tuple[int, ...]:
+    """Image of a surface-group word in pi1(handlebody): kill the meridians,
+    and number the other generators, the cores, from 1."""
+    cores = [g for g in range(1, 2 * len(meridians) + 1) if g not in meridians]
+    core = {g: i for i, g in enumerate(cores, 1)}
+    return free_reduce(tuple(core[x] if x > 0 else -core[-x] for x in word if abs(x) in core))
 
 
 def presentation(desc: ManifoldDesc) -> GroupPresentation:
     if isinstance(desc, LensSurgery):
         return GroupPresentation(1, ((1,) * abs(desc.b),) if desc.b else ((),))
     if isinstance(desc, HeegaardGluing):
-        if desc.genus == 1:
-            W = h1_action(desc.word)
-            k = abs(W[1][0])
-            return GroupPresentation(1, ((1,) * k if k else (),))
+        # the inner handlebody kills the meridians' images
+        meridians = SURFACES[desc.genus][1]
         phi = pi1_action(desc.word)
-        return GroupPresentation(2, tuple(_rewrite_to_cores(phi[m]) for m in (2, 4)))
+        rels = tuple(_rewrite_to_cores(phi[m], meridians) for m in meridians)
+        return GroupPresentation(desc.genus, rels)
     if isinstance(desc, MappingTorus):
-        if desc.genus == 1:
-            W = h1_action(desc.word)
-            # <x, y, t | [x,y], t x t^-1 = phi(x), t y t^-1 = phi(y)>
-            x, y, t = 1, 2, 3
-            rels = [(x, y, -x, -y)]
-            images = [
-                _gen_power(x, W[0][0]) + _gen_power(y, W[1][0]),
-                _gen_power(x, W[0][1]) + _gen_power(y, W[1][1]),
-            ]
-            for g, img in zip((x, y), images):
-                rels.append(free_reduce((t, g, -t) + free_inverse(img)))
-            return GroupPresentation(3, tuple(rels))
+        # <surface generators, t | surface relator, t g t^-1 = phi(g)>
         phi = pi1_action(desc.word)
-        t = 5
-        rels = [SURFACE_RELATOR]
-        for g in (1, 2, 3, 4):
-            rels.append(free_reduce((t, g, -t) + free_inverse(phi[g])))
-        return GroupPresentation(5, tuple(rels))
+        t = len(phi) + 1
+        rels = [SURFACES[desc.genus][0]]
+        rels += [free_reduce((t, g, -t) + free_inverse(w)) for g, w in phi.items()]
+        return GroupPresentation(t, tuple(rels))
     if isinstance(desc, ConnectedSum):
         lp = presentation(desc.left)
         rp = presentation(desc.right)
@@ -367,10 +356,6 @@ def presentation(desc: ManifoldDesc) -> GroupPresentation:
     if isinstance(desc, Double):
         return _double_presentation(desc.half)
     raise DescError(f"no presentation for {desc!r}")
-
-
-def _gen_power(g: int, k: int) -> tuple[int, ...]:
-    return (g,) * k if k >= 0 else (-g,) * (-k)
 
 
 def _shifted(relators, n: int) -> tuple[tuple[int, ...], ...]:
@@ -385,8 +370,9 @@ def _bounded_presentation(desc: BoundedHeegaard) -> GroupPresentation:
     body kills its own compressed meridians (b2, plus b1 when the boundary
     is a sphere).  Generators a1, b1, a2, b2 -> 1..4.
     """
+    relator, meridians = SURFACES[2]
     phi = pi1_action(desc.word)
-    rels = [SURFACE_RELATOR, phi[2], phi[4]]
+    rels = [relator, *(phi[m] for m in meridians)]
     rels.append((4,))
     if desc.boundary_genus == 0:
         rels.append((2,))
@@ -425,6 +411,9 @@ def homology_h1(pres: GroupPresentation) -> tuple[int, tuple[int, ...]]:
 
 
 def homology_of(desc: ManifoldDesc) -> tuple[int, tuple[int, ...]]:
+    if isinstance(desc, LensSurgery):  # Z/|b|, without spelling x^b out
+        b = abs(desc.b)
+        return (0, (b,) if b > 1 else ()) if b else (1, ())
     return homology_h1(presentation(desc))
 
 
@@ -568,13 +557,30 @@ def dw_invariant(desc: ManifoldDesc, G: FiniteGroupTable, budget: int = 2_000_00
 
     Genus-2 gluings and mapping tori are a pairing and a trace of
     DwTheory(G, 2), under a budget of states; every other description is
-    hom_count on its presentation, under a budget of search nodes.
+    hom_count on the presentation of _mod_exponent(desc, e(G)), under a
+    budget of search nodes.
     """
     if not is_closed(desc):
         raise DescError("Dijkgraaf-Witten invariant requires a closed manifold")
     if isinstance(desc, (HeegaardGluing, MappingTorus)) and desc.genus == 2:
         return _tqft_value(_dw_theory(G, 2, budget), desc)
-    return Fraction(hom_count(presentation(desc), G, budget), G.order)
+    return Fraction(hom_count(presentation(_mod_exponent(desc, G.exponent)), G, budget), G.order)
+
+
+def _mod_exponent(desc: ManifoldDesc, e: int) -> ManifoldDesc:
+    """desc with every twist exponent and lens coefficient reduced mod e,
+    and the letters that reduce to 0 dropped.  Every rho from a free group
+    into a group of exponent e has rho . t_c^k = rho . t_c^(k mod e), as
+    t_c^k(g) = L^k g R^k, so each relator takes the same value under every
+    assignment."""
+    if isinstance(desc, LensSurgery):
+        return LensSurgery(desc.b % e)
+    if isinstance(desc, ConnectedSum):
+        return ConnectedSum(_mod_exponent(desc.left, e), _mod_exponent(desc.right, e))
+    if isinstance(desc, Double):
+        return Double(_mod_exponent(desc.half, e))
+    letters = tuple((c, k % e) for c, k in desc.word.letters if k % e)
+    return replace(desc, word=TwistWord(desc.genus, letters))
 
 
 # -- Dijkgraaf-Witten TQFT: states, and mapping classes as index maps ----------
@@ -583,87 +589,65 @@ def dw_invariant(desc: ManifoldDesc, G: FiniteGroupTable, budget: int = 2_000_00
 class DwTheory:
     """The Dijkgraaf-Witten theory of G on the closed surface of genus 1 or
     2 (Dijkgraaf and Witten, CMP 1990; Freed and Quinn, CMP 1993).  Its
-    states are sorted integer keys; a word acts on them by an index map,
-    state i going to state permutation(word)[i], and a mapping torus is a
-    trace, a Heegaard gluing a pairing of handlebody states.
+    states are Hom(pi1 Sigma_g, G), the tuples (a1, b1[, a2, b2]) with
+    [a1,b1][a2,b2] = 1 (with [a1,b1] = 1 at genus 1), keyed
+    (..(a1|G| + b1)|G| ..)|G| + b_g in the smallest unsigned dtype and
+    sorted, with their generator values (values[g], one row per
+    generator).  A word acts on them by an index map, state i going to
+    state permutation(word)[i], and a mapping torus is a trace, a Heegaard
+    gluing a pairing of handlebody states.
 
-    Genus 1: the states are the commuting pairs mod conjugation.  A pair
-    (x, y) is keyed x*|G| + y, and a class is its least key, so the classes
-    are sorted as the pairs they stand for.  A word acts through its SL2(Z)
-    image.
-
-    Genus 2: the states are Hom(pi1 Sigma_2, G), the tuples (a1, b1, a2,
-    b2) with [a1,b1][a2,b2] = 1, keyed ((a1|G| + b1)|G| + a2)|G| + b2 in
-    the smallest unsigned dtype, with their generator values (values[g],
-    one row per generator).  A letter t_c^{+-1} sends rho to rho . t_c^{+-1}:
-    its index map evaluates the images mcg._twist_auto(c, +-1) on the
-    states' values by table gathers and locates the image keys with
-    np.searchsorted.  The map t_c^k is that of t_c^{+-1} raised to |k| by
-    square-and-multiply, so no image word spells out a power, and every
-    letter's map is cached, as int32 while the states fit.  A budget
-    bounds the number of states, which is counted before anything of that
-    size is allocated; it is 486 for S3, 2 176 for Q8, 5 376 for A4 and
-    n^4 for Z/n, as Mednykh's formula |G|^3 sum_chi chi(1)^-2 gives.
+    A letter t_c^{+-1} sends rho to rho . t_c^{+-1}: its index map
+    evaluates the images mcg._twist_auto(c, +-1) on the states' values by
+    table gathers and locates the image keys with np.searchsorted.  The
+    map t_c^k is that of t_c^{+-1} raised to |k| by square-and-multiply,
+    so no image word spells out a power, and every letter's map is cached,
+    as int32 while the states fit.  A budget bounds the number of states,
+    which is counted before anything of that size is allocated; Mednykh's
+    formula |G|^(2g-1) sum_chi chi(1)^(2-2g) gives |G| k(G) at genus 1
+    (k(G) the classes), and 486 for S3, 2 176 for Q8, 5 376 for A4 and
+    n^4 for Z/n at genus 2.
     """
 
     def __init__(self, G: FiniteGroupTable, genus: int, budget: int | None = None):
-        if genus not in (1, 2):
+        """The states, written in key order one value of b_g at a time: each
+        head (a1, .., a_g), the first 2g - 1 values, takes the b_g with
+        [a_g, b_g] = [a1, b1]^-1 at genus 2, = 1 at genus 1, and its states
+        sit in one run of the sorted keys, from the head's offset up, as
+        many as it has such b_g."""
+        if genus not in SURFACES:
             raise DescError(f"Dijkgraaf-Witten states are built for genus 1 and 2, not {genus}")
         self.G, self.genus = G, genus
-        if genus == 1:
-            self._genus1_states()
-        else:
-            self._genus2_states(budget)
-
-    def _genus1_states(self) -> None:
-        G = self.G
-        T, n = G.table, G.order
-        x, y = np.nonzero(T == T.T)  # the commuting pairs
-        key = x * n + y
-        for g in range(n):  # a running minimum keeps memory O(|G|^2)
-            conj = T[T[g], G.inverse[g]]  # a -> g a g^-1
-            np.minimum(key, conj[x] * n + conj[y], out=key)
-        self.states, index = np.unique(key, return_inverse=True)
-        self.class_of = np.full(n * n, -1)  # pair key -> class index
-        self.class_of[x * n + y] = index
-        self.powers = np.empty((G.exponent, n), dtype=np.intp)  # [k, a] = a^k
-        self.powers[0] = G.identity
-        for k in range(1, G.exponent):
-            self.powers[k] = T[self.powers[k - 1], np.arange(n)]
-
-    def _genus2_states(self, budget: int | None) -> None:
-        """The states, written in key order one value of b2 at a time: each
-        triple (a1, b1, a2) takes the b2 with [a2, b2] = [a1, b1]^-1, and
-        its states sit in one run of the sorted keys, from the triple's
-        offset up, as many as it has such b2."""
-        G = self.G
         n, T, inv = G.order, G.table, G.inverse
         comm = T[T[T, inv[:, None]], inv[None, :]]  # [a, b] = a b a^-1 b^-1
+        # [a1, b1] of the handles before the last, keyed a1|G| + b1: every
+        # pair at genus 2, and at genus 1 the key 0 alone, whose [x, x] is 1
+        before = comm.ravel()[: n ** (2 * genus - 2)]
         per_value = np.bincount(comm.ravel(), minlength=n)
-        count = int(per_value @ per_value[inv])  # pairs of commutators with product 1
+        count = int(np.bincount(before, minlength=n) @ per_value[inv])
         if budget is not None and count > budget:
-            raise BudgetExceededError(f"{count} genus-2 states exceed the budget of {budget}")
+            raise BudgetExceededError(f"{count} genus-{genus} states exceed the budget of {budget}")
         self._vdtype = np.min_scalar_type(n - 1)
-        self._kdtype = np.min_scalar_type(n**4 - 1)
+        self._kdtype = np.min_scalar_type(n ** (2 * genus) - 1)
         self._idtype = np.int32 if count < 2**31 else np.intp
         self._table, self._inverse = T.astype(self._vdtype), inv.astype(self._vdtype)
-        triple = np.arange(n**3)
-        a1b1, a2 = np.divmod(triple, n)
-        want = inv[comm.ravel()[a1b1]]  # the commutator [a2, b2] must take
-        # the number of b2 with [a2, b2] = want, per triple, gives its offset
+        prefix, last = np.divmod(np.arange(n ** (2 * genus - 1)), n)
+        want = inv[before[prefix]]  # the commutator [a_g, b_g] must take
+        # the number of b_g with [a_g, b_g] = want, per head, gives its offset
         solutions = np.bincount((np.arange(n)[:, None] * n + comm).ravel(), minlength=n * n)
-        at = np.cumsum(solutions[a2 * n + want]) - solutions[a2 * n + want]
-        fields = np.array(np.divmod(a1b1, n) + (a2,), dtype=self._vdtype)
-        self.values = np.empty((4, count), dtype=self._vdtype)
-        for b2 in range(n):
-            hit = np.flatnonzero(comm[a2, b2] == want)
-            self.values[:3, at[hit]] = fields[:, hit]
-            self.values[3, at[hit]] = b2
+        at = np.cumsum(solutions[last * n + want]) - solutions[last * n + want]
+        shape = (n,) * (2 * genus - 1)
+        heads = np.array(np.unravel_index(np.arange(len(last)), shape), dtype=self._vdtype)
+        self.values = np.empty((2 * genus, count), dtype=self._vdtype)
+        for b in range(n):
+            hit = np.flatnonzero(comm[last, b] == want)
+            self.values[:-1, at[hit]] = heads[:, hit]
+            self.values[-1, at[hit]] = b
             at[hit] += 1
         self.states = self._keys(self.values)
-        self._handlebody = np.flatnonzero(
-            (self.values[1] == G.identity) & (self.values[3] == G.identity)
-        ).astype(self._idtype)
+        self._meridians = np.array(SURFACES[genus][1])[:, None] - 1  # broadcast over rows
+        handlebody = self._in_handlebody(np.arange(count))
+        self._handlebody = np.flatnonzero(handlebody).astype(self._idtype)
         # each inner automorphism a -> t a t^-1 once: t the least of its coset t Z(G)
         centre = np.flatnonzero((T == T.T).all(axis=1))
         reps = np.flatnonzero(T[:, centre].min(axis=1) == np.arange(n))
@@ -678,7 +662,7 @@ class DwTheory:
         return key
 
     def _value(self, word) -> np.ndarray:
-        """The states' values of a word in the generators 1..4 (signed)."""
+        """The states' values of a word in the generators 1..2g (signed)."""
         acc = None
         for x in word:
             v = self.values[abs(x) - 1]
@@ -686,12 +670,16 @@ class DwTheory:
             acc = v if acc is None else self._table[acc, v]
         return acc
 
+    def _in_handlebody(self, rows) -> np.ndarray:
+        """Whether the states `rows` send every meridian to 1."""
+        return (self.values[self._meridians, rows] == self.G.identity).all(axis=0)
+
     def _letter(self, curve: str, k: int) -> np.ndarray:
-        """The cached index map of t_curve^k on the genus-2 states."""
+        """The cached index map of t_curve^k on the states."""
         if (curve, k) not in self._maps:
             if abs(k) == 1:
                 image = _twist_auto(curve, k)
-                keys = self._keys([self._value(image[g]) for g in (1, 2, 3, 4)])
+                keys = self._keys([self._value(w) for w in image.values()])
                 out = np.searchsorted(self.states, keys).astype(self._idtype)
             else:
                 out = power(self._letter(curve, 1 if k > 0 else -1), abs(k), np.take)
@@ -702,21 +690,10 @@ class DwTheory:
     def dim(self) -> int:
         return len(self.states)
 
-    def act(self, W, x, y):
-        """Action of an SL2(Z) matrix on commuting pairs: r -> r . phi, as
-        the pair keys (x^W00 y^W10, x^W01 y^W11)."""
-        T, P, e = self.G.table, self.powers, self.G.exponent
-        nx = T[P[W[0][0] % e, x], P[W[1][0] % e, y]]
-        ny = T[P[W[0][1] % e, x], P[W[1][1] % e, y]]
-        return nx * self.G.order + ny
-
     def permutation(self, word: TwistWord, rows=None) -> np.ndarray:
-        """Index map of the word on the states (on the states `rows` only,
-        at genus 2): the letters' maps composed left to right with np.take,
-        as pi1_action composes their automorphisms."""
-        if self.genus == 1:
-            x, y = np.divmod(self.states, self.G.order)
-            return self.class_of[self.act(h1_action(word), x, y)]
+        """Index map of the word on the states (on the states `rows` only):
+        the letters' maps composed left to right with np.take, as
+        pi1_action composes their automorphisms."""
         out = np.arange(self.dim(), dtype=self._idtype) if rows is None else rows
         for curve, k in word.letters:
             out = self._letter(curve, k).take(out)
@@ -724,28 +701,19 @@ class DwTheory:
 
     def trace(self, word: TwistWord) -> int:
         """|Hom(pi1 M_f, G)| / |G| for the mapping torus of f = word: the
-        classes the word fixes at genus 1.  At genus 2 it counts the pairs
-        (rho, t) with rho . f = c_t . rho, c_t the conjugation by t, once
-        per inner automorphism c_t: each stands for |Z(G)| elements t, and
-        |G| = |Z(G)| |Inn(G)|."""
-        perm = self.permutation(word)
-        if self.genus == 1:
-            return int(np.count_nonzero(perm == np.arange(self.dim())))
-        mapped = self.values[:, perm]
+        pairs (rho, t) with rho . f = c_t . rho, c_t the conjugation by t,
+        counted once per inner automorphism c_t: each stands for |Z(G)|
+        elements t, and |G| = |Z(G)| |Inn(G)|."""
+        mapped = self.values[:, self.permutation(word)]
         fixed = sum(np.count_nonzero((mapped == c[self.values]).all(axis=0)) for c in self._inner)
         return fixed // len(self._inner)
 
     def pairing_invariant(self, word: TwistWord) -> Fraction:
-        """<handlebody, rho(word) handlebody> with class-size weights: the
-        handlebody states (one generator per handle trivial) that the word
-        keeps handlebody states, over |G|."""
-        G = self.G
-        if self.genus == 1:
-            img = self.act(h1_action(word), G.identity, np.arange(G.order))
-            return Fraction(int(np.count_nonzero(img // G.order == G.identity)), G.order)
+        """<handlebody, rho(word) handlebody>: the handlebody states (every
+        meridian sent to 1) that the word keeps handlebody states, over
+        |G|."""
         rows = self.permutation(word, self._handlebody)
-        kept = (self.values[1, rows] == G.identity) & (self.values[3, rows] == G.identity)
-        return Fraction(int(np.count_nonzero(kept)), G.order)
+        return Fraction(int(np.count_nonzero(self._in_handlebody(rows))), self.G.order)
 
 
 # a process keeps the theories it built, each with its letters' index maps

@@ -16,13 +16,15 @@ genus 2:  Humphries chain c1, c2, c3, c4, c5 (consecutive curves meet
           dumbbell; c2 and c4 are the two handlebody meridians, s bounds
           the one-holed torus containing c1, c2.
 
-pi1(Sigma_2) = <a1 b1 a2 b2 | [a1,b1][a2,b2]>, a_i the cores, b_i the
-meridians.  Each twist is tabled as one (L, R) pair per generator g it
-moves, g -> L g R, where L and R are words in generators the twist
-fixes; its inverse is then g -> L^-1 g R^-1.  This action preserves the
-relator and satisfies the chain braid/commutation relations up to inner
-automorphisms; (t_c1 t_c2)^6 agrees with t_s up to inner, the chain
-relation of the one-holed torus.
+pi1(Sigma_g) = <a1 b1 .. ag bg | [a1,b1]..[ag,bg]> on generators 1..2g,
+for g = 1 and 2.  At genus 1, generator 1 (a) is the meridian and 2 (b)
+the core; at genus 2, a_i are the cores and b_i the meridians.  SURFACES
+gives each genus's relator and meridians.  Each twist is tabled as one (L, R) pair
+per generator g it moves, g -> L g R, where L and R are words in
+generators the twist fixes; its inverse is then g -> L^-1 g R^-1.  This
+action preserves the relator and satisfies the chain braid/commutation
+relations up to inner automorphisms; (t_c1 t_c2)^6 agrees with t_s up to
+inner, the chain relation of the one-holed torus.
 """
 
 from __future__ import annotations
@@ -270,12 +272,13 @@ def is_torelli(word: TwistWord) -> bool:
     )
 
 
-# -- action on the surface group (genus 2) --------------------------------
+# -- action on the surface group ---------------------------------------------
 #
-# free-group words over generators 1=a1, 2=b1, 3=a2, 4=b2 as tuples of
-# signed ints; the relator is [a1,b1][a2,b2].
+# free-group words over generators 1=a1, 2=b1, 3=a2, 4=b2 (1=a, 2=b at
+# genus 1) as tuples of signed ints
 
-SURFACE_RELATOR = (1, 2, -1, -2, 3, 4, -3, -4)
+# genus -> (relator [a1,b1]..[ag,bg], meridians)
+SURFACES = {1: ((1, 2, -1, -2), (1,)), 2: ((1, 2, -1, -2, 3, 4, -3, -4), (2, 4))}
 
 
 def free_reduce(w):
@@ -293,11 +296,14 @@ def free_inverse(w):
 
 
 _SIGMA = (1, 2, -1, -2)  # [a1, b1], the separating curve as a based loop
+_GENUS_OF = {curve: genus for genus, curves in GENUS_CURVES.items() for curve in curves}
 
 # Each twist sends a generator g it moves to L.g.R, stored as g: (L, R);
 # the generators not listed are fixed.  Invariant: L and R use only
 # generators the twist fixes, so the inverse twist is g -> L^-1.g.R^-1.
 _PI1_TWISTS = {
+    "a": {2: ((), (1,))},
+    "b": {1: ((), (-2,))},
     "c1": {2: ((), (1,))},
     "c2": {1: ((), (-2,))},
     "c3": {2: ((3, 1), ()), 4: ((1, 3), ())},
@@ -309,9 +315,10 @@ _PI1_TWISTS = {
 
 @lru_cache(maxsize=None)
 def _twist_auto(curve: str, exp: int) -> MappingProxyType:
-    """t_curve^exp on pi1(Sigma_2) as generator -> image word, read-only
-    because it is cached.  The twist fixes L and R, so t^k(g) = L^k.g.R^k."""
-    out = {g: (g,) for g in (1, 2, 3, 4)}
+    """t_curve^exp on the surface group of its genus as generator -> image
+    word, read-only because it is cached.  The twist fixes L and R, so
+    t^k(g) = L^k.g.R^k."""
+    out = {g: (g,) for g in range(1, 2 * _GENUS_OF[curve] + 1)}
     for g, (left, right) in _PI1_TWISTS[curve].items():
         if exp < 0:
             left, right = free_inverse(left), free_inverse(right)
@@ -321,7 +328,7 @@ def _twist_auto(curve: str, exp: int) -> MappingProxyType:
 
 def _compose_auto(phi, psi):
     """phi after psi."""
-    return {g: apply_auto(phi, psi[g]) for g in (1, 2, 3, 4)}
+    return {g: apply_auto(phi, w) for g, w in psi.items()}
 
 
 def apply_auto(phi, w):
@@ -333,10 +340,8 @@ def apply_auto(phi, w):
 
 
 def pi1_action(word: TwistWord) -> dict[int, tuple[int, ...]]:
-    """Automorphism of pi1(Sigma_2) induced by a genus-2 word."""
-    if word.genus != 2:
-        raise WordError("pi1_action is defined for genus-2 words")
-    out = {g: (g,) for g in (1, 2, 3, 4)}
+    """Automorphism of pi1(Sigma_g) induced by a genus-g word."""
+    out = {g: (g,) for g in range(1, 2 * word.genus + 1)}
     for curve, exp in word.letters:
         out = _compose_auto(out, _twist_auto(curve, exp))
     return out

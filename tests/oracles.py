@@ -5,7 +5,8 @@ from functools import lru_cache
 from sympy import Poly, cyclotomic_poly, resultant, symbols
 
 from qtop.cyclotomic import CycElem, split_p_part
-from qtop.mcg import GENUS_CURVES
+from qtop.manifolds import GroupPresentation, HeegaardGluing
+from qtop.mcg import GENUS_CURVES, free_inverse, free_reduce, h1_action
 from qtop.pmatrix import PMatrix
 
 _T = symbols("t")
@@ -54,3 +55,27 @@ def conj_transpose_entrywise(M: PMatrix) -> PMatrix:
     """The conjugate transpose, one CycElem.conjugate per entry: the oracle
     for PMatrix.conj_transpose."""
     return PMatrix.from_rows(M.p, [[x.conjugate() for x in col] for col in zip(*M.entries)])
+
+
+def _gen_power(g: int, k: int) -> tuple[int, ...]:
+    return (g,) * k if k >= 0 else (-g,) * (-k)
+
+
+def abelian_genus1_presentation(desc) -> GroupPresentation:
+    """pi1 of a genus-1 gluing or mapping torus from the word's SL2(Z)
+    image W = h1_action(word): <x | x^W10> for a gluing, and
+    <x, y, t | [x,y], t x t^-1 = x^W00 y^W10, t y t^-1 = x^W01 y^W11> for a
+    mapping torus.  The oracle for the surface-group presentations."""
+    W = h1_action(desc.word)
+    if isinstance(desc, HeegaardGluing):
+        k = abs(W[1][0])
+        return GroupPresentation(1, ((1,) * k if k else (),))
+    x, y, t = 1, 2, 3
+    rels = [(x, y, -x, -y)]
+    images = [
+        _gen_power(x, W[0][0]) + _gen_power(y, W[1][0]),
+        _gen_power(x, W[0][1]) + _gen_power(y, W[1][1]),
+    ]
+    for g, img in zip((x, y), images):
+        rels.append(free_reduce((t, g, -t) + free_inverse(img)))
+    return GroupPresentation(3, tuple(rels))

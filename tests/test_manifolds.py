@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import abelian_genus1_presentation
 from qtop import manifolds
 from qtop.cyclotomic import CycElem, ResidueSpec, elem_A, elem_u, eta
 from qtop.groups import FiniteGroupTable, GroupTableError, builtin_group
@@ -44,6 +45,7 @@ from qtop.manifolds import (
     surviving_indices,
 )
 from qtop.mcg import (
+    SURFACES,
     empty_word,
     h1_action,
     letter,
@@ -128,6 +130,10 @@ def test_single_relator_x():
 def test_lens_homology():
     assert homology_of(LensSurgery(5)) == (0, (5,))
     assert format_homology(*homology_of(LensSurgery(5))) == "Z/5"
+    # read from the coefficient; the presentation <x | x^b> is the oracle
+    for b in range(-9, 10):
+        assert homology_of(LensSurgery(b)) == homology_h1(presentation(LensSurgery(b))), b
+    assert format_homology(*homology_of(LensSurgery(10**12))) == "Z/1000000000000"
 
 
 def test_three_torus_homology():
@@ -291,6 +297,32 @@ def test_hom_count_equals_depth_first_search(pres, group):
     assert hom_count(pres, G, budget=nodes) == count
     with pytest.raises(BudgetExceededError):
         hom_count(pres, G, budget=nodes - 1)
+
+
+def genus1_words(count: int, seed: int):
+    """Words of 0 to 8 letters over a, b, with exponents from -3 to 3."""
+    rng = random.Random(seed)
+    return [
+        word_product(1, [letter(1, rng.choice("ab"), rng.choice((-3, -2, -1, 1, 2, 3)))
+                         for _ in range(rng.randint(0, 8))])
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("group", ("S3", "Q8", "Z/6"))
+def test_genus1_presentations_equal_the_abelian_oracle(group):
+    """The surface-group presentations of genus-1 gluings and mapping tori
+    give the H_1, the homomorphism count and the minimal passing budget of
+    the presentations read off the SL2(Z) image."""
+    G = builtin_group(group)
+    for w in genus1_words(12, G.order) + [random_word(1, 10, seed) for seed in range(3)]:
+        for desc in (HeegaardGluing(1, w), MappingTorus(1, w)):
+            pres, oracle = presentation(desc), abelian_genus1_presentation(desc)
+            assert homology_h1(pres) == homology_h1(oracle), desc
+            count, nodes = dfs_hom_count(oracle, G)
+            assert hom_count(pres, G, budget=nodes) == count, desc
+            with pytest.raises(BudgetExceededError):
+                hom_count(pres, G, budget=nodes - 1)
 
 
 def test_hom_count_budget_at_the_search_node_count():
@@ -472,13 +504,15 @@ ORACLE_GROUPS = GROUPS + [
 
 @pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda G: G.name)
 def test_dw_torus_theory_equals_the_element_loop(G):
+    """The states are the commuting pairs; a mapping torus's trace is the
+    number of classes the word's SL2(Z) image fixes, and a gluing's
+    pairing the oracle's."""
     oracle, theory = LoopTorusTheory(G), DwTheory(G, 1)
-    assert [divmod(int(k), G.order) for k in theory.states] == oracle.classes
+    assert [divmod(int(k), G.order) for k in theory.states] == sorted(oracle.pairs)
     words = [random_word(1, 8, seed) for seed in range(20)]
     words.append(parse_word(1, "a^1000003 * b^-77"))
     for w in words:
         perm = oracle.permutation(w)
-        assert theory.permutation(w).tolist() == list(perm)
         assert theory.trace(w) == sum(i == j for i, j in enumerate(perm))
         assert theory.pairing_invariant(w) == oracle.pairing(w)
 
@@ -554,28 +588,38 @@ def test_dw_genus2_theory_equals_the_homomorphism_count(G):
 
 @pytest.mark.parametrize("G", GENUS2_GROUPS, ids=lambda G: G.name)
 def test_dw_genus2_states_are_the_homomorphisms_mednykh_counts(G):
-    """|Hom(pi1 Sigma_2, G)| = |G|^3 sum_chi chi(1)^-2 (Mednykh, 1978):
-    486 for S3, 2 176 for Q8, 5 376 for A4 and n^4 for Z/n; the keys are
-    sorted and every state satisfies [a1,b1][a2,b2] = 1."""
-    theory, n = DwTheory(G, 2), G.order
+    """|Hom(pi1 Sigma_g, G)| = |G|^(2g-1) sum_chi chi(1)^(2-2g) (Mednykh,
+    1978): 18 for S3, 40 for Q8, 48 for A4 and n^2 for Z/n at genus 1, and
+    486, 2 176, 5 376 and n^4 at genus 2; the keys are sorted and every
+    state satisfies the surface relator."""
+    n, T, inv = G.order, G.table, G.inverse
     degrees = CHARACTER_DEGREES.get(G.name, (1,) * n)
-    assert theory.dim() == n**3 * sum(Fraction(1, d * d) for d in degrees)
-    assert {"S3": 486, "Q8": 2176, "A4": 5376}.get(G.name, n**4) == theory.dim()
-    assert (np.diff(theory.states.astype(np.int64)) > 0).all()
-    a1, b1, a2, b2 = theory.values.astype(np.intp)
-    T, inv = G.table, G.inverse
-    c1 = T[T[T[a1, b1], inv[a1]], inv[b1]]
-    c2 = T[T[T[a2, b2], inv[a2]], inv[b2]]
-    assert (T[c1, c2] == G.identity).all()
-    assert theory.states.tolist() == (((a1 * n + b1) * n + a2) * n + b2).tolist()
+    # at genus 1, |G| k(G) commuting pairs, k(G) = len(degrees) classes
+    counts = {1: {"S3": 18, "Q8": 40, "A4": 48}, 2: {"S3": 486, "Q8": 2176, "A4": 5376}}
+    for genus in (1, 2):
+        theory = DwTheory(G, genus)
+        assert theory.dim() == n ** (2 * genus - 1) * sum(
+            Fraction(1, d ** (2 * genus - 2)) for d in degrees
+        )
+        assert counts[genus].get(G.name, n ** (2 * genus)) == theory.dim()
+        assert (np.diff(theory.states.astype(np.int64)) > 0).all()
+        values = theory.values.astype(np.intp)
+        acc, key = np.full(theory.dim(), G.identity), np.zeros(theory.dim(), dtype=np.int64)
+        for x in SURFACES[genus][0]:
+            acc = T[acc, values[x - 1] if x > 0 else inv[values[-x - 1]]]
+        for v in values:
+            key = key * n + v
+        assert (acc == G.identity).all()
+        assert theory.states.tolist() == key.tolist()
 
 
 def test_dw_genus2_budget_refuses_before_allocating():
     for G in (builtin_group("S3"), builtin_group("Q8"), A4):
-        states = DwTheory(G, 2).dim()
-        assert DwTheory(G, 2, budget=states).dim() == states
-        with pytest.raises(BudgetExceededError):
-            DwTheory(G, 2, budget=states - 1)
+        for genus in (1, 2):
+            states = DwTheory(G, genus).dim()
+            assert DwTheory(G, genus, budget=states).dim() == states
+            with pytest.raises(BudgetExceededError):
+                DwTheory(G, genus, budget=states - 1)
         with pytest.raises(BudgetExceededError):
             dw_invariant(MappingTorus(2, empty_word(2)), G, budget=states - 1)
     # 2 560 000 states of Z/40: refused with far less than one byte per state allocated
@@ -599,6 +643,35 @@ def test_dw_genus2_exponents_act_mod_the_group_exponent(name):
             reduced = parse_word(2, f"c1^{k % e}*{rest}" if k % e else rest)
             for cls in (HeegaardGluing, MappingTorus):
                 assert dw_invariant(cls(2, full), G) == hom_count_value(cls(2, reduced), G)
+
+
+@pytest.mark.parametrize("name", ("S3", "Q8", "Z/12", "A4"))
+def test_dw_genus1_exponents_act_mod_the_group_exponent(name):
+    """Genus-1 gluings and tori, lens spaces, sums and doubles go through
+    hom_count with every exponent reduced mod e(G) first."""
+    G = A4 if name == "A4" else builtin_group(name)
+    e = G.exponent
+    shapes = (
+        "heegaard:1:a^K*b",
+        "mtorus:1:a^K*b^-1*a",
+        "lens:K",
+        "sum:(mtorus:1:a^K*b),(heegaard:1:b^K*a)",
+        "double:(bounded:2:1:c1^K*c3)",
+    )
+    for k in (10**12, 10**12 + 1, -(10**12) - 1, 7 * e, e + 2):
+        for shape in shapes:
+            full = parse_desc(shape.replace("K", str(k)))
+            want = hom_count_value(parse_desc(shape.replace("K", str(k % e))), G)
+            assert dw_invariant(full, G) == want, full
+            if shape.startswith(("heegaard", "mtorus", "lens")):
+                assert dw_invariant_tqft(full, G) == want, full
+
+
+def test_dw_genus1_huge_exponent_values():
+    S3_group = builtin_group("S3")
+    for text, want in (("mtorus:1:a^1000000000000*b", 3), ("lens:1000000000000", Fraction(2, 3))):
+        desc = parse_desc(text)
+        assert dw_invariant(desc, S3_group) == dw_invariant_tqft(desc, S3_group) == want
 
 
 def test_dw_genus2_huge_exponent_values():

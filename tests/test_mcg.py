@@ -7,7 +7,7 @@ from oracles import exponent_sums
 from qtop.mcg import (
     CURVE_CLASSES,
     GENUS_CURVES,
-    SURFACE_RELATOR,
+    SURFACES,
     TwistWord,
     WordError,
     _PI1_TWISTS,
@@ -212,37 +212,51 @@ def _conjugate_words(w, t):
 
 
 def test_pi1_twists_preserve_the_relator():
-    for c in GENUS_CURVES[2]:
-        for e in (1, -1, 2):
-            phi = pi1_action(letter(2, c, e))
-            assert _conjugate_words(apply_auto(phi, SURFACE_RELATOR), SURFACE_RELATOR)
+    for genus, curves in GENUS_CURVES.items():
+        relator = SURFACES[genus][0]
+        for c in curves:
+            for e in (1, -1, 2):
+                phi = pi1_action(letter(genus, c, e))
+                assert _conjugate_words(apply_auto(phi, relator), relator), (c, e)
 
 
 def test_pi1_random_words_preserve_the_relator():
-    for seed in range(6):
-        w = random_word(2, 8, seed)
-        phi = pi1_action(w)
-        assert _conjugate_words(apply_auto(phi, SURFACE_RELATOR), SURFACE_RELATOR)
+    for genus in GENUS_CURVES:
+        relator = SURFACES[genus][0]
+        for seed in range(6):
+            phi = pi1_action(random_word(genus, 8, seed))
+            assert _conjugate_words(apply_auto(phi, relator), relator)
 
 
 def test_pi1_abelianization_matches_h1():
     def abelianize(phi):
-        M = [[0] * 4 for _ in range(4)]
-        for g in (1, 2, 3, 4):
-            for x in phi[g]:
+        M = [[0] * len(phi) for _ in phi]
+        for g, w in phi.items():
+            for x in w:
                 M[abs(x) - 1][g - 1] += 1 if x > 0 else -1
         return tuple(tuple(r) for r in M)
 
-    for c in GENUS_CURVES[2]:
-        for e in (1, -1, 3):
-            assert abelianize(pi1_action(letter(2, c, e))) == h1_action(letter(2, c, e))
+    for genus, curves in GENUS_CURVES.items():
+        for c in curves:
+            for e in (1, -1, 3):
+                word = letter(genus, c, e)
+                assert abelianize(pi1_action(word)) == h1_action(word), (c, e)
+    for seed in range(6):
+        word = random_word(1, 8, seed)
+        assert abelianize(pi1_action(word)) == h1_action(word)
+
+
+def _curve_generators(c):
+    """The identity on the generators 1..2g of the surface of curve c."""
+    genus = next(g for g, curves in GENUS_CURVES.items() if c in curves)
+    return {g: (g,) for g in range(1, 2 * genus + 1)}
 
 
 def test_twist_table_inverse_powers_compose_to_the_identity():
     # the inverse of g -> L g R is g -> L^-1 g R^-1 only while the twist
     # fixes every letter of L and R
-    identity = {g: (g,) for g in (1, 2, 3, 4)}
     for c, moved in _PI1_TWISTS.items():
+        identity = _curve_generators(c)
         for left, right in moved.values():
             for x in left + right:
                 assert _twist_auto(c, 1)[abs(x)] == (abs(x),), (c, x)
@@ -252,8 +266,8 @@ def test_twist_table_inverse_powers_compose_to_the_identity():
 
 
 def test_closed_form_twist_powers_equal_the_composed_one_step_map():
-    identity = {g: (g,) for g in (1, 2, 3, 4)}
     for c, moved in _PI1_TWISTS.items():
+        identity = _curve_generators(c)
         for sign in (1, -1):
             step = dict(identity)
             for g, (left, right) in moved.items():
