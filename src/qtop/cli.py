@@ -35,7 +35,7 @@ from .manifolds import (
     parse_desc,
     rt_closed,
 )
-from .mcg import parse_word, random_word
+from .mcg import GENUS_CURVES, parse_word, random_word
 from .obstruct import fkb_ideal_closed, fkb_ideal_inner, obstruct_embedding, twist_search
 from .rep import (
     algebra_span_dim,
@@ -286,7 +286,7 @@ def _cmd_rep_check(args) -> int:
     p, genus = args.p, args.genus
     if args.words < 1:
         raise CliError("usage", "--words must be >= 1")
-    curves = ("a", "b") if genus == 1 else ("c1", "c2", "c3", "c4", "c5", "s")
+    curves = GENUS_CURVES[genus]
     mats = {c: letter_matrix(genus, p, c, 1) for c in curves}
     braid_pairs = (
         [("a", "b")]

@@ -40,9 +40,11 @@ from .mcg import (
     SURFACES,
     TwistWord,
     _twist_auto,
+    abelianize,
     empty_word,
     free_inverse,
     free_reduce,
+    h1_action,
     letter,
     parse_word,
     pi1_action,
@@ -393,28 +395,53 @@ def _double_presentation(half: BoundedHeegaard) -> GroupPresentation:
 # -- homology ----------------------------------------------------------------
 
 
-def homology_h1(pres: GroupPresentation) -> tuple[int, tuple[int, ...]]:
-    """(free rank, torsion coefficients d1 | d2 | ...)."""
-    n = pres.num_generators
-    rows = []
-    for rel in pres.relators:
-        row = [0] * n
-        for x in rel:
-            row[abs(x) - 1] += 1 if x > 0 else -1
-        rows.append(row)
-    if not rows:
-        return n, ()
+def _smith_h1(n: int, rows) -> tuple[int, tuple[int, ...]]:
+    """(free rank, torsion coefficients d1 | d2 | ...) of Z^n modulo the
+    integer rows, from their Smith form."""
     diag = linalg.snf_diagonal(rows)
-    torsion = tuple(d for d in diag if d > 1)
-    rank = n - len(diag)
-    return rank, torsion
+    return n - len(diag), tuple(d for d in diag if d > 1)
+
+
+def homology_h1(pres: GroupPresentation) -> tuple[int, tuple[int, ...]]:
+    """(free rank, torsion coefficients d1 | d2 | ...) of the presentation's
+    abelianized relators."""
+    n = pres.num_generators
+    return _smith_h1(n, [abelianize(rel, n) for rel in pres.relators])
+
+
+def _h1_relations(desc: ManifoldDesc) -> tuple[int, list[list[int]]]:
+    """(n, rows): the abelianized relators of presentation(desc), with each
+    twisted generator's class read from the integer action h1_action, so
+    no word is spelled out.  Zero rows (surface relators) are left out."""
+    if isinstance(desc, LensSurgery):
+        return 1, [[desc.b]]
+    if isinstance(desc, ConnectedSum):  # the summands' relations on disjoint generators
+        (n, top), (m, bottom) = _h1_relations(desc.left), _h1_relations(desc.right)
+        return n + m, [r + [0] * m for r in top] + [[0] * n + r for r in bottom]
+    if isinstance(desc, Double):  # two copies of the half, as for a sum, then glued
+        n, rows = _h1_relations(ConnectedSum(desc.half, desc.half))
+        if desc.half.boundary_genus == 1:  # a1 = a1', b1 = b1'
+            rows += [[1, 0, 0, 0, -1, 0, 0, 0], [0, 1, 0, 0, 0, -1, 0, 0]]
+        return n, rows
+    if isinstance(desc, HeegaardGluing):  # the meridians' images on the cores
+        M, meridians = h1_action(desc.word), SURFACES[desc.genus][1]
+        return desc.genus, [[M[c][m - 1] for c in range(len(M)) if c + 1 not in meridians] for m in meridians]
+    if isinstance(desc, MappingTorus):  # g = phi(g), and t is free: Z + coker(M - I)
+        M = h1_action(desc.word)
+        return len(M) + 1, [[(g == h) - M[h][g] for h in range(len(M))] + [0] for g in range(len(M))]
+    if isinstance(desc, BoundedHeegaard):  # the meridians' images, the compressed b2 (and b1)
+        M = h1_action(desc.word)
+        rows = [[M[h][m - 1] for h in range(4)] for m in SURFACES[2][1]] + [[0, 0, 0, 1]]
+        if desc.boundary_genus == 0:
+            rows.append([0, 1, 0, 0])
+        return 4, rows
+    raise DescError(f"no homology for {desc!r}")
 
 
 def homology_of(desc: ManifoldDesc) -> tuple[int, tuple[int, ...]]:
-    if isinstance(desc, LensSurgery):  # Z/|b|, without spelling x^b out
-        b = abs(desc.b)
-        return (0, (b,) if b > 1 else ()) if b else (1, ())
-    return homology_h1(presentation(desc))
+    """H_1(desc) from one integer relation matrix per description kind;
+    homology_h1(presentation(desc)) is the same group, built from words."""
+    return _smith_h1(*_h1_relations(desc))
 
 
 def format_homology(rank: int, torsion: tuple[int, ...]) -> str:

@@ -1,10 +1,10 @@
 """Mapping classes as Dehn-twist words on genus 1 and 2 surfaces.
 
 Words are free products of twists over a fixed curve catalogue; no word
-problem is solved.  The module provides the homological action, Torelli
-membership, the action on the surface group (used for fundamental-group
-presentations of glued manifolds), and constructive generation of
-elements of lower-central-series / twist-power subgroups.
+problem is solved.  The module provides the action on the surface group
+(used for fundamental-group presentations of glued manifolds), its
+abelianization the homological action and Torelli membership, and
+constructive generation of lower-central-series / twist-power subgroups.
 
 Curve catalogue and conventions
 -------------------------------
@@ -43,19 +43,6 @@ class WordError(ValueError):
 
 
 GENUS_CURVES = {1: ("a", "b"), 2: ("c1", "c2", "c3", "c4", "c5", "s")}
-
-# homology classes in the basis (a1, b1)[, (a2, b2)]; form <a_i, b_i> = -1
-CURVE_CLASSES = {
-    1: {"a": (1, 0), "b": (0, 1)},
-    2: {
-        "c1": (1, 0, 0, 0),
-        "c2": (0, 1, 0, 0),
-        "c3": (1, 0, 1, 0),
-        "c4": (0, 0, 0, 1),
-        "c5": (0, 0, 1, 0),
-        "s": (0, 0, 0, 0),
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -210,68 +197,6 @@ def parse_word(genus: int, text: str) -> TwistWord:
     return word
 
 
-# -- homological action ---------------------------------------------------
-
-
-def symplectic_form(genus: int) -> list[list[int]]:
-    """Gram matrix of <.,.> in the (a1, b1, a2, b2, ...) basis; <a_i, b_i> = -1."""
-    n = 2 * genus
-    J = [[0] * n for _ in range(n)]
-    for i in range(genus):
-        J[2 * i][2 * i + 1] = -1
-        J[2 * i + 1][2 * i] = 1
-    return J
-
-
-def _nonzero(v) -> tuple[tuple[int, int], ...]:
-    return tuple((i, x) for i, x in enumerate(v) if x)
-
-
-def _transvection_factors(genus: int) -> dict:
-    """curve -> (nonzero entries of gamma, nonzero entries of J gamma) as
-    (index, value) pairs, gamma the curve's class, for the curves with
-    gamma != 0.  Column j of t_curve^k on H_1 is e_j + k (J gamma)_j gamma,
-    so t_curve^k = I + k gamma (J gamma)^T."""
-    J = symplectic_form(genus)
-    return {
-        curve: (_nonzero(gamma), _nonzero([sum(a * g for a, g in zip(row, gamma)) for row in J]))
-        for curve, gamma in CURVE_CLASSES[genus].items()
-        if any(gamma)
-    }
-
-
-_TRANSVECTION_FACTORS = {genus: _transvection_factors(genus) for genus in GENUS_CURVES}
-
-
-def h1_action(word: TwistWord) -> tuple[tuple[int, ...], ...]:
-    """Product of transvections, one per twist letter, on Python ints.
-
-    Each letter t_c^k multiplies on the right as the rank-one update
-    M <- M + k (M gamma)(J gamma)^T, gamma the class of c; gamma has at
-    most two nonzero entries, and letters with gamma = 0 (s) are skipped.
-    """
-    n = 2 * word.genus
-    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    factors = _TRANSVECTION_FACTORS[word.genus]
-    for curve, exp in word.letters:
-        if curve not in factors:
-            continue
-        gamma, j_gamma = factors[curve]
-        for row in M:
-            dot = exp * sum(row[i] * g for i, g in gamma)
-            if dot:
-                for j, x in j_gamma:
-                    row[j] += dot * x
-    return tuple(tuple(r) for r in M)
-
-
-def is_torelli(word: TwistWord) -> bool:
-    n = 2 * word.genus
-    return h1_action(word) == tuple(
-        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-    )
-
-
 # -- action on the surface group ---------------------------------------------
 #
 # free-group words over generators 1=a1, 2=b1, 3=a2, 4=b2 (1=a, 2=b at
@@ -345,6 +270,53 @@ def pi1_action(word: TwistWord) -> dict[int, tuple[int, ...]]:
     for curve, exp in word.letters:
         out = _compose_auto(out, _twist_auto(curve, exp))
     return out
+
+
+# -- homological action ---------------------------------------------------
+
+
+def abelianize(w, n: int) -> list[int]:
+    """The class in H_1 = Z^n of a word in generators 1..n."""
+    v = [0] * n
+    for x in w:
+        v[abs(x) - 1] += 1 if x > 0 else -1
+    return v
+
+
+@lru_cache(maxsize=None)
+def _h1_shifts(curve: str) -> tuple:
+    """t_curve on H_1: (ab(L R) as nonzero (index, coefficient) pairs, the
+    columns g - 1 it is added to) per nonzero class; t_s has none."""
+    columns: dict = {}
+    for g, (left, right) in _PI1_TWISTS[curve].items():
+        shift = abelianize(left + right, 2 * _GENUS_OF[curve])
+        if any(shift):
+            columns.setdefault(tuple((h, x) for h, x in enumerate(shift) if x), []).append(g - 1)
+    return tuple((shift, tuple(cols)) for shift, cols in columns.items())
+
+
+def h1_action(word: TwistWord) -> tuple[tuple[int, ...], ...]:
+    """The abelianized pi1_action on Python ints: column g is the class of
+    the image of generator g.  t_c^k sends a tabled g to L^k.g.R^k, so it
+    adds k M ab(L R) to column g of the product M so far; ab(L R) reads
+    only columns t_c fixes, so one dot product serves a row's columns."""
+    n = 2 * word.genus
+    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for curve, exp in word.letters:
+        for shift, columns in _h1_shifts(curve):
+            for row in M:
+                dot = exp * sum(row[h] * x for h, x in shift)
+                if dot:
+                    for g in columns:
+                        row[g] += dot
+    return tuple(tuple(r) for r in M)
+
+
+def is_torelli(word: TwistWord) -> bool:
+    n = 2 * word.genus
+    return h1_action(word) == tuple(
+        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
+    )
 
 
 # -- constructive subgroup membership --------------------------------------

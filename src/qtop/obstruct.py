@@ -38,7 +38,7 @@ from .manifolds import (
     rt_closed,
 )
 from .linalg import draw_picks
-from .mcg import SUBGROUP_WORDS, TwistWord, empty_word, word_in_subgroup, word_product
+from .mcg import GENUS_CURVES, SUBGROUP_WORDS, TwistWord, empty_word, letter, word_in_subgroup, word_product
 from .rep import rho_apply, vacuum_vector
 
 SOUNDNESS_AXIOM = (
@@ -82,7 +82,7 @@ def _genus1_words_upto(length: int):
     """All distinct genus-1 words of letter length <= length, in the order
     they first appear in the free enumeration.  A word's children depend on
     its letters alone, so only words not seen before are extended."""
-    letters = [TwistWord(1, (letter,)) for letter in (("a", 1), ("a", -1), ("b", 1), ("b", -1))]
+    letters = [letter(1, c, e) for c in GENUS_CURVES[1] for e in (1, -1)]
     unique = [empty_word(1)]
     frontier = unique[:]
     seen = {empty_word(1).letters}

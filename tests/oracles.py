@@ -46,6 +46,32 @@ def exponent_sums(word) -> dict[str, int]:
     return sums
 
 
+# homology classes of the catalogued curves in the basis (a1, b1)[, (a2, b2)],
+# entered by hand: the oracle that mcg.h1_action, read off the surface-group
+# twist table, is checked against
+CURVE_CLASSES = {
+    1: {"a": (1, 0), "b": (0, 1)},
+    2: {
+        "c1": (1, 0, 0, 0),
+        "c2": (0, 1, 0, 0),
+        "c3": (1, 0, 1, 0),
+        "c4": (0, 0, 0, 1),
+        "c5": (0, 0, 1, 0),
+        "s": (0, 0, 0, 0),
+    },
+}
+
+
+def symplectic_form(genus: int) -> list[list[int]]:
+    """Gram matrix of <.,.> in the (a1, b1, a2, b2, ...) basis; <a_i, b_i> = -1."""
+    n = 2 * genus
+    J = [[0] * n for _ in range(n)]
+    for i in range(genus):
+        J[2 * i][2 * i + 1] = -1
+        J[2 * i + 1][2 * i] = 1
+    return J
+
+
 def scale_entrywise(M: PMatrix, c: CycElem) -> PMatrix:
     """c M, one CycElem product per entry: the oracle for PMatrix.scale."""
     return PMatrix.from_rows(M.p, [[c * x for x in row] for row in M.entries])

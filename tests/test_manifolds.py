@@ -45,6 +45,7 @@ from qtop.manifolds import (
     surviving_indices,
 )
 from qtop.mcg import (
+    GENUS_CURVES,
     SURFACES,
     empty_word,
     h1_action,
@@ -150,9 +151,58 @@ def test_heegaard_words_for_standard_spaces():
 
 
 def test_huge_twist_power_homology():
-    # t^k(g) = L^k.g.R^k in closed form, not k composed maps
+    # t^k adds k M ab(L R) to a column of the integer action, for any k
     desc = HeegaardGluing(2, parse_word(2, "c1^100000*c3"))
     assert format_homology(*homology_of(desc)) == "Z/100000"
+
+
+def test_homology_of_equals_the_presentation_route():
+    """H_1 from the integer relation matrices equals H_1 of the spelled-out
+    surface-group presentation, for every description kind."""
+    rng = random.Random(40)
+
+    def word(genus):
+        return word_product(genus, [
+            letter(genus, rng.choice(GENUS_CURVES[genus]), rng.choice((1, -1)) * rng.randint(1, 50))
+            for _ in range(rng.randint(0, 4))
+        ])
+
+    def lens():
+        return LensSurgery(rng.randint(-9, 9))
+
+    for _ in range(25):
+        descs = [
+            HeegaardGluing(1, word(1)),
+            MappingTorus(1, word(1)),
+            HeegaardGluing(2, word(2)),
+            MappingTorus(2, word(2)),
+            ConnectedSum(lens(), lens()),
+            ConnectedSum(lens(), HeegaardGluing(2, word(2))),
+            ConnectedSum(MappingTorus(2, word(2)), lens()),
+        ]
+        for boundary_genus in (0, 1):
+            half = BoundedHeegaard(2, boundary_genus, word(2))
+            descs += [half, Double(half)]
+        for desc in descs:
+            assert homology_of(desc) == homology_h1(presentation(desc)), desc
+
+
+def test_homology_huge_exponents(monkeypatch):
+    """Exponents stay integers: no presentation is built, so 10^12 costs
+    what 1 does."""
+    def refuse(desc):
+        raise AssertionError(f"presentation({desc}) called")
+
+    monkeypatch.setattr(manifolds, "presentation", refuse)
+    for text, expect in (
+        ("heegaard:1:b^1000000000000", "Z/1000000000000"),
+        ("heegaard:2:c1^1000000000000*c3", "Z/1000000000000"),
+        ("mtorus:2:c1^1000000000000*c3", "Z^3 + Z/1000000000000"),
+        ("bounded:2:0:c1^1000000000000", "Z + Z/1000000000000"),
+        ("sum:(lens:1000000000000),(lens:2)", "Z/2 + Z/1000000000000"),
+        ("mtorus:1:a^1000000000000*b", "Z + Z/1000000000000"),
+    ):
+        assert format_homology(*homology_of(parse_desc(text))) == expect, text
 
 
 def test_connected_sum_homology():

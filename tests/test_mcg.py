@@ -3,9 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import exponent_sums
+from oracles import CURVE_CLASSES, exponent_sums, symplectic_form
 from qtop.mcg import (
-    CURVE_CLASSES,
     GENUS_CURVES,
     SURFACES,
     TwistWord,
@@ -23,7 +22,6 @@ from qtop.mcg import (
     parse_word,
     pi1_action,
     random_word,
-    symplectic_form,
     word_in_subgroup,
     word_product,
 )
