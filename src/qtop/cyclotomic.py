@@ -72,16 +72,36 @@ def power(x, n: int, mul=operator.mul):
         x = mul(x, x)
 
 
+# Miller-Rabin on these bases decides every n below _PRIME_BOUND (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin on the first 13
+    prime bases, which is proven for n < 3.3 10^24; a larger n raises
+    RingUsageError."""
+    if n >= _PRIME_BOUND:
+        raise RingUsageError(f"primality of {n} is decided only below {_PRIME_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

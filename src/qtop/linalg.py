@@ -144,12 +144,40 @@ def _product_dtype(n: int, q: int):
     return np.float64 if worst < 2 ** 53 else fq_dtype(n, q)
 
 
+# the entry count from which _residues reduces by floor division
+_FLOOR_SIZE = 1024
+
+
 def _residues(x, q: int, ints=np.int64):
     """x mod q for exact products x, as residues in ints (or object); x
-    is a fresh array, reduced in place."""
+    is a fresh array, reduced in place.
+
+    From _FLOOR_SIZE entries on, an integer array is reduced as
+    x - q floor(x / q): numpy's floor_divide by a scalar divides by the
+    invariant integer q with a multiplication and shifts (Granlund and
+    Montgomery, PLDI 1994, by way of libdivide), where remainder divides
+    entry by entry.  The quotients take the float array's memory when
+    the float tier has the integers' width: one full-size array less at
+    the peak, 22 MB of `invariant rt --desc heegaard:2:c1*c3 --p 19`'s
+    resident peak.  Per call on a fresh float product, its cast included
+    (one BLAS thread, a 2-vCPU VM, numpy 2.4), % and floor division took:
+      168 float64 entries (12, 14), 1.8 and 2.7 us (float32: 1.5, 2.7);
+      512, 3.2 and 3.4 us (float32: 2.4, 3.0);
+      1 024, 5.1 and 4.2 us (float32: 3.5, 3.2);
+      2 352 (12, 14, 14), 10.5 and 6.8 us;
+      3 520 float32 (64, 55), 9.1 and 4.9 us;
+      60 500 (20, 55, 55), 468 and 351 us.
+    """
+    floats = None
     if x.dtype.kind == "f":  # either float tier
-        x = x.astype(ints)
-    x %= q
+        floats, x = x, x.astype(ints)
+    if x.size < _FLOOR_SIZE or x.dtype == object:
+        x %= q
+        return x
+    spare = floats.view(ints) if floats is not None and floats.itemsize == x.itemsize else None
+    quo = np.floor_divide(x, q, out=spare)
+    quo *= q
+    x -= quo
     return x
 
 

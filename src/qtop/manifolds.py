@@ -859,7 +859,8 @@ def rt_closed(desc: ManifoldDesc, p: int) -> CycElem:
         return rho(desc.word, p).trace()
     if isinstance(desc, HeegaardGluing):
         v = vacuum_index(desc.genus, p)
-        val = rho_apply(desc.word, p, vacuum_vector(desc.genus, p)).entries[v][0]
+        col = rho_apply(desc.word, p, vacuum_vector(desc.genus, p))
+        val = CycElem.make(p, col.num[:, v, 0].tolist(), col.e)
         if desc.genus == 2:
             val = val * eta_inv(p)
         return val

@@ -27,30 +27,34 @@ width (q - 1)^2 < 2^53 (moduli).
 The chain is carried right to left as values at the roots, and lifted
 to numerators only when its primes run out; this is the delayed
 reduction of linalg.fq_apply, with lifts in place of reductions.  A run
-starts from an exact matrix X (the last factor, or the previous run's
-product) and the factor M left of it.  Every numerator of M X is at
-most n max|M| max|X| c_p in absolute value (n is M's column count and
+starts from an exact matrix P (the last factor, or the previous run's
+product) and the factor M left of it.  Every numerator of M P is at
+most n max|M| max|P| c_p in absolute value (n is M's column count and
 c_p is product_spread(p)), and that bound sets the run's primes: enough
 that their product Q exceeds twice it, so a product of two matrices
-takes the primes it always did.  From there the run carries one bound,
-the L1 form: with N the largest sum of coefficient absolute values over
-a row and K = l1_spread(p), N(A B) <= K N(A) N(B), and N bounds every
-numerator.  The bound starts at K N(M) N(X), each further factor M'
-multiplies it by K N(M'), and M' joins the run while it stays within
-(Q - 1)/2.  The run then interpolates and lifts once.  Carrying the
-max-coefficient bound as well, and taking the smaller, scheduled the
-same lifts on the same primes for 900 RT chains of the exact
-benchmark's p = 7 words, for 12-letter words at p = 11 and 13, and for
-three words at p = 17.  Restarting the bound from exact numerators
-keeps the prime count small, as numerators grow far more slowly than
-their bounds: the product of the 8-letter word c1 c2 c3 c4 c5 s c3^-1
-c1 at p = 17 has 47-bit numerators, and a bound carried through the
-whole word asks for 7 primes.  Lifting once per word on those primes
-took that rho from 1.57 to 1.93 s (warm letters, one BLAS thread, a
-2-vCPU VM), and a 12-letter word's at p = 13 from 0.15 to 0.31 s and
-from 104 to 176 MB peak RSS.  Garner's method recombines the residues into balanced mixed-radix
-digits, and each numerator is assembled in int64 from its low digits,
-in Python ints only where a higher digit is nonzero.
+takes the primes it always did.  From there the run carries one bound
+on the numerators of its whole product X = M_j ... M_1 P, from the
+complex embeddings: with N the largest sum of coefficient absolute
+values over a row, every coefficient of X is at most
+C_p N(P) N(M_1) ... N(M_j), C_p = embedding_spread(p), so the constant
+is paid once per run, not once per factor.  A further factor M' joins
+while C_p N(P) N(M_1) ... N(M_j) N(M') stays within (Q - 1)/2, and the
+run then interpolates and lifts once.  Restarting the bound from exact
+numerators keeps the prime count small, as numerators grow far more
+slowly than their bounds: the product of the 8-letter word c1 c2 c3 c4
+c5 s c3^-1 c1 at p = 17 has 47-bit numerators, and a bound carried
+through the whole word asks for 7 primes.  Lifting once per word on
+those primes took that rho from 1.57 to 1.93 s (warm letters, one BLAS
+thread, a 2-vCPU VM), and a 12-letter word's at p = 13 from 0.15 to
+0.31 s and from 104 to 176 MB peak RSS.  A lift on one prime is its
+symmetric residue; on several, Garner's method recombines the residues
+into balanced mixed-radix digits, and each numerator is assembled in
+int64 from its low digits, in Python ints only where a higher digit is
+nonzero.  The next run starts from the values the run lifted, at the
+primes the two share, divided by the power of p that the lift stripped,
+instead of evaluating the lifted product again; this holds while one
+prime's values take at most _KEPT_BYTES, and such values are never
+stored on the returned matrix.
 
 A matrix that lives long, such as a letter cached by rep, can keep its
 values at the roots per prime (keep_values), so that a word evaluates
@@ -128,12 +132,32 @@ def prime_count(p: int, width: int, bound: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def l1_spread(p: int) -> int:
-    """K = max_s ||x^s mod Phi_4p||_1 over s <= 2 deg - 2, so that
-    ||a b mod Phi_4p||_1 <= K ||a||_1 ||b||_1 for every pair of elements.
-    It equals p - 1 for every p from 5 to 19."""
+def embedding_spread(p: int) -> int:
+    """C_p = ceil(deg ||T^-1||_inf), T[j, k] = Tr(zeta^(k - j)) the
+    integer trace-form Gram matrix of the power basis, so that every
+    coefficient of every entry of a product A_1 ... A_j of matrices over
+    Z[zeta_4p] is at most C_p N(A_1) ... N(A_j), N the largest sum of
+    coefficient absolute values over a row.
+
+    For every complex embedding s, |s(a)| <= ||a||_1 gives
+    ||s(A)||_inf <= N(A), and the row-sum norm is submultiplicative, so
+    every entry x of the product has |s(x)| <= N(A_1) ... N(A_j).  Its
+    coefficients are c = T^-1 t, t_j = Tr(x zeta^-j), and
+    |t_j| <= deg max_s |s(x)|.  4p T^-1 is an integer matrix, since the
+    different of Z[zeta_4p] divides 4p; it is solved for modulo the first
+    of the moduli, read as symmetric residues and checked exactly,
+    T (4p T^-1) = 4p I.  C_p equals p - 1 for every p from 5 to 23.
+    """
     spec = ring(p)
-    return max(sum(map(abs, spec.monomial[s])) for s in range(2 * spec.degree - 1))
+    m, deg = spec.m, spec.degree
+    # Tr(zeta^a) is the trace of multiplication by zeta^a on the power basis
+    trace = [sum(spec.monomial[(a + c) % m][c] for c in range(deg)) for a in range(m)]
+    T = np.array([[trace[(k - j) % m] for k in range(deg)] for j in range(deg)], dtype=np.int64)
+    q, target = moduli(p, deg, 1)[0], m * np.eye(deg, dtype=np.int64)
+    scaled = _symmetric_lift([fq_rref(np.hstack([T % q, target]), q)[:, deg:]], (q,))
+    if not np.array_equal(T @ scaled, target):
+        raise ArithmeticError(f"4p T^-1 is not integral at p = {p}")
+    return -(-deg * int(np.abs(scaled).sum(axis=1).max()) // m)
 
 
 @lru_cache(maxsize=None)
@@ -203,16 +227,18 @@ def _symmetric_lift(residues, primes):
 
     Garner's method gives x = sum_i d_i M_i, M_i = q_0 ... q_(i-1), with
     balanced digits |d_i| <= (q_i - 1)/2 computed in int64; such a sum is
-    exactly the symmetric residue mod Q.  The low digits are summed in
-    int64 while M_i stays below 2^62; only the entries with a nonzero
-    higher digit take Python ints.
+    exactly the symmetric residue mod Q.  The sum starts from d_0, so on
+    one prime it is the symmetric residue itself.  The low digits are
+    summed in int64 while M_i stays below 2^62; only the entries with a
+    nonzero higher digit take Python ints.
     """
     digits = []
     for q, r in zip(primes, residues):
         for qj, d in zip(primes, digits):
             r = (r - d) * pow(qj, -1, q) % q
         digits.append(np.where(r > q // 2, r - q, r))
-    value, radix, low = np.zeros_like(digits[0]), 1, 0
+        del r  # so the next prime's residues are computed without these
+    value, radix, low = digits[0], primes[0], 1
     while low < len(digits) and radix * primes[low] < _INT64_BOUND:
         value += digits[low] * radix
         radix *= primes[low]
@@ -238,47 +264,57 @@ def product(mats) -> "PMatrix":
     for A, B in zip(mats, mats[1:]):
         if A.p != B.p or A.num.shape[2] != B.num.shape[1]:
             raise RingUsageError("incompatible matrices")
-    out = mats.pop()
+    out, values = mats.pop(), {}
     p, deg = out.p, len(out.num)
     width = max([deg] + [M.num.shape[2] for M in mats])
     while mats:
         if not (out.bounds[0] and mats[-1].bounds[0]):  # a zero factor
             shape = (deg, mats[0].num.shape[1], out.num.shape[2])
             return PMatrix(p, 0, np.zeros(shape, dtype=np.int64))
-        out = _run(width, mats, out)
+        out, values = _run(width, mats, out, values)
     return out
 
 
-def _run(width: int, mats: list, P: "PMatrix") -> "PMatrix":
-    """The product mats[-j] ... mats[-1] P of one run, lifted, with its j
-    factors popped from mats.
+def _run(width: int, mats: list, P: "PMatrix", values: dict) -> tuple["PMatrix", dict]:
+    """(X, at): the product X = mats[-j] ... mats[-1] P of one run, lifted,
+    with its j factors popped from mats, and X's values at the roots per
+    prime of the run, or none (see below).  values holds P's values at
+    some primes, which are read in place of P.at_root.
 
     The run's primes cover the bound n max|M| max|P| c_p of its first
-    product M P.  From there one bound N >= N(M ... P) grows to K N(M') N
-    with each further factor M', which joins while N stays within
-    (Q - 1)/2.  The residues are computed one prime at a time, as
-    _symmetric_lift reads them, so only one prime's values are held at
-    once.
+    product M P.  From there the bound C_p N(P) N(M) ... on the whole
+    product grows by N(M') with each further factor M', which joins while
+    the bound stays within (Q - 1)/2.  When another run follows and one
+    prime's values of X take at most _KEPT_BYTES, they are returned for
+    every prime, scaled by p^-k where the lift stripped p^k; otherwise
+    the residues are computed one prime at a time, as _symmetric_lift
+    reads them, and only one prime's values are held at once.
     """
     p = P.p
-    K = l1_spread(p)
     run = [mats.pop()]
     start = run[0].num.shape[2] * run[0].bounds[0] * P.bounds[0] * product_spread(p)
     primes = moduli(p, width, prime_count(p, width, start))
     half = (math.prod(primes) - 1) // 2
-    bound = K * run[0].bounds[1] * P.bounds[1]
-    while mats and K * mats[-1].bounds[1] * bound <= half:
+    bound = embedding_spread(p) * run[0].bounds[1] * P.bounds[1]
+    while mats and mats[-1].bounds[1] * bound <= half:
         run.append(mats.pop())
-        bound *= K * run[-1].bounds[1]
+        bound *= run[-1].bounds[1]
+    carry = bool(mats) and len(P.num) * run[-1].n * P.num.shape[2] * 8 <= _KEPT_BYTES
+    at = {}
 
     def residue(q):
-        values = P.at_root(q)
+        v = values[q] if q in values else P.at_root(q)
         for M in run:
-            values = fq_matmul(M.at_root(q), values, q)
-        return _interpolate(p, q, values)
+            v = fq_matmul(M.at_root(q), v, q)
+        if carry:
+            at[q] = v
+        return _interpolate(p, q, v)
 
     e = P.e + sum(M.e for M in run)
-    return PMatrix(p, e, _symmetric_lift(map(residue, primes), primes))
+    X = PMatrix(p, e, _symmetric_lift(map(residue, primes), primes))
+    if X.e < e:
+        at = {q: v * pow(p, X.e - e, q) % q for q, v in at.items()}
+    return X, at
 
 
 class PMatrix:

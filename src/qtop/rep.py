@@ -286,8 +286,10 @@ def rho_mod(word: TwistWord, p: int, r: ResidueSpec):
 # -- one column: vectors carried through the letters ------------------------
 
 
+@lru_cache(maxsize=None)
 def vacuum_vector(genus: int, R):
-    """The handlebody vector e_vac over R."""
+    """The handlebody vector e_vac over R, cached as the letters are:
+    either kind of vector is read-only."""
     S = scalar_ring(R)
     vac = vacuum_index(genus, S.p)
     return S.vector([S.one if i == vac else S.zero for i in range(rep_dim(genus, S.p))])

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from fq_oracles import fq_rref as list_fq_rref
@@ -159,6 +160,25 @@ def test_p_is_invertible():
 
 def test_residue_primes_list():
     assert residue_primes(5) == [41, 61, 101, 181, 241]
+
+
+def test_is_prime_equals_sympy():
+    """Deterministic Miller-Rabin against sympy.isprime: every n below
+    3 000, random n up to 2^64 and up to 3.3 10^24, and strong
+    pseudoprimes to the bases 2, 3, 5 and 7 (3 215 031 751), to every
+    prime base up to 23 (3 825 123 056 546 413 051) and up to 37
+    (318 665 857 834 031 151 167 461); larger n are refused."""
+    rng = random.Random(7)
+    bound = 3317044064679887385961981
+    ns = list(range(3000)) + [rng.randrange(2**64) for _ in range(500)]
+    ns += [rng.randrange(bound) for _ in range(500)] + [rng.randrange(2**40) | 1 for _ in range(500)]
+    pseudoprimes = [3215031751, 3825123056546413051, 318665857834031151167461]
+    for n in ns + pseudoprimes + [bound - 1, 2**61 - 1, 2**64 - 59]:
+        assert is_prime(n) == sympy.isprime(n), n
+    assert not any(map(is_prime, pseudoprimes))
+    for n in (bound, 10**30 + 57):
+        with pytest.raises(RingUsageError):
+            is_prime(n)
 
 
 def test_residue_spec_rejects_bad_primes():

@@ -505,3 +505,26 @@ def test_draw_picks_at_the_word_size_limit():
     for n in (0, 2 ** 32):
         with pytest.raises(ValueError):
             linalg.draw_picks(random.Random(0), n, 1)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, object, np.float32, np.float64])
+def test_residues_equal_the_remainder_on_both_sides_of_the_floor_size(dtype):
+    """_residues against %, on fresh arrays just below, at and past
+    _FLOOR_SIZE entries (where it reduces by floor division), with
+    negative entries, entries at the dtype's edges and, for object
+    arrays, Python ints past 2^64; float arrays hold exact integers of
+    the float32 and float64 tiers and are cast to int32 or int64."""
+    rng = np.random.default_rng(3)
+    q = {np.int32: 89, np.float32: 89}.get(dtype, 25364641)
+    ints = np.int32 if dtype in (np.int32, np.float32) else np.int64
+    top = {np.int32: 2**31 - 1, np.float32: 2**24, np.float64: 2**53}.get(dtype, 2**63 - 1)
+    for size in (linalg._FLOOR_SIZE - 1, linalg._FLOOR_SIZE, 3 * linalg._FLOOR_SIZE + 7):
+        x = rng.integers(-top, top, size=size, dtype=np.int64, endpoint=True)
+        x[:4] = (-top, top, -1, 0)
+        if dtype is object:
+            x = x.astype(object) * (2**70 + 1)
+        x = x.astype(dtype).reshape(-1, 1) if size % 2 else x.astype(dtype)
+        expected = [int(v) % q for v in x.ravel().tolist()]
+        got = linalg._residues(x.copy(), q, ints)
+        assert got.ravel().tolist() == expected
+        assert got.dtype == (object if dtype is object else ints)

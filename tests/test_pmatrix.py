@@ -1,6 +1,7 @@
 """The multi-modular exact matrix kernel against the schoolbook product,
 the packed Kronecker product and sympy."""
 
+import math
 from functools import reduce
 from operator import mul
 
@@ -12,7 +13,9 @@ from oracles import conj_transpose_entrywise, scale_entrywise
 
 from qtop import manifolds, pmatrix
 from qtop.cyclotomic import CycElem, ResidueSpec, RingUsageError, residue_primes, ring
-from qtop.pmatrix import PMatrix, l1_spread, moduli, prime_count, product, product_spread, scalar_ring
+from qtop.pmatrix import (
+    PMatrix, embedding_spread, moduli, prime_count, product, product_spread, scalar_ring,
+)
 
 
 def schoolbook_mul(A: PMatrix, B: PMatrix) -> PMatrix:
@@ -288,6 +291,54 @@ def test_product_spread_is_two_deg_minus_two():
         assert product_spread(p) == direct == 2 * deg - 2
 
 
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 19, 23))
+def test_embedding_spread_is_deg_times_the_inverse_trace_form_norm(p):
+    """C_p against sympy's exact inverse of T[j, k] = Tr(zeta^(k - j)),
+    each trace the Ramanujan sum c_4p(k - j) = sum over d | (k - j, 4p)
+    of mu(4p / d) d: deg ||T^-1||_inf, which is p - 1."""
+    m, deg = 4 * p, 2 * (p - 1)
+    trace = {a: sum(sympy.mobius(m // d) * d for d in sympy.divisors(math.gcd(a, m))) for a in range(-deg, deg)}
+    inverse = sympy.Matrix(deg, deg, lambda j, k: trace[k - j]).inv()
+    norm = max(sum(map(abs, inverse.row(j))) for j in range(deg))
+    assert embedding_spread(p) == sympy.ceiling(deg * norm) == p - 1
+
+
+@st.composite
+def dense_chains(draw):
+    """2 to 6 dense n x n matrices over one p, no zero rows, coefficients
+    of either sign up to 2^20 and denominators up to p^3: far from
+    unitary."""
+    p = draw(st.sampled_from(PRIMES))
+    n, deg = draw(st.integers(1, 3)), ring(p).degree
+    coeffs = st.lists(st.integers(-(2**20), 2**20), min_size=deg, max_size=deg)
+
+    def matrix():
+        return PMatrix.from_rows(p, [[CycElem.make(p, draw(coeffs), draw(st.integers(0, 3))) for _ in range(n)]
+                                     for _ in range(n)])
+
+    return [matrix() for _ in range(draw(st.integers(2, 6)))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_chains())
+def test_the_run_bound_covers_the_product_numerators(mats):
+    """Every coefficient of the numerator of A_1 ... A_j over p^(e_1 + ...
+    + e_j) is at most C_p N(A_1) ... N(A_j), the bound a run carries."""
+    p = mats[0].p
+    X = reduce(schoolbook_mul, mats)
+    top = int(np.abs(X.num.astype(object)).max()) * p ** (sum(M.e for M in mats) - X.e)
+    assert top <= embedding_spread(p) * math.prod(M.bounds[1] for M in mats)
+
+
+def test_moduli_are_pinned():
+    """The primes every exact chain at p = 5, 7, 13 and 17 lifts on, at its
+    width max(deg, n): the same under trial division and Miller-Rabin."""
+    assert moduli(5, 8, 4) == (33554341, 33554221, 33554201, 33554021)
+    assert moduli(7, 14, 4) == (25364641, 25364501, 25364333, 25364137)
+    assert moduli(13, 91, 4) == (9948797, 9948329, 9948277, 9948173)
+    assert moduli(17, 204, 4) == (6644621, 6643261, 6643057, 6641969)
+
+
 def test_moduli_are_word_size_primes_of_the_float64_tier():
     for p, width in ((5, 5), (7, 14), (13, 91), (17, 32)):
         qs = moduli(p, width, 5)
@@ -353,6 +404,70 @@ def test_chain_product_equals_the_folded_oracles(mats):
     assert got.equal_exact(reduce(mul, mats))
 
 
+def _recorded_runs(monkeypatch):
+    """Every run's (lifted product, the values it hands on, the power of p
+    its lift stripped), as product makes them."""
+    runs = []
+    run = pmatrix._run
+
+    def recorded(width, mats, P, values):
+        factors = list(mats)
+        X, at = run(width, mats, P, values)
+        runs.append((X, at, P.e + sum(M.e for M in factors[len(mats):]) - X.e))
+        return X, at
+
+    monkeypatch.setattr(pmatrix, "_run", recorded)
+    return runs
+
+
+def _check_carried(runs):
+    for X, at, _stripped in runs:
+        for q, values in at.items():
+            assert np.array_equal(values, pmatrix._evaluate(X.p, X.num, q))
+
+
+def test_carried_values_are_the_lifted_products_values(monkeypatch):
+    """At p = 7, x = (1 - zeta^4) / p has (1 - zeta^4)^6 = p times a unit
+    as a numerator power, so a lift after six or more x factors strips a
+    power of p, and factors of 2^200 make the runs lift.  The values each
+    run hands on, scaled by p^-k, equal the lifted product's values at
+    every one of its primes, and the chain equals the folded product."""
+    p = 7
+    deg = ring(p).degree
+    runs = _recorded_runs(monkeypatch)
+    u = CycElem.root_power(p, 4)
+    x = PMatrix.from_rows(p, [[CycElem.make(p, list((CycElem.one(p) - u).coeffs), 1)]])
+    big = PMatrix.from_rows(p, [[CycElem.make(p, [2**200, 3] + [0] * (deg - 2))]])
+    mats = ([big] + [x] * 12) * 3 + [big]
+    assert product(mats).equal_exact(reduce(schoolbook_mul, mats))
+    assert len(runs) > 3 and not runs[-1][1]  # the last run hands on nothing
+    assert any(at and stripped for _X, at, stripped in runs)
+    assert all(at for _X, at, _stripped in runs[:-1])
+    _check_carried(runs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(chains())
+def test_carried_values_match_on_random_chains(mats):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        runs = _recorded_runs(monkeypatch)
+        got = product(mats)
+    assert got.equal_exact(reduce(schoolbook_mul, mats))
+    _check_carried(runs)
+
+
+def test_rt_chains_carry_their_values(monkeypatch):
+    """The p = 7 RT chains of a 12-letter word hand values on, and each
+    equals the lifted product's."""
+    runs = _recorded_runs(monkeypatch)
+    word = "c5*c3*s^-1*c1*s*c1*c2*c4*c2*c5^-1*c4*c3"
+    for kind in ("heegaard", "mtorus"):
+        desc = manifolds.parse_desc(f"{kind}:2:{word}")
+        manifolds.rt_closed(desc, 7)
+    assert sum(len(at) for _X, at, _stripped in runs) >= 4
+    _check_carried(runs)
+
+
 def test_a_zero_factor_anywhere_gives_the_zero_product():
     p, n = 7, 3
     x = CycElem.make(p, list(range(-5, 7)), 2)
@@ -369,40 +484,52 @@ def test_a_zero_factor_anywhere_gives_the_zero_product():
 
 def test_a_run_lifts_when_its_primes_run_out(monkeypatch):
     """Five factors 2 on x = m zeta at p = 7.  The first product's bound
-    2 m c_p sets the run's k primes, and each factor grows the bound on
-    the numerators by 2K (the L1 form, K = l1_spread(p)).  With m the half
-    product of the primes over (2K)^3, the first run takes three factors
-    and lifts, and the second takes the last two on k primes again.  From
-    m + 1 on, the third factor no longer fits: three runs of two, two and
-    one factors."""
-    used = []
-    lift = pmatrix._symmetric_lift
+    2 m c_p sets the run's k primes, and the run's bound on the numerators
+    of its whole product is C_p N(x) 2^j after j factors: the constant
+    C_p = embedding_spread(p) once, and a growth of N(2) = 2 per factor.
+    With m the half product of the primes over 2^3 C_p, the first run
+    takes three factors and lifts, and the second takes the last two on
+    k + 1 primes, as its first product's bound 2 (8 m) c_p is past the k.
+    From m + 1 on, the third factor no longer fits: the runs take two
+    factors and three.  A constant paid per factor would cut the first
+    run at two factors for m as well."""
+    used, sizes = [], []
+    lift, run = pmatrix._symmetric_lift, pmatrix._run
     monkeypatch.setattr(pmatrix, "_symmetric_lift", lambda res, qs: used.append(len(qs)) or lift(res, qs))
+
+    def counted(width, mats, P, values):
+        before = len(mats)
+        out = run(width, mats, P, values)
+        sizes.append(before - len(mats))
+        return out
+
+    monkeypatch.setattr(pmatrix, "_run", counted)
     p = 7
-    deg, grow = ring(p).degree, 2 * l1_spread(p)
+    deg = ring(p).degree
     two = PMatrix.from_rows(p, [[CycElem.from_int(p, 2)]])
     Q = 1
     for k in range(1, 4):
         Q *= moduli(p, deg, k)[-1]
-        m = (Q - 1) // 2 // grow**3
-        for x_m, runs in ((m, 2), (m + 1, 3)):
+        m = (Q - 1) // 2 // (2**3 * embedding_spread(p))
+        for x_m, runs in ((m, [3, 2]), (m + 1, [2, 3])):
             x = PMatrix.from_rows(p, [[CycElem.make(p, [0, x_m] + [0] * (deg - 2))]])
             used.clear()
+            sizes.clear()
             mats = [two] * 5 + [x]
             assert product(mats).entries == reduce(schoolbook_mul, mats).entries
-            assert used == [k] * runs
+            assert sizes == runs and used == [k, k + 1]
 
 
 # (p, description, the primes of each lift) of the RT invariant, letters warm
 LIFT_SCHEDULES = [
-    (13, "heegaard:2:c1*c3", [2, 2]),
+    (13, "heegaard:2:c1*c3", [2]),
     (13, "mtorus:2:c1*c3^-1*c5", [2, 2]),
-    (7, "heegaard:2:c4*c5*c2*c1^-1*s^-1*c1*c4^-1*c3*s*c3*c5*c2^-1", [1] * 6),
-    (7, "mtorus:2:c4*c5*c2*c1^-1*s^-1*c1*c4^-1*c3*s*c3*c5*c2^-1", [1, 1, 2, 1, 1]),
-    (7, "heegaard:2:c5^-1*c4*s*c5^-1*c1^-1*c2*c3*c2*c3*c1^-1*c4^-1*s", [1] * 5),
-    (7, "mtorus:2:c5^-1*c4*s*c5^-1*c1^-1*c2*c3*c2*c3*c1^-1*c4^-1*s", [1] * 6),
-    (7, "heegaard:2:c5*c3*s^-1*c1*s*c1*c2*c4*c2*c5^-1*c4*c3", [1] * 5),
-    (7, "mtorus:2:c5*c3*s^-1*c1*s*c1*c2*c4*c2*c5^-1*c4*c3", [1, 1, 1, 1, 2]),
+    (7, "heegaard:2:c4*c5*c2*c1^-1*s^-1*c1*c4^-1*c3*s*c3*c5*c2^-1", [1] * 4),
+    (7, "mtorus:2:c4*c5*c2*c1^-1*s^-1*c1*c4^-1*c3*s*c3*c5*c2^-1", [1, 2]),
+    (7, "heegaard:2:c5^-1*c4*s*c5^-1*c1^-1*c2*c3*c2*c3*c1^-1*c4^-1*s", [1] * 3),
+    (7, "mtorus:2:c5^-1*c4*s*c5^-1*c1^-1*c2*c3*c2*c3*c1^-1*c4^-1*s", [1] * 5),
+    (7, "heegaard:2:c5*c3*s^-1*c1*s*c1*c2*c4*c2*c5^-1*c4*c3", [1] * 4),
+    (7, "mtorus:2:c5*c3*s^-1*c1*s*c1*c2*c4*c2*c5^-1*c4*c3", [1, 1, 1, 2]),
 ]
 
 
@@ -436,7 +563,7 @@ def test_kept_values_belong_to_one_matrix_and_one_prime(monkeypatch):
     C = PMatrix.from_rows(p, [[big[3], big[2]], [big[0], big[1]]])
     got = product([A, C, B, A, B])
     assert got.equal_exact(reduce(schoolbook_mul, [A, C, B, A, B]))
-    assert len(lifted) > 1 and all(X._kept is None for X in lifted + [got, C])
+    assert len(lifted) > 1 and all(X._kept is None for X in [X for X, _at in lifted] + [got, C])
     assert len(A._kept) > 1 and B._kept
     arrays = []
     for M in (A, B):
